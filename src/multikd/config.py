@@ -71,15 +71,17 @@ class DistillConfig:
             )
         if not 0.0 <= self.alpha <= 1.0:
             raise ValidationError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.tau <= 0.0:
+        # `not x > 0.0` rather than `x <= 0.0`: NaN compares false with
+        # everything, so only this form rejects it
+        if not self.tau > 0.0:
             raise ValidationError(f"tau must be positive, got {self.tau}")
-        if self.weight_tau <= 0.0:
+        if not self.weight_tau > 0.0:
             raise ValidationError(f"weight_tau must be positive, got {self.weight_tau}")
         if not 0.0 < self.h <= 1.0:
             raise ValidationError(f"h must be in (0, 1], got {self.h}")
-        if self.gamma <= 0.0:
+        if not self.gamma > 0.0:
             raise ValidationError(f"gamma must be positive, got {self.gamma}")
-        if self.lr <= 0.0:
+        if not self.lr > 0.0:
             raise ValidationError(f"lr must be positive, got {self.lr}")
         if self.epochs < 0:
             raise ValidationError(f"epochs must be >= 0, got {self.epochs}")

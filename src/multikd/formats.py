@@ -84,6 +84,16 @@ def _parse_int(raw: str, key: str, path: str) -> int:
     return value
 
 
+def _parse_float(raw: str, key: str, path: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        raise FormatError(f"{path}:1: {key} must be a number, got {raw!r}") from None
+    if not np.isfinite(value):
+        raise FormatError(f"{path}:1: {key} must be finite, got {raw!r}")
+    return value
+
+
 def _body(lines: list[str], n: int, path: str) -> list[str]:
     body = [line for line in lines[1:] if line.strip()]
     if len(body) != n:
@@ -232,11 +242,12 @@ def load_targets(path: str) -> tuple[str, float, np.ndarray]:
     c = _parse_int(header["c"], "c", path)
     if header["strategy"] not in STRATEGIES:
         raise FormatError(f"{path}:1: unknown strategy {header['strategy']!r}")
+    tau = _parse_float(header["tau"], "tau", path)
     body = _body(lines, n, path)
     rows = np.empty((n, c))
     for i, line in enumerate(body):
         rows[i] = _float_row(line, c, path, i + 2)
-    return header["strategy"], float(header["tau"]), rows
+    return header["strategy"], tau, rows
 
 
 def write_weights(path: str, mode: str, matrix) -> None:

@@ -307,12 +307,15 @@ def cost_probe(rc: RunConfig, epochs: int = 5, repeats: int = 3) -> CostProbe:
     All three strategies train on identical data with the same seed and
     the same single-target loss shape, so the only cost difference KD
     could introduce is the one-shot assembly before epoch 0. Timing is
-    a measurement, so it is made sturdy against scheduler noise: each
-    run drops its first epoch as warmup and keeps a low quantile of the
-    rest, strategies are interleaved within every repeat with the
-    KD/PKD order alternating between repeats, and the reported ratio is
-    the median over the paired repeats. Assembly flop counts are
-    analytic and depend only on matrix sizes, never on epochs.
+    a measurement, so it is made sturdy against scheduler noise and
+    machine speed drift: the three students train one epoch at a time,
+    interleaved, with the KD/PKD order alternating from epoch to epoch,
+    so the two epochs of a KD/PKD pair run back to back. The first
+    epoch of every repeat is warmup and is dropped. A strategy's
+    per-epoch time is a low quantile of its epochs, and the reported
+    ratio is the median of the paired per-epoch ratios. Assembly flop
+    counts are analytic and depend only on matrix sizes, never on
+    epochs.
     """
     if epochs < 2:
         raise ValidationError("cost probe needs at least 2 epochs (first is warmup)")
@@ -335,28 +338,34 @@ def cost_probe(rc: RunConfig, epochs: int = 5, repeats: int = 3) -> CostProbe:
         prepared[tag] = (cell.distill, targets)
         flops[tag] = assembly_flop_estimate(n, 0 if tag == cfg.NONE else bank.k, c)
 
-    def timed_run(tag: str) -> float:
+    stage_seed = derive_seed(rc.seed, STAGE_STUDENT)
+
+    def fresh_student(tag: str):
         config, targets = prepared[tag]
-        stage_seed = derive_seed(rc.seed, STAGE_STUDENT)
         prng = SplitMix64(derive_seed(stage_seed, 0))
         model = init_student(data.train_dark.dim, config.hidden_dim, c, prng)
-        run_cfg = config.with_(seed=derive_seed(stage_seed, 1))
-        result = train(model, data.train_dark.features, data.train_dark.labels, targets, run_cfg)
-        # low quantile of the post-warmup epochs: scheduler spikes only
-        # fatten the right tail, the floor is the honest per-epoch cost
-        return float(np.quantile(result.epoch_seconds[1:], 0.25))
+        return model, targets, config.with_(seed=derive_seed(stage_seed, 1), epochs=1)
 
-    # interleave the strategies within each repeat so machine drift hits
-    # all of them alike, and alternate the KD/PKD order between repeats
-    # so monotone drift biases the paired ratio both ways equally
-    medians = {tag: [] for tag in tags}
+    def timed_epoch(student) -> float:
+        model, targets, config = student
+        result = train(model, data.train_dark.features, data.train_dark.labels, targets, config)
+        return result.epoch_seconds[0]
+
+    times = {tag: [] for tag in tags}
     ratios = []
     for rep in range(repeats):
-        order = tags if rep % 2 == 0 else (cfg.NONE, cfg.PKD, cfg.KD_SINGLE)
-        for tag in order:
-            medians[tag].append(timed_run(tag))
-        ratios.append(medians[cfg.PKD][-1] / medians[cfg.KD_SINGLE][-1])
-    per_epoch = {tag: float(np.median(vals)) for tag, vals in medians.items()}
+        students = {tag: fresh_student(tag) for tag in tags}
+        for epoch in range(epochs):
+            order = tags if (rep + epoch) % 2 == 0 else (cfg.NONE, cfg.PKD, cfg.KD_SINGLE)
+            seconds = {tag: timed_epoch(students[tag]) for tag in order}
+            if epoch == 0:
+                continue
+            for tag in tags:
+                times[tag].append(seconds[tag])
+            ratios.append(seconds[cfg.PKD] / seconds[cfg.KD_SINGLE])
+    # low quantile: scheduler spikes only fatten the right tail, the
+    # floor is the honest per-epoch cost
+    per_epoch = {tag: float(np.quantile(vals, 0.25)) for tag, vals in times.items()}
     peak = _peak_rss_kb()
     return CostProbe(
         epochs=epochs,

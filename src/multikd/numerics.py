@@ -75,9 +75,14 @@ def kl_divergence(q, p) -> float:
     return float(kl_rows(q, p))
 
 
+def log_or_zero(p: np.ndarray) -> np.ndarray:
+    """log(p) where p > 0 and 0 elsewhere, so that p * log(p) is 0 at 0."""
+    return np.log(np.where(p > 0.0, p, 1.0))
+
+
 def kl_rows(q: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Row-wise KL for pre-validated stacked distributions (no checks)."""
-    log_q = np.log(np.where(q > 0.0, q, 1.0))
+    log_q = log_or_zero(q)
     log_p = np.log(np.maximum(p, EPS))
     return (q * (log_q - log_p)).sum(axis=-1)
 
@@ -103,7 +108,7 @@ def entropy(p) -> float:
 
 
 def entropy_rows(p: np.ndarray) -> np.ndarray:
-    return -(p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=-1)
+    return -(p * log_or_zero(p)).sum(axis=-1)
 
 
 def top1(p) -> int:

@@ -9,10 +9,20 @@ term. The cross-entropy always uses plain (tau = 1) student
 probabilities; only the distillation term is temperature-softened and
 carries the tau^2 prefactor. Strategy NONE trains on the plain
 cross-entropy alone (alpha does not apply; this is the baseline).
+
+ce_loss, kd_loss, avg1_loss, total_loss and loss_gradient are the
+reference math. Training runs one step kernel, _step, that computes the
+forward pass, p1 and p_tau once each, the loss from those two, the
+logit gradient and the update; backward_step and parameter_gradients
+call the same kernel. train() validates its inputs once at entry and
+gathers each epoch's rows once, so a step builds no per-batch objects.
+AVG1 distils through the mean of its K targets, precomputed once per
+fit, so its per-step cost does not grow with K.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -21,7 +31,7 @@ import numpy as np
 from . import config as cfg
 from .ensemble import TargetSet, validate_labels
 from .errors import NumericalError, ValidationError
-from .numerics import EPS, kl_rows, softmax_t
+from .numerics import EPS, entropy_rows, kl_rows, log_or_zero, softmax_t, validate_tau
 from .rng import SplitMix64
 
 
@@ -176,48 +186,124 @@ def loss_gradient(student_logits, labels, target_set: TargetSet, config: cfg.Dis
     return config.alpha * ce_grad + kd_grad
 
 
-def backward_step(model: StudentModel, batch: Batch, config: cfg.DistillConfig) -> float:
-    """One SGD step on a batch; returns the pre-step loss.
+def _rows(model: StudentModel, features, labels, target_set: TargetSet, config: cfg.DistillConfig) -> list:
+    """Validate one training call and return its per-row step inputs.
 
-    The logit gradient from loss_gradient is pushed through both layers
-    analytically; relu uses the zero subgradient at exactly 0.
+    Every check the step kernel relies on runs here, once: the config,
+    the strategy tag, feature and label shapes, and the target shapes.
+    The result is [features, onehot] for NONE, plus [target, log_target]
+    for a distillation strategy, plus [gap] for AVG1; row n of each is
+    sample n. onehot is a boolean N x C label mask. log_target is
+    log_or_zero(target), as in kl_rows.
+
+    AVG1 distils its K targets through their mean, accumulated in
+    teacher order so it has the bits of np.mean(targets, axis=0). Its
+    loss, mean_k KL(t_k||p), is KL(mean||p) plus the per-row constant
+    gap = H(mean) - mean_k H(t_k), so no step touches more than one
+    target matrix. Adding gap to KL(mean||p), rather than computing
+    mean_k sum t_k log t_k - sum mean log p, keeps a small loss free of
+    cancellation between two large sums.
     """
-    logits, hidden, pre = _forward_cached(model, batch.features)
+    config.validate()
+    if target_set.strategy != config.strategy:
+        raise ValidationError(
+            f"target set built for {target_set.strategy}, config says {config.strategy}"
+        )
+    features = np.asarray(features, dtype=np.float64)
+    labels = validate_labels(labels, model.n_classes)
+    n = labels.size
+    if features.ndim != 2 or features.shape[0] != n:
+        raise ValidationError("features and labels misaligned")
+    if features.shape[1] != model.d_in:
+        raise ValidationError(f"features have {features.shape[1]} dims, model expects {model.d_in}")
+    onehot = labels[:, None] == np.arange(model.n_classes)
+    if config.strategy == cfg.NONE:
+        return [features, onehot]
+    validate_tau(config.tau)  # the config admits tau = inf, softmax_t does not
+    for t in target_set.targets:
+        if t.shape != (n, model.n_classes):
+            raise ValidationError(
+                f"target matrix {t.shape} misaligned with data ({n}, {model.n_classes})"
+            )
+    targets = [np.asarray(t, dtype=np.float64) for t in target_set.targets]
+    if config.strategy != cfg.AVG1:
+        target = targets[0]
+        return [features, onehot, target, log_or_zero(target)]
+    total = targets[0].copy()
+    entropy_sum = entropy_rows(targets[0])
+    for t in targets[1:]:
+        total += t
+        entropy_sum += entropy_rows(t)
+    target = total / len(targets)
+    gap = entropy_rows(target) - entropy_sum / len(targets)
+    return [features, onehot, target, log_or_zero(target), gap]
+
+
+def _softmax_rows(scaled: np.ndarray) -> np.ndarray:
+    """softmax_t of already-scaled, already-checked logits, row-wise."""
+    e = np.exp(scaled - np.maximum.reduce(scaled, axis=1, keepdims=True))
+    return e / np.add.reduce(e, axis=1, keepdims=True)
+
+
+def _step(model, config, features, onehot, target=None, log_target=None, gap=None, update=True):
+    """The student step on one batch of rows, as returned by _rows.
+
+    Forward pass, p1 and p_tau once each, the loss from them, the logit
+    gradient, the parameter gradients pushed through both layers (relu
+    takes the zero subgradient at exactly 0), then, if update, the SGD
+    update. The arithmetic is that of total_loss and loss_gradient,
+    followed by the w2, b2, w1, b1 updates, so parameters match that
+    plain sequence bit for bit; AVG1's loss is rearranged (see _rows)
+    and may differ from avg1_loss in the last bits.
+    Returns the pre-step loss and the (w1, b1, w2, b2) gradients.
+    """
+    n = features.shape[0]
+    logits, hidden, pre = _forward_cached(model, features)
     if not np.isfinite(logits).all():
         raise NumericalError("non-finite student logits; training aborted")
-    loss = total_loss(logits, batch.labels, batch.targets, config)
-    if not np.isfinite(loss):
+    p1 = _softmax_rows(logits)
+    loss = -float(np.add.reduce(np.log(np.maximum(p1[onehot], EPS))) / n)
+    g_logits = (p1 - onehot) / n
+    if target is not None:
+        alpha, tau = config.alpha, config.tau
+        p_tau = _softmax_rows(logits / tau)
+        kl = np.add.reduce(target * (log_target - np.log(np.maximum(p_tau, EPS))), axis=1)
+        if gap is not None:
+            kl += gap
+        kd = tau * tau * float(np.add.reduce(kl) / n)
+        loss = alpha * loss + (1.0 - alpha) * kd
+        g_logits = alpha * g_logits + (1.0 - alpha) * tau * (p_tau - target) / n
+    if not math.isfinite(loss):
         raise NumericalError(f"non-finite loss {loss}; training aborted")
-    g_logits = loss_gradient(logits, batch.labels, batch.targets, config)
     if not np.isfinite(g_logits).all():
         raise NumericalError("non-finite logit gradient; training aborted")
 
     g_w2 = g_logits.T @ hidden
-    g_b2 = g_logits.sum(axis=0)
+    g_b2 = np.add.reduce(g_logits, axis=0)
     g_hidden = (g_logits @ model.w2) * (pre > 0.0)
-    g_w1 = g_hidden.T @ batch.features
-    g_b1 = g_hidden.sum(axis=0)
+    g_w1 = g_hidden.T @ features
+    g_b1 = np.add.reduce(g_hidden, axis=0)
+    if update:
+        lr = config.lr
+        model.w2 -= lr * g_w2
+        model.b2 -= lr * g_b2
+        model.w1 -= lr * g_w1
+        model.b1 -= lr * g_b1
+        if not (np.isfinite(model.w1).all() and np.isfinite(model.w2).all()):
+            raise NumericalError("non-finite parameters after update; training aborted")
+    return loss, (g_w1, g_b1, g_w2, g_b2)
 
-    lr = config.lr
-    model.w2 -= lr * g_w2
-    model.b2 -= lr * g_b2
-    model.w1 -= lr * g_w1
-    model.b1 -= lr * g_b1
-    if not (np.isfinite(model.w1).all() and np.isfinite(model.w2).all()):
-        raise NumericalError("non-finite parameters after update; training aborted")
-    return loss
+
+def backward_step(model: StudentModel, batch: Batch, config: cfg.DistillConfig) -> float:
+    """One SGD step on a batch; returns the pre-step loss."""
+    rows = _rows(model, batch.features, batch.labels, batch.targets, config)
+    return _step(model, config, *rows)[0]
 
 
 def parameter_gradients(model: StudentModel, batch: Batch, config: cfg.DistillConfig):
     """Analytic (w1, b1, w2, b2) gradients without updating the model."""
-    logits, hidden, pre = _forward_cached(model, batch.features)
-    g_logits = loss_gradient(logits, batch.labels, batch.targets, config)
-    g_w2 = g_logits.T @ hidden
-    g_b2 = g_logits.sum(axis=0)
-    g_hidden = (g_logits @ model.w2) * (pre > 0.0)
-    g_w1 = g_hidden.T @ batch.features
-    g_b1 = g_hidden.sum(axis=0)
-    return g_w1, g_b1, g_w2, g_b2
+    rows = _rows(model, batch.features, batch.labels, batch.targets, config)
+    return _step(model, config, *rows, update=False)[1]
 
 
 def train(
@@ -229,33 +315,28 @@ def train(
 ) -> TrainResult:
     """SGD over epochs * ceil(N / batch) steps, shuffled by config.seed.
 
+    Inputs are validated once, here; each epoch gathers its rows in
+    permutation order and every batch is a contiguous slice of them.
+
     Deterministic: the seed fixes the batch order, and every reduction
     runs in a fixed order, so the final parameters and the loss trace
     are bit-identical across runs. The per-epoch wall-clock times in
     the result are measurements and carry no such guarantee.
     """
-    features = np.asarray(features, dtype=np.float64)
-    labels = validate_labels(labels, model.n_classes)
-    n = features.shape[0]
-    if labels.size != n:
-        raise ValidationError("features and labels misaligned")
-    if target_set.strategy != cfg.NONE:
-        for t in target_set.targets:
-            if t.shape != (n, model.n_classes):
-                raise ValidationError(
-                    f"target matrix {t.shape} misaligned with data ({n}, {model.n_classes})"
-                )
+    rows = _rows(model, features, labels, target_set, config)
+    n = rows[0].shape[0]
+    size = config.batch_size
     prng = SplitMix64(config.seed)
     trace: list[float] = []
     times: list[float] = []
     for _ in range(config.epochs):
         started = time.perf_counter()
         order = np.array(prng.permutation(n), dtype=np.int64)
+        shuffled = [column[order] for column in rows]
         step_losses = []
-        for lo in range(0, n, config.batch_size):
-            idx = order[lo : lo + config.batch_size]
-            batch = Batch(features[idx], labels[idx], target_set.slice(idx))
-            step_losses.append(backward_step(model, batch, config))
+        for lo in range(0, n, size):
+            batch = [column[lo : lo + size] for column in shuffled]
+            step_losses.append(_step(model, config, *batch)[0])
         trace.append(float(np.mean(step_losses)))
         times.append(time.perf_counter() - started)
     return TrainResult(model, trace, times)

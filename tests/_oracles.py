@@ -1,8 +1,10 @@
-"""Independent high-precision oracles used to freeze expected values.
+"""Independent oracles used to freeze expected values.
 
-All routines re-evaluate the exact float64 inputs with 50-digit
+The dec_* routines re-evaluate the exact float64 inputs with 50-digit
 decimal arithmetic and plain term-by-term summation, sharing no code
-with the implementation under test.
+with the implementation under test. reference_train is the student SGD
+loop written step by step from the public reference math (total_loss,
+loss_gradient), the standard the fused training step is held to.
 """
 
 from decimal import Decimal, getcontext
@@ -67,3 +69,44 @@ def rel_err(a, b, floor=1e-6):
     b = np.asarray(b, dtype=np.float64)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return float(np.max(np.abs(a - b) / denom))
+
+
+def reference_train(model, features, labels, target_set, config):
+    """Train `model` in place, one plain step at a time; return the loss trace.
+
+    Per batch: gather the rows, run the forward pass, take the loss from
+    total_loss and the logit gradient from loss_gradient, push it
+    through both layers, then update w2, b2, w1, b1 in that order.
+    """
+    import numpy as np
+
+    from multikd.rng import SplitMix64
+    from multikd.trainer import loss_gradient, total_loss
+
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels)
+    n = labels.size
+    prng = SplitMix64(config.seed)
+    trace = []
+    for _ in range(config.epochs):
+        order = np.array(prng.permutation(n), dtype=np.int64)
+        losses = []
+        for lo in range(0, n, config.batch_size):
+            idx = order[lo : lo + config.batch_size]
+            x, y, targets = features[idx], labels[idx], target_set.slice(idx)
+            pre = x @ model.w1.T + model.b1
+            hidden = np.maximum(pre, 0.0)
+            logits = hidden @ model.w2.T + model.b2
+            losses.append(total_loss(logits, y, targets, config))
+            g = loss_gradient(logits, y, targets, config)
+            g_w2 = g.T @ hidden
+            g_b2 = g.sum(axis=0)
+            g_hidden = (g @ model.w2) * (pre > 0.0)
+            g_w1 = g_hidden.T @ x
+            g_b1 = g_hidden.sum(axis=0)
+            model.w2 -= config.lr * g_w2
+            model.b2 -= config.lr * g_b2
+            model.w1 -= config.lr * g_w1
+            model.b1 -= config.lr * g_b1
+        trace.append(float(np.mean(losses)))
+    return trace

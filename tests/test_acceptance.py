@@ -3,12 +3,14 @@
 Run with `pytest -s tests/test_acceptance.py` to see the lines. The
 ablation criteria share a single five-seed six-strategy run at package
 defaults; everything is seeded, so the numbers (and pass/fail) are
-bit-reproducible.
+bit-reproducible, and the report bytes are pinned against a golden
+file written by `multikd ablate --seeds 1,2,3,4,5`.
 """
 
 import filecmp
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from multikd.cli import main as cli_main
 from multikd.datagen import DataParams, gen_dataset
 from multikd.ensemble import PkdParams, TargetSet, TeacherBank, build_targets, compute_weights
 from multikd.formats import load_dataset, load_logits, write_dataset, write_logit_dump
-from multikd.harness import RunConfig, cost_probe, run_ablation
+from multikd.harness import RunConfig, cost_probe, report_machine_text, run_ablation
 from multikd.numerics import entropy_rows, softmax_t
 from multikd.rng import SplitMix64
 from multikd.trainer import (
@@ -32,6 +34,8 @@ from multikd.trainer import (
 )
 
 from _oracles import fd_gradient, rel_err
+
+GOLDEN_ABLATION = Path(__file__).parent / "golden" / "ablation_default.tsv"
 
 
 def report(num, name, ok, detail):
@@ -224,6 +228,13 @@ def test_criterion_8_gtd_inferiority(ablation):
     gtd, pkd = rep.mean_top1(mk.GTD), rep.mean_top1(mk.PKD)
     report(8, "GTD does not beat PKD", gtd <= pkd,
            f"GTD={gtd:.4f} <= PKD={pkd:.4f}")
+
+
+def test_golden_ablation_report(ablation):
+    # running twice (criterion 10) cannot see a change that moves every
+    # number alike; the pinned bytes can
+    rep, _ = ablation
+    assert report_machine_text(rep).encode("utf-8") == GOLDEN_ABLATION.read_bytes()
 
 
 def test_criterion_9_zero_added_cost():

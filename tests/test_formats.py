@@ -163,6 +163,13 @@ class TestTargetsFile:
         with pytest.raises(FormatError, match="strategy"):
             load_targets(path)
 
+    @pytest.mark.parametrize("raw", ["abc", "nan", "inf", ""])
+    def test_bad_tau_rejected_with_line(self, tmp_path, raw):
+        path = tmp_path / "targets.txt"
+        path.write_text(f"#targets v1 n=1 c=2 strategy=PKD tau={raw}\n0.5 0.5\n")
+        with pytest.raises(FormatError, match=r"targets\.txt:1: tau must be"):
+            load_targets(path)
+
 
 class TestConfigFile:
     def test_parse_values_and_comments(self, tmp_path):

@@ -1,0 +1,144 @@
+"""The fused student step against the step-by-step reference loop.
+
+train() runs one kernel per batch on rows gathered once per epoch. Its
+final parameters must equal, bit for bit, those of the plain loop built
+from total_loss and loss_gradient (tests/_oracles.py), for every
+strategy and for batches that do not divide N. AVG1 steps must cost the
+same at any number of teachers.
+"""
+
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import multikd as mk
+from multikd import DistillConfig, TargetSet, init_student, train
+from multikd.ensemble import TeacherBank, build_targets
+from multikd.errors import NumericalError
+from multikd.rng import SplitMix64
+
+from _oracles import reference_train
+
+
+def make_fit(strategy, n, d, c, hidden, k, tau, alpha, batch_size, epochs, seed):
+    rng = np.random.default_rng(seed)
+    features = rng.random((n, d))
+    labels = rng.integers(c, size=n)
+    config = DistillConfig(strategy=strategy, tau=tau, alpha=alpha, lr=0.2,
+                           batch_size=batch_size, epochs=epochs, seed=seed)
+    if strategy == mk.NONE:
+        targets = TargetSet(mk.NONE)
+    else:
+        bank = TeacherBank([rng.normal(size=(n, c)) * 3.0 for _ in range(k)],
+                           [f"t{j}" for j in range(k)])
+        targets = build_targets(bank, labels, config)
+    model = init_student(d, hidden, c, SplitMix64(seed))
+    return model, features, labels, targets, config
+
+
+@st.composite
+def fits(draw):
+    strategy = draw(st.sampled_from(mk.STRATEGIES))
+    return make_fit(
+        strategy,
+        n=draw(st.integers(1, 30)),
+        d=draw(st.integers(1, 6)),
+        c=draw(st.integers(2, 6)),
+        hidden=draw(st.integers(1, 6)),
+        k=1 if strategy == mk.KD_SINGLE else draw(st.integers(1, 5)),
+        tau=draw(st.floats(0.25, 12.0)),
+        alpha=draw(st.floats(0.0, 1.0)),
+        batch_size=draw(st.integers(1, 8)),
+        epochs=draw(st.integers(1, 3)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(fits())
+def test_train_matches_reference_loop_bit_for_bit(fit):
+    model, features, labels, targets, config = fit
+    expected = model.copy()
+    expected_trace = reference_train(expected, features, labels, targets, config)
+    result = train(model, features, labels, targets, config)
+    for name in ("w1", "b1", "w2", "b2"):
+        assert np.array_equal(getattr(model, name), getattr(expected, name)), name
+    assert len(result.loss_trace) == len(expected_trace)
+    for got, want in zip(result.loss_trace, expected_trace):
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_uneven_last_batch_matches_reference():
+    for strategy in mk.STRATEGIES:
+        k = 1 if strategy == mk.KD_SINGLE else 3
+        model, features, labels, targets, config = make_fit(
+            strategy, n=23, d=5, c=4, hidden=6, k=k, tau=3.0, alpha=0.4,
+            batch_size=4, epochs=2, seed=7)
+        expected = model.copy()
+        reference_train(expected, features, labels, targets, config)
+        train(model, features, labels, targets, config)
+        assert np.array_equal(model.w1, expected.w1) and np.array_equal(model.b2, expected.b2)
+
+
+def calls_per_step(strategy, k, steps=8):
+    """Python plus C calls per step: calls for 2m steps minus calls for m, over m."""
+    model, features, labels, targets, config = make_fit(
+        strategy, n=2 * steps * 4, d=5, c=4, hidden=6, k=k, tau=3.0, alpha=0.5,
+        batch_size=4, epochs=1, seed=3)
+
+    def count(n):
+        part = TargetSet(targets.strategy, [t[:n] for t in targets.targets])
+        calls = 0
+
+        def hook(frame, event, arg):
+            nonlocal calls
+            if event in ("call", "c_call"):
+                calls += 1
+
+        sys.setprofile(hook)
+        try:
+            train(model.copy(), features[:n], labels[:n], part, config)
+        finally:
+            sys.setprofile(None)
+        return calls
+
+    return (count(2 * steps * 4) - count(steps * 4)) / steps
+
+
+def test_avg1_step_cost_does_not_grow_with_teachers():
+    at_2 = calls_per_step(mk.AVG1, 2)
+    at_50 = calls_per_step(mk.AVG1, 50)
+    assert at_2 == at_50
+    assert at_2 == calls_per_step(mk.AVG2, 50)
+
+
+class TestNumericalChecks:
+    def test_nonfinite_logits(self):
+        model, features, labels, targets, config = make_fit(
+            mk.PKD, n=8, d=3, c=3, hidden=4, k=2, tau=2.0, alpha=0.5,
+            batch_size=4, epochs=1, seed=1)
+        features[0, 0] = np.inf
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NumericalError, match="non-finite student logits"):
+                train(model, features, labels, targets, config)
+
+    def test_nonfinite_loss(self):
+        # logits / tau overflow at a denormal temperature
+        model, features, labels, targets, config = make_fit(
+            mk.KD_SINGLE, n=8, d=3, c=3, hidden=4, k=1, tau=2.0, alpha=0.5,
+            batch_size=4, epochs=1, seed=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="non-finite loss nan"):
+                train(model, features, labels, targets, config.with_(tau=1e-310))
+
+    def test_nonfinite_parameters(self):
+        model, features, labels, targets, config = make_fit(
+            mk.NONE, n=8, d=3, c=3, hidden=4, k=1, tau=2.0, alpha=0.5,
+            batch_size=4, epochs=1, seed=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="non-finite parameters after update"):
+                train(model, features * 1e6, labels, targets, config.with_(lr=1e308))

@@ -336,17 +336,17 @@ class TestTrainAndEvaluate:
         counted = []
         import multikd.trainer as trainer_mod
 
-        original = trainer_mod.backward_step
+        original = trainer_mod._step
 
         def counting(*args, **kwargs):
             counted.append(1)
             return original(*args, **kwargs)
 
-        trainer_mod.backward_step = counting
+        trainer_mod._step = counting
         try:
             train(model, features, labels, TargetSet(mk.NONE), config)
         finally:
-            trainer_mod.backward_step = original
+            trainer_mod._step = original
         assert len(counted) == 3 * math.ceil(25 / 10)
 
     def test_none_fits_train_ce_at_least_as_well_as_pkd(self):
