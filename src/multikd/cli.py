@@ -21,6 +21,7 @@ from .formats import (
     load_model,
     parse_config_file,
     write_all_views,
+    write_atomically,
     write_logit_dump,
     write_model,
     write_targets,
@@ -298,9 +299,9 @@ def cmd_ablate(args) -> int:
     table = report_table_text(report)
     out = values.get("out")
     if out:
-        with open(f"{out}.txt", "w", encoding="utf-8") as fh:
+        with write_atomically(f"{out}.txt") as fh:
             fh.write(table)
-        with open(f"{out}.tsv", "w", encoding="utf-8") as fh:
+        with write_atomically(f"{out}.tsv") as fh:
             fh.write(report_machine_text(report))
     sys.stdout.write(table)
     return 0 if not report.failures else 3
@@ -314,7 +315,7 @@ def cmd_cost_probe(args) -> int:
     text = cost_probe_text(probe)
     out = values.get("out")
     if out:
-        with open(str(out), "w", encoding="utf-8") as fh:
+        with write_atomically(str(out)) as fh:
             fh.write(text)
     sys.stdout.write(text)
     return 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .errors import ValidationError
@@ -71,18 +72,13 @@ class DistillConfig:
             )
         if not 0.0 <= self.alpha <= 1.0:
             raise ValidationError(f"alpha must be in [0, 1], got {self.alpha}")
-        # `not x > 0.0` rather than `x <= 0.0`: NaN compares false with
-        # everything, so only this form rejects it
-        if not self.tau > 0.0:
-            raise ValidationError(f"tau must be positive, got {self.tau}")
-        if not self.weight_tau > 0.0:
-            raise ValidationError(f"weight_tau must be positive, got {self.weight_tau}")
         if not 0.0 < self.h <= 1.0:
             raise ValidationError(f"h must be in (0, 1], got {self.h}")
-        if not self.gamma > 0.0:
-            raise ValidationError(f"gamma must be positive, got {self.gamma}")
-        if not self.lr > 0.0:
-            raise ValidationError(f"lr must be positive, got {self.lr}")
+        for key in ("tau", "weight_tau", "gamma", "lr"):
+            value = getattr(self, key)
+            # isfinite rejects NaN, which compares false with everything
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValidationError(f"{key} must be positive and finite, got {value}")
         if self.epochs < 0:
             raise ValidationError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:

@@ -5,17 +5,31 @@ Every format is line-oriented text with a magic first line of the form
 round-trip repr, so dump-then-load reproduces every value bit-exactly
 and files stay diffable. Loaders reject, with a named diagnostic, each
 of: bad magic line, dimension mismatches, and non-finite values.
+Matrix bodies are converted a chunk of rows at a time; a faulty chunk
+is parsed again line by line, so each diagnostic names the first faulty
+line. Writers write a temporary file beside the target and move it into
+place only once it is complete.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import STRATEGIES
-from .datagen import MODALITIES, SPLITS, Dataset
+from .datagen import (
+    MODALITIES,
+    MODALITY_A,
+    MODALITY_A_DARK,
+    MODALITY_B,
+    SPLITS,
+    Dataset,
+    SyntheticData,
+)
 from .errors import FormatError
 from .trainer import StudentModel
 
@@ -52,6 +66,108 @@ def _float_row(line: str, width: int, path: str, lineno: int) -> np.ndarray:
     if not np.isfinite(row).all():
         raise FormatError(f"{path}:{lineno}: non-finite value")
     return row
+
+
+def _dataset_row(line: str, d: int, c: int, path: str, lineno: int) -> tuple[np.ndarray, int]:
+    tokens = line.split()
+    if len(tokens) != d + 1:
+        raise FormatError(f"{path}:{lineno}: column count mismatch (expected {d} floats + label)")
+    features = _float_row(" ".join(tokens[:d]), d, path, lineno)
+    try:
+        label = int(tokens[d])
+    except ValueError:
+        raise FormatError(f"{path}:{lineno}: malformed label {tokens[d]!r}") from None
+    if not 0 <= label < c:
+        raise FormatError(f"{path}:{lineno}: label {label} out of range [0, {c})")
+    return features, label
+
+
+# Rows converted per numpy call. A chunk bounds the list of token strings
+# held at once, so a large file costs little more memory than its matrix.
+_CHUNK_ROWS = 256
+
+
+def _convert_chunk(rows: list[list[str]], width: int, n_classes: int | None):
+    """(values, labels) of a chunk of split rows, or None if any row is faulty.
+
+    One `np.array` call converts every float token; it accepts the
+    syntax `float` accepts and gives the same bits.
+    """
+    columns = width if n_classes is None else width + 1
+    if any(len(row) != columns for row in rows):
+        return None
+    try:
+        block = np.array(list(itertools.chain.from_iterable(rows)), dtype=np.float64)
+        labels = None
+        if n_classes is not None:
+            labels = np.array([int(row[width]) for row in rows], dtype=np.int64)
+    except (ValueError, OverflowError):  # a malformed number, or a label past int64
+        return None
+    values = block.reshape(len(rows), columns)[:, :width]
+    if not np.isfinite(values).all():
+        return None
+    if labels is not None and not (0 <= labels.min() and labels.max() < n_classes):
+        return None
+    return values, labels
+
+
+def _parse_rows(
+    lines: list[str], width: int, path: str, lineno: int, n_classes: int | None = None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """`lines` as an (n, width) float matrix, checked as `_float_row` checks a row.
+
+    `lineno` is the file line number of lines[0]. With `n_classes`, each
+    line ends in one more column, an integer label in [0, n_classes)
+    checked as `_dataset_row` checks it, and the labels are returned
+    too; otherwise the second value is None.
+
+    Rows are converted a chunk at a time. A chunk with any fault is
+    parsed again line by line, which raises the diagnostic naming its
+    first faulty line, exactly as a line-by-line parse of the file would.
+    """
+    matrix = np.empty((len(lines), width))
+    labels = None if n_classes is None else np.empty(len(lines), dtype=np.int64)
+    for start in range(0, len(lines), _CHUNK_ROWS):
+        chunk = lines[start : start + _CHUNK_ROWS]
+        converted = _convert_chunk([line.split() for line in chunk], width, n_classes)
+        if converted is not None:
+            matrix[start : start + len(chunk)] = converted[0]
+            if labels is not None:
+                labels[start : start + len(chunk)] = converted[1]
+            continue
+        for i, line in enumerate(chunk, start):
+            if labels is None:
+                matrix[i] = _float_row(line, width, path, lineno + i)
+            else:
+                matrix[i], labels[i] = _dataset_row(line, width, n_classes, path, lineno + i)
+    return matrix, labels
+
+
+@contextlib.contextmanager
+def write_atomically(path):
+    """A text file to write in place of `path`, moved there once complete.
+
+    The content goes to a temporary file in the same directory, and
+    `os.replace` moves it over `path` when the block exits cleanly. A
+    reader never sees a half-written file, and a write that fails leaves
+    any earlier file at `path` as it was and no temporary file behind.
+    """
+    path = os.fspath(path)
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        fh = open(tmp, "w", encoding="utf-8")
+    except OSError as exc:
+        exc.filename = path  # name the file the caller asked for, as a plain open would
+        raise
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _read_lines(path: str) -> list[str]:
@@ -113,7 +229,7 @@ def write_logit_dump(path: str, teacher_id: str, rows) -> None:
         raise FormatError("logit dump rejects non-finite values")
     _check_teacher_id(teacher_id)
     n, c = rows.shape
-    with open(path, "w", encoding="utf-8") as fh:
+    with write_atomically(path) as fh:
         fh.write(f"#logits v1 n={n} c={c} teacher={teacher_id}\n")
         for row in rows:
             fh.write(" ".join(fmt_float(x) for x in row) + "\n")
@@ -128,10 +244,7 @@ def load_logits(path: str) -> LogitDump:
     c = _parse_int(header["c"], "c", path)
     if n == 0 or c == 0:
         raise FormatError(f"{path}: empty dump rejected (n and c must be positive)")
-    body = _body(lines, n, path)
-    rows = np.empty((n, c), dtype=np.float64)
-    for i, line in enumerate(body):
-        rows[i] = _float_row(line, c, path, i + 2)
+    rows, _ = _parse_rows(_body(lines, n, path), c, path, 2)
     return LogitDump(teacher_id=_check_teacher_id(header["teacher"]), n=n, c=c, rows=rows)
 
 
@@ -140,7 +253,7 @@ def load_logits(path: str) -> LogitDump:
 
 
 def write_dataset(path: str, dataset: Dataset) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with write_atomically(path) as fh:
         fh.write(
             f"#dataset v1 n={dataset.n} d={dataset.dim} c={dataset.n_classes} "
             f"modality={dataset.modality} split={dataset.split}\n"
@@ -163,23 +276,7 @@ def load_dataset(path: str) -> Dataset:
         raise FormatError(f"{path}:1: unknown modality {header['modality']!r}")
     if header["split"] not in SPLITS:
         raise FormatError(f"{path}:1: unknown split {header['split']!r}")
-    body = _body(lines, n, path)
-    features = np.empty((n, d), dtype=np.float64)
-    labels = np.empty(n, dtype=np.int64)
-    for i, line in enumerate(body):
-        tokens = line.split()
-        if len(tokens) != d + 1:
-            raise FormatError(
-                f"{path}:{i + 2}: column count mismatch (expected {d} floats + label)"
-            )
-        features[i] = _float_row(" ".join(tokens[:d]), d, path, i + 2)
-        try:
-            label = int(tokens[d])
-        except ValueError:
-            raise FormatError(f"{path}:{i + 2}: malformed label {tokens[d]!r}") from None
-        if not 0 <= label < c:
-            raise FormatError(f"{path}:{i + 2}: label {label} out of range [0, {c})")
-        labels[i] = label
+    features, labels = _parse_rows(_body(lines, n, path), d, path, 2, n_classes=c)
     return Dataset(features, labels, c, header["modality"], header["split"])
 
 
@@ -188,7 +285,7 @@ def load_dataset(path: str) -> Dataset:
 
 
 def write_model(path: str, model: StudentModel) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with write_atomically(path) as fh:
         fh.write(f"#model v1 d={model.d_in} h={model.hidden_dim} c={model.n_classes}\n")
         for row in model.w1:
             fh.write(" ".join(fmt_float(x) for x in row) + "\n")
@@ -209,15 +306,11 @@ def load_model(path: str) -> StudentModel:
     if min(d, h, c) == 0:
         raise FormatError(f"{path}: degenerate model dimensions")
     body = _body(lines, h + 1 + c + 1, path)
-    w1 = np.empty((h, d))
-    for i in range(h):
-        w1[i] = _float_row(body[i], d, path, i + 2)
-    b1 = _float_row(body[h], h, path, h + 2)
-    w2 = np.empty((c, h))
-    for i in range(c):
-        w2[i] = _float_row(body[h + 1 + i], h, path, h + 3 + i)
-    b2 = _float_row(body[h + 1 + c], c, path, h + c + 3)
-    return StudentModel(w1, b1, w2, b2)
+    w1, _ = _parse_rows(body[:h], d, path, 2)
+    b1, _ = _parse_rows(body[h : h + 1], h, path, h + 2)
+    w2, _ = _parse_rows(body[h + 1 : h + 1 + c], h, path, h + 3)
+    b2, _ = _parse_rows(body[h + 1 + c :], c, path, h + c + 3)
+    return StudentModel(w1, b1[0], w2, b2[0])
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +320,7 @@ def load_model(path: str) -> StudentModel:
 def write_targets(path: str, strategy: str, tau: float, matrix) -> None:
     matrix = np.asarray(matrix, dtype=np.float64)
     n, c = matrix.shape
-    with open(path, "w", encoding="utf-8") as fh:
+    with write_atomically(path) as fh:
         fh.write(f"#targets v1 n={n} c={c} strategy={strategy} tau={fmt_float(tau)}\n")
         for row in matrix:
             fh.write(" ".join(fmt_float(x) for x in row) + "\n")
@@ -243,17 +336,14 @@ def load_targets(path: str) -> tuple[str, float, np.ndarray]:
     if header["strategy"] not in STRATEGIES:
         raise FormatError(f"{path}:1: unknown strategy {header['strategy']!r}")
     tau = _parse_float(header["tau"], "tau", path)
-    body = _body(lines, n, path)
-    rows = np.empty((n, c))
-    for i, line in enumerate(body):
-        rows[i] = _float_row(line, c, path, i + 2)
+    rows, _ = _parse_rows(_body(lines, n, path), c, path, 2)
     return header["strategy"], tau, rows
 
 
 def write_weights(path: str, mode: str, matrix) -> None:
     matrix = np.asarray(matrix, dtype=np.float64)
     n, k = matrix.shape
-    with open(path, "w", encoding="utf-8") as fh:
+    with write_atomically(path) as fh:
         fh.write(f"#weights v1 n={n} k={k} mode={mode}\n")
         for row in matrix:
             fh.write(" ".join(fmt_float(x) for x in row) + "\n")
@@ -335,17 +425,51 @@ def write_all_views(directory: str, data) -> list[str]:
     return written
 
 
-def load_all_views(directory: str):
-    from .datagen import SyntheticData
+def load_all_views(directory: str) -> SyntheticData:
+    """The six views written by `write_all_views`, checked to agree.
 
-    def grab(split, modality):
-        return load_dataset(os.path.join(directory, dataset_filename(split, modality)))
+    Each file's header names the split and modality its file name does.
+    Within a split, the three views describe the same samples: equal
+    sample and class counts, identical labels, and A_dark as wide as A.
+    Across splits, each modality keeps its feature width and class
+    count. A disagreement raises FormatError naming the file.
+    """
+    paths = {
+        (split, modality): os.path.join(directory, dataset_filename(split, modality))
+        for split in SPLITS
+        for modality in MODALITIES
+    }
+    views = {key: load_dataset(path) for key, path in paths.items()}
+    for (split, modality), view in views.items():
+        if (view.split, view.modality) != (split, modality):
+            raise FormatError(
+                f"{paths[split, modality]}:1: header says split={view.split} "
+                f"modality={view.modality}, file name says split={split} modality={modality}"
+            )
 
+    def agree(key, ref, what: str, got, want) -> None:
+        if got != want:
+            raise FormatError(f"{paths[key]}: {what} disagree with {paths[ref]} ({got} vs {want})")
+
+    for split in SPLITS:
+        ref = (split, MODALITY_A)
+        for key in ((split, MODALITY_B), (split, MODALITY_A_DARK)):
+            view, base = views[key], views[ref]
+            agree(key, ref, "sample counts", view.n, base.n)
+            if not np.array_equal(view.labels, base.labels):
+                raise FormatError(f"{paths[key]}: labels disagree with {paths[ref]}")
+            agree(key, ref, "class counts", view.n_classes, base.n_classes)
+        key = (split, MODALITY_A_DARK)
+        agree(key, ref, "feature widths", views[key].dim, views[ref].dim)
+    for modality in MODALITIES:
+        key, ref = ("test", modality), ("train", modality)
+        agree(key, ref, "feature widths", views[key].dim, views[ref].dim)
+        agree(key, ref, "class counts", views[key].n_classes, views[ref].n_classes)
     return SyntheticData(
-        train_a=grab("train", "A"),
-        train_b=grab("train", "B"),
-        train_dark=grab("train", "A_dark"),
-        test_a=grab("test", "A"),
-        test_b=grab("test", "B"),
-        test_dark=grab("test", "A_dark"),
+        train_a=views["train", MODALITY_A],
+        train_b=views["train", MODALITY_B],
+        train_dark=views["train", MODALITY_A_DARK],
+        test_a=views["test", MODALITY_A],
+        test_b=views["test", MODALITY_B],
+        test_dark=views["test", MODALITY_A_DARK],
     )

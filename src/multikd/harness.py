@@ -107,16 +107,25 @@ def _stage(name: str, fn, *args, **kwargs):
         raise StageError(name, str(exc)) from exc
 
 
+def _cached(caches: dict | None, key: tuple, make):
+    """make(), shared across the cells of one run through `caches`.
+
+    A call that raises stores nothing, so a bad input fails every cell
+    alike, each with the same message.
+    """
+    if caches is None:
+        return make()
+    if key not in caches:
+        caches[key] = make()
+    return caches[key]
+
+
 def _obtain_data(rc: RunConfig, caches: dict | None) -> SyntheticData:
     if rc.data_dir is not None:
-        return load_all_views(rc.data_dir)
-    key = ("data", rc.seed)
-    if caches is not None and key in caches:
-        return caches[key]
-    data = gen_dataset(derive_seed(rc.seed, STAGE_DATA), rc.data)
-    if caches is not None:
-        caches[key] = data
-    return data
+        return _cached(caches, ("views", rc.data_dir), lambda: load_all_views(rc.data_dir))
+    return _cached(
+        caches, ("data", rc.seed), lambda: gen_dataset(derive_seed(rc.seed, STAGE_DATA), rc.data)
+    )
 
 
 def _obtain_teacher_logits(
@@ -130,7 +139,11 @@ def _obtain_teacher_logits(
     """
     strategy = rc.distill.strategy
     if rc.teacher_paths:
-        dumps = [load_logits(p) for p in rc.teacher_paths]
+        dumps = _cached(
+            caches,
+            ("dumps", tuple(rc.teacher_paths)),
+            lambda: [load_logits(p) for p in rc.teacher_paths],
+        )
         n, c = data.train_dark.n, data.train_dark.n_classes
         for dump in dumps:
             if dump.n != n or dump.c != c:
@@ -148,13 +161,11 @@ def _obtain_teacher_logits(
         stage = STAGE_TEACHER_A if teacher_id == TEACHER_A_ID else STAGE_TEACHER_B
         train_view = data.train_a if teacher_id == TEACHER_A_ID else data.train_b
         test_view = data.test_a if teacher_id == TEACHER_A_ID else data.test_b
-        key = ("teacher", rc.seed, teacher_id)
-        if caches is not None and key in caches:
-            model = caches[key]
-        else:
-            model = train_plain(train_view, rc.distill, derive_seed(rc.seed, stage))
-            if caches is not None:
-                caches[key] = model
+        model = _cached(
+            caches,
+            ("teacher", rc.seed, teacher_id),
+            lambda: train_plain(train_view, rc.distill, derive_seed(rc.seed, stage)),
+        )
         mats.append(forward(model, train_view.features))
         accs[teacher_id] = evaluate(model, test_view.features, test_view.labels)
     return TeacherBank(mats, ids), accs
@@ -210,6 +221,11 @@ def run_ablation(
     Per-seed data and teacher models are cached across strategies; the
     cache only reuses values that deterministic retraining would
     reproduce bit-exactly, so reports do not depend on cell order.
+    Teacher dumps (`base.teacher_paths`) and `base.data_dir` views are
+    read once per ablation, on first use, and shared by every cell; a
+    file edited while the ablation runs is not seen by it. Each cell
+    still checks the dumps' shape against its training data, and a load
+    that fails is not cached, so it fails every cell alike.
     Failed cells are recorded and the report still covers the rest.
     """
     if not strategies or not seeds:

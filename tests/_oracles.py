@@ -5,6 +5,9 @@ decimal arithmetic and plain term-by-term summation, sharing no code
 with the implementation under test. reference_train is the student SGD
 loop written step by step from the public reference math (total_loss,
 loss_gradient), the standard the fused training step is held to.
+reference_matrix_rows and reference_dataset_rows parse a file body one
+line at a time, as the loaders did before they converted rows in bulk:
+the standard for the block parser's values and diagnostics.
 """
 
 from decimal import Decimal, getcontext
@@ -110,3 +113,59 @@ def reference_train(model, features, labels, target_set, config):
             model.b1 -= config.lr * g_b1
         trace.append(float(np.mean(losses)))
     return trace
+
+
+def _reference_float_row(line, width, path, lineno):
+    import numpy as np
+
+    from multikd.errors import FormatError
+
+    tokens = line.split()
+    if len(tokens) != width:
+        raise FormatError(
+            f"{path}:{lineno}: column count mismatch (expected {width}, got {len(tokens)})"
+        )
+    try:
+        values = [float(t) for t in tokens]
+    except ValueError as exc:
+        raise FormatError(f"{path}:{lineno}: malformed number: {exc}") from None
+    row = np.array(values, dtype=np.float64)
+    if not np.isfinite(row).all():
+        raise FormatError(f"{path}:{lineno}: non-finite value")
+    return row
+
+
+def reference_matrix_rows(body, width, path, first_lineno=2):
+    """A float matrix body parsed line by line; raises at the first faulty line."""
+    import numpy as np
+
+    rows = np.empty((len(body), width), dtype=np.float64)
+    for i, line in enumerate(body):
+        rows[i] = _reference_float_row(line, width, path, first_lineno + i)
+    return rows
+
+
+def reference_dataset_rows(body, d, c, path):
+    """A dataset body parsed line by line: (features, labels)."""
+    import numpy as np
+
+    from multikd.errors import FormatError
+
+    n = len(body)
+    features = np.empty((n, d), dtype=np.float64)
+    labels = np.empty(n, dtype=np.int64)
+    for i, line in enumerate(body):
+        tokens = line.split()
+        if len(tokens) != d + 1:
+            raise FormatError(
+                f"{path}:{i + 2}: column count mismatch (expected {d} floats + label)"
+            )
+        features[i] = _reference_float_row(" ".join(tokens[:d]), d, path, i + 2)
+        try:
+            label = int(tokens[d])
+        except ValueError:
+            raise FormatError(f"{path}:{i + 2}: malformed label {tokens[d]!r}") from None
+        if not 0 <= label < c:
+            raise FormatError(f"{path}:{i + 2}: label {label} out of range [0, {c})")
+        labels[i] = label
+    return features, labels

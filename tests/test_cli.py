@@ -1,5 +1,7 @@
 """End-to-end CLI flows and exit codes."""
 
+import shutil
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,18 @@ def test_malformed_file_exit_2(tmp_path, capsys):
                       "--data", str(tmp_path / "nope.txt"))
     assert missing == 2
     capsys.readouterr()
+
+
+def test_swapped_view_exit_2(tmp_path, data_dir, capsys):
+    views = tmp_path / "views"
+    shutil.copytree(data_dir, views)
+    other = tmp_path / "other"
+    assert run_cli("gen-data", "--seed", "6", "--out", str(other), *SMALL) == 0
+    shutil.copy(other / "train_B.txt", views / "train_B.txt")
+    capsys.readouterr()
+    assert run_cli("distill", "--seed", "5", "--strategy", "PKD",
+                   "--data-dir", str(views), *SMALL) == 2
+    assert "train_B.txt: labels disagree with" in capsys.readouterr().err
 
 
 def test_numerical_failure_exit_3(capsys):

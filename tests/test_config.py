@@ -1,4 +1,4 @@
-"""DistillConfig validation, NaN included."""
+"""DistillConfig validation, NaN and infinity included."""
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from multikd.errors import ValidationError
 from multikd.rng import SplitMix64
 
 NAN = float("nan")
+INF = float("inf")
 
 
 @pytest.mark.parametrize("key", ["tau", "weight_tau", "gamma", "lr", "alpha", "h"])
@@ -23,6 +24,13 @@ def test_nan_rejected(key):
 @pytest.mark.parametrize("value", [0.0, -1.0])
 def test_nonpositive_rejected(key, value):
     with pytest.raises(ValidationError, match=f"{key} must be positive"):
+        DistillConfig(**{key: value})
+
+
+@pytest.mark.parametrize("key", ["tau", "weight_tau", "gamma", "lr"])
+@pytest.mark.parametrize("value", [INF, -INF])
+def test_infinite_rejected(key, value):
+    with pytest.raises(ValidationError, match=f"{key} must be positive and finite"):
         DistillConfig(**{key: value})
 
 
@@ -42,3 +50,14 @@ def test_cli_nan_is_usage_error_before_training(flag, monkeypatch, capsys):
     monkeypatch.setattr(harness, "train", no_training)
     assert main(["distill", "--seed", "1", flag, "nan"]) == 1
     assert "must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--lr", "--tau", "--weight-tau", "--gamma"])
+def test_cli_inf_is_usage_error_before_training(flag, monkeypatch, capsys):
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(harness, "train", no_training)
+    monkeypatch.setattr(harness, "train_plain", no_training)
+    assert main(["distill", "--seed", "1", flag, "inf"]) == 1
+    assert "must be positive and finite, got inf" in capsys.readouterr().err

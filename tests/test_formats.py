@@ -1,8 +1,12 @@
 """File formats: bit-exact round trips and named rejection diagnostics."""
 
+import os
+import shutil
+
 import numpy as np
 import pytest
 
+import multikd.formats as formats
 from multikd.datagen import DataParams, Dataset, gen_dataset
 from multikd.errors import FormatError
 from multikd.formats import (
@@ -17,6 +21,7 @@ from multikd.formats import (
     write_logit_dump,
     write_model,
     write_targets,
+    write_weights,
 )
 from multikd.rng import SplitMix64
 from multikd.trainer import init_student
@@ -88,6 +93,39 @@ class TestDatasetFile:
         back = load_all_views(tmp_path / "d")
         for view in ("train_a", "train_b", "train_dark", "test_a", "test_b", "test_dark"):
             assert np.array_equal(getattr(back, view).features, getattr(data, view).features)
+
+    def test_view_from_another_seed_rejected(self, tmp_path):
+        params = DataParams(n_train=20, n_test=10, n_classes=3, dim=4)
+        write_all_views(tmp_path / "d", gen_dataset(10, params))
+        write_all_views(tmp_path / "e", gen_dataset(11, params))
+        shutil.copy(tmp_path / "e" / "train_B.txt", tmp_path / "d" / "train_B.txt")
+        with pytest.raises(FormatError, match=r"train_B\.txt: labels disagree with .*train_A\.txt"):
+            load_all_views(tmp_path / "d")
+
+    def test_view_under_another_name_rejected(self, tmp_path):
+        write_all_views(tmp_path, gen_dataset(10, DataParams(n_train=20, n_test=10, n_classes=3, dim=4)))
+        shutil.copy(tmp_path / "train_B.txt", tmp_path / "train_A.txt")  # same shape and labels
+        with pytest.raises(FormatError, match=r"train_A\.txt:1: header says split=train modality=B"):
+            load_all_views(tmp_path)
+
+    @pytest.mark.parametrize(
+        "name, change, message",
+        [
+            ("train_A_dark.txt", lambda ds: (ds.features[:-1], ds.n_classes), "sample counts"),
+            ("test_B.txt", lambda ds: (ds.features[:-1], ds.n_classes), "sample counts"),
+            ("train_B.txt", lambda ds: (ds.features, ds.n_classes + 1), "class counts"),
+            ("test_A_dark.txt", lambda ds: (ds.features[:, :-1], ds.n_classes), "feature widths"),
+            ("test_B.txt", lambda ds: (np.hstack([ds.features] * 2), ds.n_classes), "feature widths"),
+        ],
+    )
+    def test_views_that_disagree_rejected(self, tmp_path, name, change, message):
+        write_all_views(tmp_path, gen_dataset(10, DataParams(n_train=20, n_test=10, n_classes=3, dim=4)))
+        ds = load_dataset(tmp_path / name)
+        features, n_classes = change(ds)
+        labels = ds.labels[: len(features)]
+        write_dataset(tmp_path / name, Dataset(features, labels, n_classes, ds.modality, ds.split))
+        with pytest.raises(FormatError, match=rf"{name}: {message} disagree with"):
+            load_all_views(tmp_path)
 
     def test_label_out_of_range(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -169,6 +207,59 @@ class TestTargetsFile:
         path.write_text(f"#targets v1 n=1 c=2 strategy=PKD tau={raw}\n0.5 0.5\n")
         with pytest.raises(FormatError, match=r"targets\.txt:1: tau must be"):
             load_targets(path)
+
+
+WRITERS = {
+    "logits": lambda path: write_logit_dump(path, "t", np.full((3, 2), 0.25)),
+    "dataset": lambda path: write_dataset(
+        path, gen_dataset(3, DataParams(n_train=6, n_test=3, n_classes=2, dim=2)).train_a
+    ),
+    "model": lambda path: write_model(path, init_student(3, 2, 2, SplitMix64(1))),
+    "targets": lambda path: write_targets(path, "PKD", 2.0, np.full((3, 2), 0.5)),
+    "weights": lambda path: write_weights(path, "PKD", np.full((3, 2), 0.5)),
+}
+
+
+class TestAtomicWriters:
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch, writer):
+        path = tmp_path / "out.txt"
+        path.write_text("old contents\n")
+        calls = 0
+        real_fmt = formats.fmt_float
+
+        def failing_fmt(x):  # fails once a header and a row are written
+            nonlocal calls
+            calls += 1
+            if calls > 3:
+                raise OSError("disk full")
+            return real_fmt(x)
+
+        monkeypatch.setattr(formats, "fmt_float", failing_fmt)
+        with pytest.raises(OSError, match="disk full"):
+            WRITERS[writer](path)
+        assert path.read_text() == "old contents\n"
+        assert os.listdir(tmp_path) == ["out.txt"]
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_unwritable_target_named_in_error(self, tmp_path, writer):
+        target = tmp_path / "missing" / "out.txt"
+        with pytest.raises(FileNotFoundError) as info:
+            WRITERS[writer](target)
+        assert str(info.value) == f"[Errno 2] No such file or directory: '{target}'"
+        (tmp_path / "dir.txt").mkdir()
+        with pytest.raises(IsADirectoryError):
+            WRITERS[writer](tmp_path / "dir.txt")
+        assert sorted(os.listdir(tmp_path)) == ["dir.txt"]
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_write_replaces_old_file(self, tmp_path, writer):
+        WRITERS[writer](tmp_path / "fresh.txt")
+        path = tmp_path / "out.txt"
+        path.write_text("old contents\n")
+        WRITERS[writer](path)
+        assert path.read_bytes() == (tmp_path / "fresh.txt").read_bytes()
+        assert sorted(os.listdir(tmp_path)) == ["fresh.txt", "out.txt"]
 
 
 class TestConfigFile:

@@ -1,13 +1,18 @@
 """Pipeline wiring, determinism, cost probe, and report rendering."""
 
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import multikd as mk
+import multikd.harness as harness
 from multikd.datagen import DataParams
 from multikd.errors import StageError
 from multikd.formats import write_all_views, write_logit_dump
 from multikd.harness import (
+    AblationReport,
     RunConfig,
     assembly_flop_estimate,
     cost_probe,
@@ -114,6 +119,66 @@ class TestRunAblation:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(Exception):
             run_ablation(small_rc(mk.NONE), ["BOGUS"], [1])
+
+
+DUMP_STRATEGIES = [mk.AVG1, mk.AVG2, mk.GTD, mk.PKD]
+
+
+@pytest.fixture
+def dumped(tmp_path):
+    """A base config reading K=5 teacher dumps and a data directory."""
+    rc = small_rc(mk.PKD, seed=3, epochs=1)
+    data = harness._obtain_data(rc, None)
+    write_all_views(tmp_path / "d", data)
+    bank, _ = harness._obtain_teacher_logits(rc, data, None)
+    rng = np.random.default_rng(0)
+    paths = []
+    for k in range(5):
+        path = str(tmp_path / f"t{k}.logits")
+        write_logit_dump(path, f"t{k}", bank.teachers[k % 2] + rng.normal(size=(bank.n, bank.c)))
+        paths.append(path)
+    return replace(rc, teacher_paths=paths, data_dir=str(tmp_path / "d"))
+
+
+class TestAblationReadsInputsOnce:
+    def test_each_file_read_once(self, dumped, monkeypatch):
+        reads = []
+
+        def counting(fn):
+            def wrapped(path):
+                reads.append(str(path))
+                return fn(path)
+            return wrapped
+
+        monkeypatch.setattr(harness, "load_logits", counting(harness.load_logits))
+        monkeypatch.setattr(harness, "load_all_views", counting(harness.load_all_views))
+        report = run_ablation(dumped, DUMP_STRATEGIES, [1, 2])
+        assert report.failures == [] and len(report.rows) == 8
+        assert sorted(reads) == sorted(dumped.teacher_paths + [dumped.data_dir])
+
+    def test_report_equals_cells_run_alone(self, dumped):
+        report = run_ablation(dumped, DUMP_STRATEGIES, [1, 2])
+        alone = [run_pipeline(dumped.with_strategy_seed(tag, seed))
+                 for tag in DUMP_STRATEGIES for seed in (1, 2)]
+        assert report_machine_text(report) == report_machine_text(AblationReport(rows=alone))
+
+    @pytest.mark.parametrize("fault", ["non-finite", "wrong shape"])
+    def test_bad_dump_fails_every_cell_alike(self, dumped, fault):
+        bad = dumped.teacher_paths[2]
+        if fault == "non-finite":
+            lines = Path(bad).read_text().splitlines()
+            lines[4] = "nan " + " ".join(lines[4].split()[1:])
+            Path(bad).write_text("\n".join(lines) + "\n")
+            expected = f"stage 'teachers': {bad}:5: non-finite value"
+        else:
+            write_logit_dump(bad, "t2", np.zeros((7, 4)))
+            expected = "stage 'teachers': teacher dump 't2' is 7x4, training data needs 160x4"
+        with pytest.raises(StageError) as lone:
+            run_pipeline(dumped)
+        assert str(lone.value) == expected
+        report = run_ablation(dumped, DUMP_STRATEGIES, [1, 2])
+        assert report.rows == []
+        assert report.failures == [(tag, seed, expected) for tag in DUMP_STRATEGIES for seed in (1, 2)]
 
 
 class TestCostProbe:
