@@ -51,30 +51,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="key = value config file")
-    sub.add_argument("--seed", type=int, help="64-bit unsigned run seed")
-    sub.add_argument("--strategy", help="NONE|KD_SINGLE|AVG1|AVG2|GTD|PKD")
-    sub.add_argument("--tau", type=float, help="distillation temperature")
-    sub.add_argument("--alpha", type=float, help="cross-entropy mixing weight")
-    sub.add_argument("--h", type=float, help="true-class mass of the preferred reference")
-    sub.add_argument("--gamma", type=float, help="gamma-correction exponent")
-    sub.add_argument("--weight-tau", type=float, help="temperature for teacher weighting")
-    sub.add_argument("--lr", type=float, help="SGD learning rate")
-    sub.add_argument("--epochs", type=int, help="training epochs")
-    sub.add_argument("--batch-size", type=int, help="SGD batch size")
-    sub.add_argument("--hidden-dim", type=int, help="student hidden width")
-    sub.add_argument("--n-train", type=int, help="training samples")
-    sub.add_argument("--n-test", type=int, help="test samples")
-    sub.add_argument("--classes", type=int, help="class count")
-    sub.add_argument("--dim", type=int, help="total feature dims (two halves)")
-    sub.add_argument("--noise", type=float, help="sample noise scale")
-    sub.add_argument("--dark-factor", type=float, help="darkening dim factor")
-    sub.add_argument("--quant-levels", type=int, help="darkening quantization levels")
-    sub.add_argument("--teacher", action="append", default=None,
-                     help="teacher logit dump (repeatable; order defines k)")
-    sub.add_argument("--data-dir", help="directory of gen-data output to reuse")
-    sub.add_argument("--out", help="output path or prefix")
+# Run keys that only `ablate` takes as flags; the config file takes them too.
+_ABLATE_KEYS = ("seeds", "strategies")
+
+
+def _add_run_keys(sub: argparse.ArgumentParser, ablate_only: bool) -> None:
+    for row in cfg.RUN_KEYS:
+        if (row.key in _ABLATE_KEYS) != ablate_only:
+            continue
+        flag = "--" + row.key.replace("_", "-")
+        if row.repeat:
+            sub.add_argument(flag, action="append", help=row.help)
+        else:
+            sub.add_argument(flag, type=None if row.kind is str else row.kind, help=row.help)
 
 
 def build_parser() -> _Parser:
@@ -92,7 +81,8 @@ def build_parser() -> _Parser:
         ("cost-probe", "per-epoch wall-time and assembly-op comparison"),
     ]:
         sub = subs.add_parser(name, help=help_text)
-        _add_common(sub)
+        sub.add_argument("--config", help="key = value config file")
+        _add_run_keys(sub, ablate_only=False)
         if name in ("train-teacher", "dump-logits", "evaluate"):
             sub.add_argument("--data", help="dataset file")
         if name == "dump-logits":
@@ -102,8 +92,7 @@ def build_parser() -> _Parser:
         if name == "assemble":
             sub.add_argument("--labels-from", help="dataset file supplying labels")
         if name == "ablate":
-            sub.add_argument("--seeds", help="comma-separated seed list")
-            sub.add_argument("--strategies", help="comma-separated strategy list")
+            _add_run_keys(sub, ablate_only=True)
             sub.add_argument("--timing", action="store_true",
                              help="record wall-times (report no longer byte-reproducible)")
     return parser
@@ -120,88 +109,35 @@ def _merged(args) -> dict:
     values: dict = {}
     if args.config:
         values.update(parse_config_file(args.config))
-    flag_map = {
-        "seed": args.seed,
-        "strategy": args.strategy,
-        "tau": args.tau,
-        "alpha": args.alpha,
-        "h": args.h,
-        "gamma": args.gamma,
-        "weight_tau": args.weight_tau,
-        "lr": args.lr,
-        "epochs": args.epochs,
-        "batch_size": args.batch_size,
-        "hidden_dim": args.hidden_dim,
-        "n_train": args.n_train,
-        "n_test": args.n_test,
-        "classes": args.classes,
-        "dim": args.dim,
-        "noise": args.noise,
-        "dark_factor": args.dark_factor,
-        "quant_levels": args.quant_levels,
-        "data_dir": args.data_dir,
-        "out": args.out,
-    }
-    for key, value in flag_map.items():
+    for row in cfg.RUN_KEYS:
+        value = getattr(args, row.key, None)
         if value is not None:
-            values[key] = value
-    if args.teacher:
-        values["teacher"] = list(args.teacher)
+            values[row.key] = value
     return values
 
 
-def _coerce(values: dict, key: str, kind, default):
-    if key not in values:
-        return default
-    raw = values[key]
-    try:
-        return kind(raw)
-    except (TypeError, ValueError):
-        raise UsageError(f"bad value for {key}: {raw!r}") from None
-
-
 def _run_config(values: dict) -> RunConfig:
+    """The run `values` describe; a run key they lack keeps its field default."""
+    fields: dict = {cfg.DistillConfig: {}, DataParams: {}}
+    for row in cfg.RUN_KEYS:
+        if row.owner is not None and row.key in values:
+            raw = values[row.key]
+            try:
+                fields[row.owner][row.field] = row.kind(raw)
+            except (TypeError, ValueError):
+                raise UsageError(f"bad value for {row.key}: {raw!r}") from None
     try:
-        distill = cfg.DistillConfig(
-            strategy=str(values.get("strategy", cfg.PKD)),
-            alpha=_coerce(values, "alpha", float, 0.5),
-            tau=_coerce(values, "tau", float, cfg.TAU_DESK_DEFAULT),
-            h=_coerce(values, "h", float, 0.99),
-            weight_tau=_coerce(values, "weight_tau", float, 1.0),
-            gamma=_coerce(values, "gamma", float, 3.0),
-            lr=_coerce(values, "lr", float, 0.1),
-            epochs=_coerce(values, "epochs", int, 30),
-            batch_size=_coerce(values, "batch_size", int, 4),
-            seed=_coerce(values, "seed", int, 0),
-            hidden_dim=_coerce(values, "hidden_dim", int, 32),
-        )
-        data = DataParams(
-            n_train=_coerce(values, "n_train", int, 2000),
-            n_test=_coerce(values, "n_test", int, 1000),
-            n_classes=_coerce(values, "classes", int, 11),
-            dim=_coerce(values, "dim", int, 20),
-            noise=_coerce(values, "noise", float, 0.15),
-            dark_factor=_coerce(values, "dark_factor", float, 0.2),
-            quant_levels=_coerce(values, "quant_levels", int, 256),
-            gamma=_coerce(values, "gamma", float, 3.0),
-        )
+        distill = cfg.DistillConfig(**fields[cfg.DistillConfig])
+        data = DataParams(**fields[DataParams])
         data.validate()
     except ValidationError as exc:
         raise UsageError(str(exc)) from None
-    teachers = values.get("teacher", [])
     return RunConfig(
         distill=distill,
         data=data,
-        teacher_paths=list(teachers),
+        teacher_paths=list(values.get("teacher", [])),
         data_dir=values.get("data_dir"),
     )
-
-
-def _int_list(raw: str, flag: str) -> list[int]:
-    try:
-        return [int(tok) for tok in str(raw).split(",") if tok.strip() != ""]
-    except ValueError:
-        raise UsageError(f"bad {flag} list: {raw!r}") from None
 
 
 def cmd_gen_data(args) -> int:
@@ -289,11 +225,12 @@ def cmd_evaluate(args) -> int:
 def cmd_ablate(args) -> int:
     values = _merged(args)
     rc = _run_config(values)
-    seeds_raw = args.seeds if args.seeds is not None else values.get("seeds", "1,2,3,4,5")
-    seeds = _int_list(seeds_raw, "--seeds")
-    raw_strategies = (
-        args.strategies if args.strategies is not None else values.get("strategies")
-    ) or ",".join(cfg.STRATEGIES)
+    raw_seeds = values.get("seeds", "1,2,3,4,5")
+    try:
+        seeds = [int(tok) for tok in str(raw_seeds).split(",") if tok.strip() != ""]
+    except ValueError:
+        raise UsageError(f"bad --seeds list: {raw_seeds!r}") from None
+    raw_strategies = values.get("strategies") or ",".join(cfg.STRATEGIES)
     strategies = [tok.strip() for tok in str(raw_strategies).split(",") if tok.strip()]
     report = run_ablation(rc, strategies, seeds, timing=bool(args.timing))
     table = report_table_text(report)
@@ -310,8 +247,7 @@ def cmd_ablate(args) -> int:
 def cmd_cost_probe(args) -> int:
     values = _merged(args)
     rc = _run_config(values)
-    epochs = args.epochs if args.epochs is not None else 5
-    probe = cost_probe(rc, epochs=max(2, epochs))
+    probe = cost_probe(rc, epochs=rc.distill.epochs if "epochs" in values else 5)
     text = cost_probe_text(probe)
     out = values.get("out")
     if out:

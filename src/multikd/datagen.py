@@ -33,6 +33,15 @@ MODALITY_B = "B"
 MODALITY_A_DARK = "A_dark"
 MODALITIES = (MODALITY_A, MODALITY_B, MODALITY_A_DARK)
 SPLITS = ("train", "test")
+# The SyntheticData field holding each (split, modality) view.
+_VIEW_FIELDS = {
+    ("train", MODALITY_A): "train_a",
+    ("train", MODALITY_B): "train_b",
+    ("train", MODALITY_A_DARK): "train_dark",
+    ("test", MODALITY_A): "test_a",
+    ("test", MODALITY_B): "test_b",
+    ("test", MODALITY_A_DARK): "test_dark",
+}
 
 CENTER_LO = 0.2
 CENTER_HI = 0.8
@@ -56,8 +65,10 @@ class DataParams:
             raise ValidationError("dim must be an even integer >= 2 (two modality halves)")
         if self.n_train < 1 or self.n_test < 1:
             raise ValidationError("split sizes must be positive")
-        if self.noise < 0.0:
-            raise ValidationError("noise must be nonnegative")
+        if not (np.isfinite(self.noise) and self.noise >= 0.0):
+            raise ValidationError(f"noise must be nonnegative and finite, got {self.noise}")
+        if not (np.isfinite(self.gamma) and self.gamma > 0.0):
+            raise ValidationError(f"gamma must be positive and finite, got {self.gamma}")
 
 
 @dataclass
@@ -98,15 +109,13 @@ class SyntheticData:
     test_b: Dataset
     test_dark: Dataset
 
+    @classmethod
+    def from_views(cls, views: dict) -> "SyntheticData":
+        """The six views of a {(split, modality): Dataset} mapping."""
+        return cls(**{name: views[key] for key, name in _VIEW_FIELDS.items()})
+
     def view(self, split: str, modality: str) -> Dataset:
-        key = {
-            ("train", MODALITY_A): "train_a",
-            ("train", MODALITY_B): "train_b",
-            ("train", MODALITY_A_DARK): "train_dark",
-            ("test", MODALITY_A): "test_a",
-            ("test", MODALITY_B): "test_b",
-            ("test", MODALITY_A_DARK): "test_dark",
-        }.get((split, modality))
+        key = _VIEW_FIELDS.get((split, modality))
         if key is None:
             raise ValidationError(f"no view for split={split!r} modality={modality!r}")
         return getattr(self, key)
@@ -160,11 +169,4 @@ def gen_dataset(seed: int, params: DataParams | None = None) -> SyntheticData:
         out[(split, MODALITY_A_DARK)] = Dataset(
             dark, labels.copy(), params.n_classes, MODALITY_A_DARK, split
         )
-    return SyntheticData(
-        train_a=out[("train", MODALITY_A)],
-        train_b=out[("train", MODALITY_B)],
-        train_dark=out[("train", MODALITY_A_DARK)],
-        test_a=out[("test", MODALITY_A)],
-        test_b=out[("test", MODALITY_B)],
-        test_dark=out[("test", MODALITY_A_DARK)],
-    )
+    return SyntheticData.from_views(out)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import STRATEGIES
+from .config import RUN_KEYS, STRATEGIES
 from .datagen import (
     MODALITIES,
     MODALITY_A,
@@ -178,34 +178,16 @@ def _read_lines(path: str) -> list[str]:
         raise FormatError(f"cannot read {path}: {exc}") from None
 
 
-def _parse_magic(line: str, kind: str, keys: list[str], path: str) -> dict[str, str]:
-    tokens = line.split()
-    if len(tokens) != 2 + len(keys) or tokens[0] != f"#{kind}" or tokens[1] != "v1":
-        raise FormatError(f"{path}:1: bad magic line (expected '#{kind} v1 ...')")
-    parsed = {}
-    for token, key in zip(tokens[2:], keys):
-        if not token.startswith(key + "="):
-            raise FormatError(f"{path}:1: bad magic line (expected {key}=..., got {token!r})")
-        parsed[key] = token[len(key) + 1 :]
-    return parsed
-
-
-def _parse_int(raw: str, key: str, path: str) -> int:
+def _parse_number(raw: str, key: str, read: type, path: str):
+    """A header value as an int (a dimension, nonnegative) or a finite float."""
     try:
-        value = int(raw)
+        value = read(raw)
     except ValueError:
-        raise FormatError(f"{path}:1: {key} must be an integer, got {raw!r}") from None
-    if value < 0:
+        what = "an integer" if read is int else "a number"
+        raise FormatError(f"{path}:1: {key} must be {what}, got {raw!r}") from None
+    if read is int and value < 0:
         raise FormatError(f"{path}:1: {key} must be nonnegative")
-    return value
-
-
-def _parse_float(raw: str, key: str, path: str) -> float:
-    try:
-        value = float(raw)
-    except ValueError:
-        raise FormatError(f"{path}:1: {key} must be a number, got {raw!r}") from None
-    if not np.isfinite(value):
+    if read is float and not np.isfinite(value):
         raise FormatError(f"{path}:1: {key} must be finite, got {raw!r}")
     return value
 
@@ -215,6 +197,51 @@ def _body(lines: list[str], n: int, path: str) -> list[str]:
     if len(body) != n:
         raise FormatError(f"{path}: row count mismatch (header says {n}, found {len(body)})")
     return body
+
+
+def _read_matrix(path: str, kind: str, schema: dict, empty: str) -> tuple[dict, list[str]]:
+    """The header values and the lines of a `#<kind> v1 key=value ...` file.
+
+    `schema` maps each header key, in file order, to how its value is
+    read: `int` for a dimension, `float`, a tuple of the allowed words,
+    or `str` for any word. The dimensions are parsed first, and a file
+    with a zero dimension is rejected with the message `empty`; then the
+    other values are parsed in order.
+    """
+    lines = _read_lines(path)
+    if not lines:
+        raise FormatError(f"{path}: empty file (bad magic line)")
+    tokens = lines[0].split()
+    if len(tokens) != 2 + len(schema) or tokens[0] != f"#{kind}" or tokens[1] != "v1":
+        raise FormatError(f"{path}:1: bad magic line (expected '#{kind} v1 ...')")
+    raw = {}
+    for token, key in zip(tokens[2:], schema):
+        if not token.startswith(key + "="):
+            raise FormatError(f"{path}:1: bad magic line (expected {key}=..., got {token!r})")
+        raw[key] = token[len(key) + 1 :]
+    dims = [key for key, read in schema.items() if read is int]
+    header = {key: _parse_number(raw[key], key, int, path) for key in dims}
+    if 0 in header.values():
+        raise FormatError(f"{path}: {empty}")
+    for key, read in schema.items():
+        if read is float:
+            header[key] = _parse_number(raw[key], key, float, path)
+        elif isinstance(read, tuple) and raw[key] not in read:
+            raise FormatError(f"{path}:1: unknown {key} {raw[key]!r}")
+        elif read is not int:
+            header[key] = raw[key]
+    return header, lines
+
+
+def _write_matrix(path: str, kind: str, header: dict, *blocks, labels=None) -> None:
+    """Write the magic line `#<kind> v1 key=value ...`, then one line per
+    row of each block in turn; with `labels`, line i ends in labels[i]."""
+    ends = itertools.repeat("") if labels is None else (f" {int(label)}" for label in labels)
+    magic = " ".join([f"#{kind} v1", *(f"{key}={value}" for key, value in header.items())])
+    with write_atomically(path) as fh:
+        fh.write(magic + "\n")
+        for row, end in zip(itertools.chain(*blocks), ends):
+            fh.write(" ".join(fmt_float(x) for x in row) + end + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -229,21 +256,15 @@ def write_logit_dump(path: str, teacher_id: str, rows) -> None:
         raise FormatError("logit dump rejects non-finite values")
     _check_teacher_id(teacher_id)
     n, c = rows.shape
-    with write_atomically(path) as fh:
-        fh.write(f"#logits v1 n={n} c={c} teacher={teacher_id}\n")
-        for row in rows:
-            fh.write(" ".join(fmt_float(x) for x in row) + "\n")
+    _write_matrix(path, "logits", {"n": n, "c": c, "teacher": teacher_id}, rows)
 
 
 def load_logits(path: str) -> LogitDump:
-    lines = _read_lines(path)
-    if not lines:
-        raise FormatError(f"{path}: empty file (bad magic line)")
-    header = _parse_magic(lines[0], "logits", ["n", "c", "teacher"], path)
-    n = _parse_int(header["n"], "n", path)
-    c = _parse_int(header["c"], "c", path)
-    if n == 0 or c == 0:
-        raise FormatError(f"{path}: empty dump rejected (n and c must be positive)")
+    header, lines = _read_matrix(
+        path, "logits", {"n": int, "c": int, "teacher": str},
+        "empty dump rejected (n and c must be positive)",
+    )
+    n, c = header["n"], header["c"]
     rows, _ = _parse_rows(_body(lines, n, path), c, path, 2)
     return LogitDump(teacher_id=_check_teacher_id(header["teacher"]), n=n, c=c, rows=rows)
 
@@ -253,30 +274,20 @@ def load_logits(path: str) -> LogitDump:
 
 
 def write_dataset(path: str, dataset: Dataset) -> None:
-    with write_atomically(path) as fh:
-        fh.write(
-            f"#dataset v1 n={dataset.n} d={dataset.dim} c={dataset.n_classes} "
-            f"modality={dataset.modality} split={dataset.split}\n"
-        )
-        for row, label in zip(dataset.features, dataset.labels):
-            fh.write(" ".join(fmt_float(x) for x in row) + f" {int(label)}\n")
+    header = {
+        "n": dataset.n, "d": dataset.dim, "c": dataset.n_classes,
+        "modality": dataset.modality, "split": dataset.split,
+    }
+    _write_matrix(path, "dataset", header, dataset.features, labels=dataset.labels)
 
 
 def load_dataset(path: str) -> Dataset:
-    lines = _read_lines(path)
-    if not lines:
-        raise FormatError(f"{path}: empty file (bad magic line)")
-    header = _parse_magic(lines[0], "dataset", ["n", "d", "c", "modality", "split"], path)
-    n = _parse_int(header["n"], "n", path)
-    d = _parse_int(header["d"], "d", path)
-    c = _parse_int(header["c"], "c", path)
-    if n == 0 or d == 0 or c == 0:
-        raise FormatError(f"{path}: empty dataset rejected")
-    if header["modality"] not in MODALITIES:
-        raise FormatError(f"{path}:1: unknown modality {header['modality']!r}")
-    if header["split"] not in SPLITS:
-        raise FormatError(f"{path}:1: unknown split {header['split']!r}")
-    features, labels = _parse_rows(_body(lines, n, path), d, path, 2, n_classes=c)
+    header, lines = _read_matrix(
+        path, "dataset", {"n": int, "d": int, "c": int, "modality": MODALITIES, "split": SPLITS},
+        "empty dataset rejected",
+    )
+    c = header["c"]
+    features, labels = _parse_rows(_body(lines, header["n"], path), header["d"], path, 2, n_classes=c)
     return Dataset(features, labels, c, header["modality"], header["split"])
 
 
@@ -285,26 +296,15 @@ def load_dataset(path: str) -> Dataset:
 
 
 def write_model(path: str, model: StudentModel) -> None:
-    with write_atomically(path) as fh:
-        fh.write(f"#model v1 d={model.d_in} h={model.hidden_dim} c={model.n_classes}\n")
-        for row in model.w1:
-            fh.write(" ".join(fmt_float(x) for x in row) + "\n")
-        fh.write(" ".join(fmt_float(x) for x in model.b1) + "\n")
-        for row in model.w2:
-            fh.write(" ".join(fmt_float(x) for x in row) + "\n")
-        fh.write(" ".join(fmt_float(x) for x in model.b2) + "\n")
+    header = {"d": model.d_in, "h": model.hidden_dim, "c": model.n_classes}
+    _write_matrix(path, "model", header, model.w1, [model.b1], model.w2, [model.b2])
 
 
 def load_model(path: str) -> StudentModel:
-    lines = _read_lines(path)
-    if not lines:
-        raise FormatError(f"{path}: empty file (bad magic line)")
-    header = _parse_magic(lines[0], "model", ["d", "h", "c"], path)
-    d = _parse_int(header["d"], "d", path)
-    h = _parse_int(header["h"], "h", path)
-    c = _parse_int(header["c"], "c", path)
-    if min(d, h, c) == 0:
-        raise FormatError(f"{path}: degenerate model dimensions")
+    header, lines = _read_matrix(
+        path, "model", {"d": int, "h": int, "c": int}, "degenerate model dimensions"
+    )
+    d, h, c = header["d"], header["h"], header["c"]
     body = _body(lines, h + 1 + c + 1, path)
     w1, _ = _parse_rows(body[:h], d, path, 2)
     b1, _ = _parse_rows(body[h : h + 1], h, path, h + 2)
@@ -320,71 +320,36 @@ def load_model(path: str) -> StudentModel:
 def write_targets(path: str, strategy: str, tau: float, matrix) -> None:
     matrix = np.asarray(matrix, dtype=np.float64)
     n, c = matrix.shape
-    with write_atomically(path) as fh:
-        fh.write(f"#targets v1 n={n} c={c} strategy={strategy} tau={fmt_float(tau)}\n")
-        for row in matrix:
-            fh.write(" ".join(fmt_float(x) for x in row) + "\n")
+    header = {"n": n, "c": c, "strategy": strategy, "tau": fmt_float(tau)}
+    _write_matrix(path, "targets", header, matrix)
 
 
 def load_targets(path: str) -> tuple[str, float, np.ndarray]:
-    lines = _read_lines(path)
-    if not lines:
-        raise FormatError(f"{path}: empty file (bad magic line)")
-    header = _parse_magic(lines[0], "targets", ["n", "c", "strategy", "tau"], path)
-    n = _parse_int(header["n"], "n", path)
-    c = _parse_int(header["c"], "c", path)
-    if header["strategy"] not in STRATEGIES:
-        raise FormatError(f"{path}:1: unknown strategy {header['strategy']!r}")
-    tau = _parse_float(header["tau"], "tau", path)
-    rows, _ = _parse_rows(_body(lines, n, path), c, path, 2)
-    return header["strategy"], tau, rows
+    header, lines = _read_matrix(
+        path, "targets", {"n": int, "c": int, "strategy": STRATEGIES, "tau": float},
+        "empty targets rejected (n and c must be positive)",
+    )
+    rows, _ = _parse_rows(_body(lines, header["n"], path), header["c"], path, 2)
+    return header["strategy"], header["tau"], rows
 
 
 def write_weights(path: str, mode: str, matrix) -> None:
     matrix = np.asarray(matrix, dtype=np.float64)
     n, k = matrix.shape
-    with write_atomically(path) as fh:
-        fh.write(f"#weights v1 n={n} k={k} mode={mode}\n")
-        for row in matrix:
-            fh.write(" ".join(fmt_float(x) for x in row) + "\n")
+    _write_matrix(path, "weights", {"n": n, "k": k, "mode": mode}, matrix)
 
 
 # ---------------------------------------------------------------------------
 # run configuration files
 
 
-CONFIG_SCALAR_KEYS = {
-    "seed",
-    "strategy",
-    "tau",
-    "alpha",
-    "h",
-    "weight_tau",
-    "gamma",
-    "lr",
-    "epochs",
-    "batch_size",
-    "hidden_dim",
-    "n_train",
-    "n_test",
-    "classes",
-    "dim",
-    "noise",
-    "dark_factor",
-    "quant_levels",
-    "data_dir",
-    "out",
-    "seeds",
-    "strategies",
-}
-CONFIG_REPEAT_KEYS = {"teacher"}
-
-
 def parse_config_file(path: str) -> dict:
     """`key = value` pairs, one per line; `#` lines are comments.
 
-    The `teacher` key may repeat; its values accumulate in order.
+    The keys are those of `config.RUN_KEYS`. A repeatable key (`teacher`)
+    accumulates its values in order; any other key may appear once.
     """
+    keys = {row.key: row for row in RUN_KEYS}
     values: dict = {}
     for lineno, raw in enumerate(_read_lines(path), start=1):
         line = raw.strip()
@@ -397,14 +362,14 @@ def parse_config_file(path: str) -> dict:
         value = value.strip()
         if not value:
             raise FormatError(f"{path}:{lineno}: empty value for {key!r}")
-        if key in CONFIG_REPEAT_KEYS:
-            values.setdefault(key, []).append(value)
-        elif key in CONFIG_SCALAR_KEYS:
-            if key in values:
-                raise FormatError(f"{path}:{lineno}: duplicate key {key!r}")
-            values[key] = value
-        else:
+        if key not in keys:
             raise FormatError(f"{path}:{lineno}: unknown key {key!r}")
+        if keys[key].repeat:
+            values.setdefault(key, []).append(value)
+        elif key in values:
+            raise FormatError(f"{path}:{lineno}: duplicate key {key!r}")
+        else:
+            values[key] = value
     return values
 
 
@@ -465,11 +430,4 @@ def load_all_views(directory: str) -> SyntheticData:
         key, ref = ("test", modality), ("train", modality)
         agree(key, ref, "feature widths", views[key].dim, views[ref].dim)
         agree(key, ref, "class counts", views[key].n_classes, views[ref].n_classes)
-    return SyntheticData(
-        train_a=views["train", MODALITY_A],
-        train_b=views["train", MODALITY_B],
-        train_dark=views["train", MODALITY_A_DARK],
-        test_a=views["test", MODALITY_A],
-        test_b=views["test", MODALITY_B],
-        test_dark=views["test", MODALITY_A_DARK],
-    )
+    return SyntheticData.from_views(views)

@@ -31,7 +31,7 @@ import numpy as np
 from . import config as cfg
 from .ensemble import TargetSet, validate_labels
 from .errors import NumericalError, ValidationError
-from .numerics import EPS, entropy_rows, kl_rows, log_or_zero, softmax_t, validate_tau
+from .numerics import EPS, entropy_rows, kl_rows, log_or_zero, softmax_t
 from .rng import SplitMix64
 
 
@@ -219,7 +219,6 @@ def _rows(model: StudentModel, features, labels, target_set: TargetSet, config: 
     onehot = labels[:, None] == np.arange(model.n_classes)
     if config.strategy == cfg.NONE:
         return [features, onehot]
-    validate_tau(config.tau)  # the config admits tau = inf, softmax_t does not
     for t in target_set.targets:
         if t.shape != (n, model.n_classes):
             raise ValidationError(

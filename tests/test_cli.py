@@ -102,6 +102,19 @@ def test_cost_probe_writes_file(tmp_path, capsys):
     assert "assembly-flops" in text
 
 
+def test_cost_probe_reads_epochs_from_config(tmp_path, capsys):
+    config = tmp_path / "probe.cfg"
+    config.write_text("epochs = 2\nn_train = 80\nn_test = 40\nclasses = 3\ndim = 6\n")
+    assert run_cli("cost-probe", "--config", str(config)) == 0
+    assert "epochs timed: 2 " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("epochs", ["0", "1"])
+def test_cost_probe_too_few_epochs_exit_1(epochs, capsys):
+    assert run_cli("cost-probe", "--epochs", epochs) == 1
+    assert "cost probe needs at least 2 epochs" in capsys.readouterr().err
+
+
 def test_usage_error_exit_1(capsys):
     assert run_cli("distill", "--strategy", "NOT_A_TAG") == 1
     assert run_cli("nonsense-command") == 1

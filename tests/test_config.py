@@ -1,12 +1,14 @@
-"""DistillConfig validation, NaN and infinity included."""
+"""DistillConfig and DataParams validation, NaN and infinity included."""
 
 import numpy as np
 import pytest
 
 import multikd as mk
+import multikd.cli as cli
 import multikd.harness as harness
 from multikd import DistillConfig, TargetSet, init_student, train
 from multikd.cli import main
+from multikd.datagen import DataParams
 from multikd.errors import ValidationError
 from multikd.rng import SplitMix64
 
@@ -14,24 +16,32 @@ NAN = float("nan")
 INF = float("inf")
 
 
+def build(key, value):
+    """Validate `key = value`: gamma shapes the generated data, so DataParams holds it."""
+    if key == "gamma":
+        DataParams(gamma=value).validate()
+    else:
+        DistillConfig(**{key: value})
+
+
 @pytest.mark.parametrize("key", ["tau", "weight_tau", "gamma", "lr", "alpha", "h"])
 def test_nan_rejected(key):
     with pytest.raises(ValidationError, match=key):
-        DistillConfig(**{key: NAN})
+        build(key, NAN)
 
 
 @pytest.mark.parametrize("key", ["tau", "weight_tau", "gamma", "lr"])
 @pytest.mark.parametrize("value", [0.0, -1.0])
 def test_nonpositive_rejected(key, value):
     with pytest.raises(ValidationError, match=f"{key} must be positive"):
-        DistillConfig(**{key: value})
+        build(key, value)
 
 
 @pytest.mark.parametrize("key", ["tau", "weight_tau", "gamma", "lr"])
 @pytest.mark.parametrize("value", [INF, -INF])
 def test_infinite_rejected(key, value):
     with pytest.raises(ValidationError, match=f"{key} must be positive and finite"):
-        DistillConfig(**{key: value})
+        build(key, value)
 
 
 def test_train_validates_a_config_mutated_after_construction():
@@ -61,3 +71,15 @@ def test_cli_inf_is_usage_error_before_training(flag, monkeypatch, capsys):
     monkeypatch.setattr(harness, "train_plain", no_training)
     assert main(["distill", "--seed", "1", flag, "inf"]) == 1
     assert "must be positive and finite, got inf" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("command", ["distill", "gen-data"])
+def test_cli_non_finite_noise_is_usage_error_before_data(command, value, tmp_path, monkeypatch, capsys):
+    def no_data(*args, **kwargs):
+        raise AssertionError("data generation started")
+
+    monkeypatch.setattr(harness, "gen_dataset", no_data)
+    monkeypatch.setattr(cli, "gen_dataset", no_data)
+    assert main([command, "--seed", "1", "--noise", value, "--out", str(tmp_path / "out")]) == 1
+    assert f"noise must be nonnegative and finite, got {value}" in capsys.readouterr().err

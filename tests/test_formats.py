@@ -55,6 +55,12 @@ class TestLogitDump:
         with pytest.raises(FormatError, match="row count mismatch"):
             load_logits(path)
 
+    def test_dimension_past_float_range_is_a_row_count_mismatch(self, tmp_path):
+        path = tmp_path / "huge.txt"
+        path.write_text("#logits v1 n=1" + "0" * 400 + " c=2 teacher=t\n0.0 1.0\n")
+        with pytest.raises(FormatError, match="row count mismatch"):
+            load_logits(path)
+
     def test_column_count_mismatch(self, tmp_path):
         path = tmp_path / "wide.txt"
         path.write_text("#logits v1 n=1 c=2 teacher=t\n0.0 1.0 2.0\n")
@@ -199,6 +205,13 @@ class TestTargetsFile:
         path = tmp_path / "targets.txt"
         path.write_text("#targets v1 n=1 c=2 strategy=BOGUS tau=1.0\n0.5 0.5\n")
         with pytest.raises(FormatError, match="strategy"):
+            load_targets(path)
+
+    @pytest.mark.parametrize("dims", ["n=0 c=2", "n=1 c=0"])
+    def test_empty_matrix_rejected(self, tmp_path, dims):
+        path = tmp_path / "targets.txt"
+        path.write_text(f"#targets v1 {dims} strategy=PKD tau=4.0\n")
+        with pytest.raises(FormatError, match="empty targets rejected"):
             load_targets(path)
 
     @pytest.mark.parametrize("raw", ["abc", "nan", "inf", ""])
