@@ -12,12 +12,11 @@ import argparse
 import sys
 
 from . import config as cfg
-from .datagen import DataParams, gen_dataset
-from .ensemble import TeacherBank, build_targets
+from .datagen import DataParams
+from .ensemble import build_targets
 from .errors import FormatError, MultiKdError, NumericalError, ValidationError
 from .formats import (
     load_dataset,
-    load_logits,
     load_model,
     parse_config_file,
     write_all_views,
@@ -28,17 +27,17 @@ from .formats import (
     write_weights,
 )
 from .harness import (
-    STAGE_DATA,
     RunConfig,
+    bind_teacher_dumps,
     cost_probe,
     cost_probe_text,
+    generate_data,
     report_machine_text,
     report_table_text,
     run_ablation,
     run_pipeline,
     train_plain,
 )
-from .rng import derive_seed
 from .trainer import evaluate, forward
 
 
@@ -144,7 +143,7 @@ def cmd_gen_data(args) -> int:
     values = _merged(args)
     rc = _run_config(values)
     out = _require(values.get("out"), "--out")
-    data = gen_dataset(derive_seed(rc.seed, STAGE_DATA), rc.data)
+    data = generate_data(rc)
     written = write_all_views(str(out), data)
     print(f"wrote {len(written)} dataset files to {out}")
     return 0
@@ -167,8 +166,6 @@ def cmd_dump_logits(args) -> int:
     model = load_model(_require(args.model, "--model"))
     dataset = load_dataset(_require(args.data, "--data"))
     teacher_id = _require(args.teacher_id, "--teacher-id")
-    if dataset.n == 0:
-        raise ValidationError("refusing to dump logits for an empty dataset")
     out = _require(values.get("out"), "--out")
     write_logit_dump(str(out), teacher_id, forward(model, dataset.features))
     print(f"dumped {dataset.n}x{model.n_classes} logits for {teacher_id} -> {out}")
@@ -182,14 +179,8 @@ def cmd_assemble(args) -> int:
         raise UsageError("assemble writes a single target matrix: use AVG2, GTD, or PKD")
     if not rc.teacher_paths:
         raise UsageError("assemble needs at least one --teacher dump")
-    labels_path = _require(args.labels_from, "--labels-from")
-    dataset = load_dataset(labels_path)
-    dumps = [load_logits(p) for p in rc.teacher_paths]
-    bank = TeacherBank([d.rows for d in dumps], [d.teacher_id for d in dumps])
-    if bank.n != dataset.n or bank.c != dataset.n_classes:
-        raise ValidationError(
-            f"dumps are {bank.n}x{bank.c}, labels file implies {dataset.n}x{dataset.n_classes}"
-        )
+    dataset = load_dataset(_require(args.labels_from, "--labels-from"))
+    bank = bind_teacher_dumps(rc.teacher_paths, dataset)
     targets = build_targets(bank, dataset.labels, rc.distill)
     out = _require(values.get("out"), "--out")
     write_targets(f"{out}.targets.txt", rc.distill.strategy, rc.distill.tau, targets.targets[0])
@@ -229,7 +220,7 @@ def cmd_ablate(args) -> int:
     try:
         seeds = [int(tok) for tok in str(raw_seeds).split(",") if tok.strip() != ""]
     except ValueError:
-        raise UsageError(f"bad --seeds list: {raw_seeds!r}") from None
+        raise UsageError(f"bad value for seeds: {raw_seeds!r}") from None
     raw_strategies = values.get("strategies") or ",".join(cfg.STRATEGIES)
     strategies = [tok.strip() for tok in str(raw_strategies).split(",") if tok.strip()]
     report = run_ablation(rc, strategies, seeds, timing=bool(args.timing))

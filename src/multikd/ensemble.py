@@ -24,6 +24,7 @@ from .numerics import (
     cross_entropy_dist,
     cross_entropy_rows,
     kl_divergence,
+    running_mean,
     softmax_t,
 )
 
@@ -257,7 +258,8 @@ def build_targets(bank: TeacherBank, labels, config: cfg.DistillConfig) -> Targe
 
     KD_SINGLE: the lone teacher's softened matrix (requires K=1).
     AVG1: all K softened matrices, distilled as equal-weight tasks.
-    AVG2: the elementwise mean of the K softened matrices.
+    AVG2: the elementwise mean of the K softened matrices, softened and
+    added one teacher at a time.
     GTD/PKD: reference-weighted convex assembly.
     """
     strategy = config.strategy
@@ -268,8 +270,7 @@ def build_targets(bank: TeacherBank, labels, config: cfg.DistillConfig) -> Targe
     if strategy == cfg.AVG1:
         return TargetSet(strategy, [softmax_t(t, config.tau) for t in bank.teachers])
     if strategy == cfg.AVG2:
-        softened = [softmax_t(t, config.tau) for t in bank.teachers]
-        return TargetSet(strategy, [np.mean(softened, axis=0)])
+        return TargetSet(strategy, [running_mean(softmax_t(t, config.tau) for t in bank.teachers)])
     if strategy in (cfg.GTD, cfg.PKD):
         params = PkdParams(h=config.h, n_classes=bank.c) if strategy == cfg.PKD else None
         weights = compute_weights(bank, labels, strategy, params, config.weight_tau)

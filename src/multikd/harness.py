@@ -1,11 +1,15 @@
 """End-to-end pipelines: data, teachers, assembly, student, reports.
 
 A pipeline run is fully determined by one 64-bit seed: stage seeds are
-derived as splitmix64(seed + stage index), with stage 0 the data, 1 and
-2 the two teachers, and 3 the student. Teacher knowledge enters student
+derived here, and only here, as splitmix64(seed + stage index), with
+stage 0 the data, 1 and 2 the two teachers, and 3 the student. A
+student (teachers are students trained on labels alone) draws its
+initial weights from splitmix64(stage seed + 0) and its batch order
+from splitmix64(stage seed + 1). Teacher knowledge enters student
 training only as assembled target matrices, so no teacher parameters
 are resident once assembly is done; adding teachers changes the
-one-shot assembly cost, never the per-epoch training work.
+one-shot assembly cost, never the per-epoch training work, and AVG2
+assembly holds two N x C matrices at any number of teachers.
 
 Reports are written both as an aligned text table and as one
 tab-separated row per (strategy, seed). Without the opt-in timing mode
@@ -21,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import config as cfg
-from .datagen import DataParams, Dataset, SyntheticData, gen_dataset
+from .datagen import MODALITY_A, MODALITY_B, DataParams, Dataset, SyntheticData, gen_dataset
 from .ensemble import TargetSet, TeacherBank, build_targets
 from .errors import StageError, ValidationError
 from .formats import fmt_float, load_all_views, load_logits
@@ -33,8 +37,12 @@ STAGE_TEACHER_A = 1
 STAGE_TEACHER_B = 2
 STAGE_STUDENT = 3
 
-TEACHER_A_ID = "teacher-A"
-TEACHER_B_ID = "teacher-B"
+# The in-process teachers in bank order: (id, stage index, the clean
+# modality it trains and is tested on). KD_SINGLE uses the first alone.
+_TEACHERS = (
+    ("teacher-A", STAGE_TEACHER_A, MODALITY_A),
+    ("teacher-B", STAGE_TEACHER_B, MODALITY_B),
+)
 
 
 @dataclass
@@ -82,20 +90,17 @@ def _strategy_rank(tag: str) -> int:
     return cfg.STRATEGIES.index(tag)
 
 
-def train_plain(dataset: Dataset, config: cfg.DistillConfig, stage_seed: int) -> StudentModel:
+def _fresh_student(dataset: Dataset, config: cfg.DistillConfig, stage_seed: int):
+    """A new student for `dataset`, and `config` re-seeded for its batch order."""
     prng = SplitMix64(derive_seed(stage_seed, 0))
     model = init_student(dataset.dim, config.hidden_dim, dataset.n_classes, prng)
-    plain = config.with_(strategy=cfg.NONE, seed=derive_seed(stage_seed, 1))
+    return model, config.with_(seed=derive_seed(stage_seed, 1))
+
+
+def train_plain(dataset: Dataset, config: cfg.DistillConfig, stage_seed: int) -> StudentModel:
+    model, plain = _fresh_student(dataset, config.with_(strategy=cfg.NONE), stage_seed)
     train(model, dataset.features, dataset.labels, TargetSet(cfg.NONE), plain)
     return model
-
-
-def _teacher_ids_for(strategy: str) -> list[str]:
-    if strategy == cfg.NONE:
-        return []
-    if strategy == cfg.KD_SINGLE:
-        return [TEACHER_A_ID]
-    return [TEACHER_A_ID, TEACHER_B_ID]
 
 
 def _stage(name: str, fn, *args, **kwargs):
@@ -120,12 +125,31 @@ def _cached(caches: dict | None, key: tuple, make):
     return caches[key]
 
 
+def generate_data(rc: RunConfig) -> SyntheticData:
+    """The six views `rc` generates: its data parameters at its data stage seed."""
+    return gen_dataset(derive_seed(rc.seed, STAGE_DATA), rc.data)
+
+
 def _obtain_data(rc: RunConfig, caches: dict | None) -> SyntheticData:
     if rc.data_dir is not None:
         return _cached(caches, ("views", rc.data_dir), lambda: load_all_views(rc.data_dir))
-    return _cached(
-        caches, ("data", rc.seed), lambda: gen_dataset(derive_seed(rc.seed, STAGE_DATA), rc.data)
-    )
+    return _cached(caches, ("data", rc.seed), lambda: generate_data(rc))
+
+
+def bind_teacher_dumps(paths: list[str], data: Dataset, caches: dict | None = None) -> TeacherBank:
+    """The teacher dumps at `paths` as a bank whose row n is sample n of `data`.
+
+    Each dump is checked against `data` before the bank is built, so a
+    dump of the wrong shape is named whichever place it holds.
+    """
+    dumps = _cached(caches, ("dumps", tuple(paths)), lambda: [load_logits(p) for p in paths])
+    for dump in dumps:
+        if dump.n != data.n or dump.c != data.n_classes:
+            raise ValidationError(
+                f"teacher dump {dump.teacher_id!r} is {dump.n}x{dump.c}, "
+                f"training data needs {data.n}x{data.n_classes}"
+            )
+    return TeacherBank([d.rows for d in dumps], [d.teacher_id for d in dumps])
 
 
 def _obtain_teacher_logits(
@@ -133,34 +157,19 @@ def _obtain_teacher_logits(
 ) -> tuple[TeacherBank | None, dict[str, float]]:
     """Teacher logits on the training samples, plus teacher test accuracy.
 
-    Dumps given in the run config win; otherwise teachers are trained
-    in-process on their clean modality (A for the first, B for the
-    second), seeded by their stage index so retraining is bit-exact.
+    Dumps given in the run config win; otherwise the strategy's teachers
+    in `_TEACHERS` are trained in-process, seeded by their stage index
+    so retraining is bit-exact.
     """
-    strategy = rc.distill.strategy
     if rc.teacher_paths:
-        dumps = _cached(
-            caches,
-            ("dumps", tuple(rc.teacher_paths)),
-            lambda: [load_logits(p) for p in rc.teacher_paths],
-        )
-        n, c = data.train_dark.n, data.train_dark.n_classes
-        for dump in dumps:
-            if dump.n != n or dump.c != c:
-                raise ValidationError(
-                    f"teacher dump {dump.teacher_id!r} is {dump.n}x{dump.c}, "
-                    f"training data needs {n}x{c}"
-                )
-        bank = TeacherBank([d.rows for d in dumps], [d.teacher_id for d in dumps])
-        return bank, {}
-    ids = _teacher_ids_for(strategy)
-    if not ids:
+        return bind_teacher_dumps(rc.teacher_paths, data.train_dark, caches), {}
+    strategy = rc.distill.strategy
+    if strategy == cfg.NONE:
         return None, {}
+    roster = _TEACHERS[:1] if strategy == cfg.KD_SINGLE else _TEACHERS
     mats, accs = [], {}
-    for teacher_id in ids:
-        stage = STAGE_TEACHER_A if teacher_id == TEACHER_A_ID else STAGE_TEACHER_B
-        train_view = data.train_a if teacher_id == TEACHER_A_ID else data.train_b
-        test_view = data.test_a if teacher_id == TEACHER_A_ID else data.test_b
+    for teacher_id, stage, modality in roster:
+        train_view, test_view = data.view("train", modality), data.view("test", modality)
         model = _cached(
             caches,
             ("teacher", rc.seed, teacher_id),
@@ -168,30 +177,26 @@ def _obtain_teacher_logits(
         )
         mats.append(forward(model, train_view.features))
         accs[teacher_id] = evaluate(model, test_view.features, test_view.labels)
-    return TeacherBank(mats, ids), accs
+    return TeacherBank(mats, [teacher_id for teacher_id, _, _ in roster]), accs
+
+
+def _cell_targets(bank: TeacherBank | None, labels, config: cfg.DistillConfig) -> TargetSet:
+    """The student's targets: none for NONE, else the strategy's assembly of `bank`."""
+    if config.strategy == cfg.NONE:
+        return TargetSet(cfg.NONE)
+    return build_targets(bank, labels, config)
 
 
 def run_pipeline(rc: RunConfig, timing: bool = False, caches: dict | None = None) -> PipelineRow:
     """One (strategy, seed) cell: data -> teachers -> targets -> student."""
     data = _stage("generate-data", _obtain_data, rc, caches)
     bank, teacher_accs = _stage("teachers", _obtain_teacher_logits, rc, data, caches)
-
-    def _targets() -> TargetSet:
-        if rc.distill.strategy == cfg.NONE:
-            return TargetSet(cfg.NONE)
-        return build_targets(bank, data.train_dark.labels, rc.distill)
-
-    targets = _stage("assemble-targets", _targets)
+    view = data.train_dark
+    targets = _stage("assemble-targets", _cell_targets, bank, view.labels, rc.distill)
 
     def _student():
-        stage_seed = derive_seed(rc.seed, STAGE_STUDENT)
-        prng = SplitMix64(derive_seed(stage_seed, 0))
-        model = init_student(
-            data.train_dark.dim, rc.distill.hidden_dim, data.train_dark.n_classes, prng
-        )
-        run_cfg = rc.distill.with_(seed=derive_seed(stage_seed, 1))
-        result = train(model, data.train_dark.features, data.train_dark.labels, targets, run_cfg)
-        return model, result
+        model, config = _fresh_student(view, rc.distill, derive_seed(rc.seed, STAGE_STUDENT))
+        return model, train(model, view.features, view.labels, targets, config)
 
     model, result = _stage("train-student", _student)
     top1 = _stage("evaluate", evaluate, model, data.test_dark.features, data.test_dark.labels)
@@ -339,41 +344,28 @@ def cost_probe(rc: RunConfig, epochs: int = 5, repeats: int = 3) -> CostProbe:
         raise ValidationError("cost probe needs at least one repeat")
     caches: dict = {}
     data = _obtain_data(rc, caches)
-    n, c = data.train_dark.n, data.train_dark.n_classes
+    view = data.train_dark
     tags = (cfg.NONE, cfg.KD_SINGLE, cfg.PKD)
-    prepared = {}
-    flops = {}
+    configs, targets, flops = {}, {}, {}
     for tag in tags:
         cell = replace(rc, distill=rc.distill.with_(strategy=tag, epochs=epochs))
         bank, _ = _obtain_teacher_logits(cell, data, caches)
-        targets = (
-            TargetSet(cfg.NONE)
-            if tag == cfg.NONE
-            else build_targets(bank, data.train_dark.labels, cell.distill)
-        )
-        prepared[tag] = (cell.distill, targets)
-        flops[tag] = assembly_flop_estimate(n, 0 if tag == cfg.NONE else bank.k, c)
+        configs[tag] = cell.distill.with_(epochs=1)
+        targets[tag] = _cell_targets(bank, view.labels, cell.distill)
+        flops[tag] = assembly_flop_estimate(view.n, 0 if tag == cfg.NONE else bank.k, view.n_classes)
 
     stage_seed = derive_seed(rc.seed, STAGE_STUDENT)
 
-    def fresh_student(tag: str):
-        config, targets = prepared[tag]
-        prng = SplitMix64(derive_seed(stage_seed, 0))
-        model = init_student(data.train_dark.dim, config.hidden_dim, c, prng)
-        return model, targets, config.with_(seed=derive_seed(stage_seed, 1), epochs=1)
-
-    def timed_epoch(student) -> float:
-        model, targets, config = student
-        result = train(model, data.train_dark.features, data.train_dark.labels, targets, config)
-        return result.epoch_seconds[0]
+    def timed_epoch(tag: str, model: StudentModel, config: cfg.DistillConfig) -> float:
+        return train(model, view.features, view.labels, targets[tag], config).epoch_seconds[0]
 
     times = {tag: [] for tag in tags}
     ratios = []
     for rep in range(repeats):
-        students = {tag: fresh_student(tag) for tag in tags}
+        students = {tag: _fresh_student(view, configs[tag], stage_seed) for tag in tags}
         for epoch in range(epochs):
             order = tags if (rep + epoch) % 2 == 0 else (cfg.NONE, cfg.PKD, cfg.KD_SINGLE)
-            seconds = {tag: timed_epoch(students[tag]) for tag in order}
+            seconds = {tag: timed_epoch(tag, *students[tag]) for tag in order}
             if epoch == 0:
                 continue
             for tag in tags:

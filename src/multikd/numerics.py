@@ -59,11 +59,32 @@ def softmax_t(logits, tau: float = 1.0) -> np.ndarray:
     within 1e-12 and are invariant to adding a constant to the logits.
     """
     tau = validate_tau(tau)
-    arr = validate_logit_row(logits)
-    scaled = arr / tau
-    shifted = scaled - scaled.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    return softmax_rows(validate_logit_row(logits) / tau)
+
+
+def softmax_rows(scaled: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of already-scaled, pre-validated logits (no checks)."""
+    e = np.exp(scaled - np.maximum.reduce(scaled, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
+
+
+def running_mean(arrays) -> np.ndarray:
+    """Elementwise mean of an iterable of equal-shape arrays.
+
+    The arrays are added one at a time, in order, so only the running
+    sum and the current array are held, whatever their number. That is
+    also numpy's order for a mean of contiguous float64 arrays over the
+    leading axis, so the result has the bits of np.mean(list(arrays), axis=0).
+    """
+    items = iter(arrays)
+    first = next(items, None)
+    if first is None:
+        raise ValidationError("running_mean needs at least one array")
+    total, count = np.array(first, dtype=np.float64), 1
+    for item in items:
+        total += item
+        count += 1
+    return total / count
 
 
 def kl_divergence(q, p) -> float:

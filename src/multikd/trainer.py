@@ -31,7 +31,7 @@ import numpy as np
 from . import config as cfg
 from .ensemble import TargetSet, validate_labels
 from .errors import NumericalError, ValidationError
-from .numerics import EPS, entropy_rows, kl_rows, log_or_zero, softmax_t
+from .numerics import EPS, entropy_rows, kl_rows, log_or_zero, running_mean, softmax_rows, softmax_t
 from .rng import SplitMix64
 
 
@@ -196,13 +196,13 @@ def _rows(model: StudentModel, features, labels, target_set: TargetSet, config: 
     sample n. onehot is a boolean N x C label mask. log_target is
     log_or_zero(target), as in kl_rows.
 
-    AVG1 distils its K targets through their mean, accumulated in
-    teacher order so it has the bits of np.mean(targets, axis=0). Its
-    loss, mean_k KL(t_k||p), is KL(mean||p) plus the per-row constant
-    gap = H(mean) - mean_k H(t_k), so no step touches more than one
-    target matrix. Adding gap to KL(mean||p), rather than computing
-    mean_k sum t_k log t_k - sum mean log p, keeps a small loss free of
-    cancellation between two large sums.
+    AVG1 distils its K targets through their running_mean, which has
+    the bits of np.mean(targets, axis=0). Its loss, mean_k KL(t_k||p),
+    is KL(mean||p) plus the per-row constant gap = H(mean) - mean_k
+    H(t_k), so no step touches more than one target matrix. Adding gap
+    to KL(mean||p), rather than computing mean_k sum t_k log t_k - sum
+    mean log p, keeps a small loss free of cancellation between two
+    large sums.
     """
     config.validate()
     if target_set.strategy != config.strategy:
@@ -228,20 +228,9 @@ def _rows(model: StudentModel, features, labels, target_set: TargetSet, config: 
     if config.strategy != cfg.AVG1:
         target = targets[0]
         return [features, onehot, target, log_or_zero(target)]
-    total = targets[0].copy()
-    entropy_sum = entropy_rows(targets[0])
-    for t in targets[1:]:
-        total += t
-        entropy_sum += entropy_rows(t)
-    target = total / len(targets)
-    gap = entropy_rows(target) - entropy_sum / len(targets)
+    target = running_mean(targets)
+    gap = entropy_rows(target) - running_mean(entropy_rows(t) for t in targets)
     return [features, onehot, target, log_or_zero(target), gap]
-
-
-def _softmax_rows(scaled: np.ndarray) -> np.ndarray:
-    """softmax_t of already-scaled, already-checked logits, row-wise."""
-    e = np.exp(scaled - np.maximum.reduce(scaled, axis=1, keepdims=True))
-    return e / np.add.reduce(e, axis=1, keepdims=True)
 
 
 def _step(model, config, features, onehot, target=None, log_target=None, gap=None, update=True):
@@ -260,12 +249,12 @@ def _step(model, config, features, onehot, target=None, log_target=None, gap=Non
     logits, hidden, pre = _forward_cached(model, features)
     if not np.isfinite(logits).all():
         raise NumericalError("non-finite student logits; training aborted")
-    p1 = _softmax_rows(logits)
+    p1 = softmax_rows(logits)
     loss = -float(np.add.reduce(np.log(np.maximum(p1[onehot], EPS))) / n)
     g_logits = (p1 - onehot) / n
     if target is not None:
         alpha, tau = config.alpha, config.tau
-        p_tau = _softmax_rows(logits / tau)
+        p_tau = softmax_rows(logits / tau)
         kl = np.add.reduce(target * (log_target - np.log(np.maximum(p_tau, EPS))), axis=1)
         if gap is not None:
             kl += gap

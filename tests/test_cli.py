@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from multikd.cli import main
-from multikd.formats import load_logits, load_model, load_targets
+from multikd.formats import load_logits, load_model, load_targets, write_logit_dump, write_model
+from multikd.rng import SplitMix64
+from multikd.trainer import init_student
 
 
 def run_cli(*argv):
@@ -172,3 +174,41 @@ def test_flag_overrides_config(tmp_path, capsys):
                    "n_train = 80\nn_test = 40\nclasses = 3\ndim = 6\n")
     assert run_cli("distill", "--config", str(cfg), "--seed", "9") == 0
     assert "seed 9" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_bad_seeds_named_as_run_key(source, tmp_path, capsys):
+    if source == "flag":
+        argv = ["ablate", "--seeds", "a,b"]
+    else:
+        config = tmp_path / "run.cfg"
+        config.write_text("seeds = a,b\n")
+        argv = ["ablate", "--config", str(config)]
+    assert run_cli(*argv) == 1
+    assert "error: bad value for seeds: 'a,b'" in capsys.readouterr().err
+
+
+def test_dump_logits_empty_dataset_exit_2(tmp_path, capsys):
+    model = tmp_path / "t.model"
+    write_model(str(model), init_student(4, 3, 4, SplitMix64(1)))
+    empty = tmp_path / "empty.txt"
+    empty.write_text("#dataset v1 n=0 d=4 c=4 modality=A split=train\n")
+    assert run_cli("dump-logits", "--model", str(model), "--data", str(empty),
+                   "--teacher-id", "t", "--out", str(tmp_path / "t.logits")) == 2
+    assert "empty dataset rejected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("position", ["first", "last"])
+def test_assemble_names_the_mis_shaped_dump_like_distill(position, tmp_path, data_dir, capsys):
+    rng = np.random.default_rng(4)
+    good, bad = str(tmp_path / "a.logits"), str(tmp_path / "b.logits")
+    write_logit_dump(good, "a", rng.normal(size=(120, 4)))
+    write_logit_dump(bad, "b", rng.normal(size=(20, 4)))
+    dumps = [bad, good, good] if position == "first" else [good, good, bad]
+    teachers = [arg for path in dumps for arg in ("--teacher", path)]
+    message = "teacher dump 'b' is 20x4, training data needs 120x4"
+    assert run_cli("assemble", "--labels-from", str(data_dir / "train_A.txt"), "--strategy", "PKD",
+                   "--out", str(tmp_path / "inspect"), *teachers) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert run_cli("distill", "--strategy", "PKD", "--data-dir", str(data_dir), *teachers, *SMALL) == 1
+    assert capsys.readouterr().err == f"error: stage 'teachers': {message}\n"

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import multikd as mk
-import multikd.cli as cli
 import multikd.harness as harness
 from multikd import DistillConfig, TargetSet, init_student, train
 from multikd.cli import main
@@ -79,7 +78,6 @@ def test_cli_non_finite_noise_is_usage_error_before_data(command, value, tmp_pat
     def no_data(*args, **kwargs):
         raise AssertionError("data generation started")
 
-    monkeypatch.setattr(harness, "gen_dataset", no_data)
-    monkeypatch.setattr(cli, "gen_dataset", no_data)
+    monkeypatch.setattr(harness, "gen_dataset", no_data)  # gen-data generates through harness too
     assert main([command, "--seed", "1", "--noise", value, "--out", str(tmp_path / "out")]) == 1
     assert f"noise must be nonnegative and finite, got {value}" in capsys.readouterr().err

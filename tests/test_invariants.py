@@ -1,0 +1,92 @@
+"""The paper's invariants over random shapes, temperatures and references.
+
+Teacher weights lie strictly inside the simplex; with one teacher every
+strategy's target is KD_SINGLE's; on one-hot references the CE and KL
+similarities agree; AVG1 and AVG2 give the student the same gradient;
+and the AVG2 target, summed one teacher at a time, has the bits of
+np.mean over the stacked softened matrices.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import multikd as mk
+from multikd.ensemble import (
+    WEIGHT_ROW_SUM_TOL,
+    TeacherBank,
+    build_targets,
+    compute_weights,
+    make_gtd,
+    similarity_ce,
+    similarity_kl,
+)
+from multikd.numerics import softmax_t
+from multikd.trainer import loss_gradient
+
+SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
+
+taus = st.floats(0.25, 12.0)
+
+
+@st.composite
+def banks(draw, max_k=6):
+    n, c = draw(st.integers(1, 12)), draw(st.integers(2, 8))
+    k = draw(st.integers(1, max_k))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.floats(0.1, 20.0))
+    bank = TeacherBank([rng.normal(size=(n, c)) * scale for _ in range(k)],
+                       [f"t{j}" for j in range(k)])
+    return bank, rng.integers(c, size=n)
+
+
+@SETTINGS
+@given(banks(), st.sampled_from([mk.GTD, mk.PKD]), st.floats(0.0, 1.0), taus)
+def test_weights_strictly_positive_rows_sum_to_one(bank_labels, mode, h_share, weight_tau):
+    bank, labels = bank_labels
+    # h strictly between the uniform share 1/C and 1
+    h = 1.0 / bank.c + (1.0 - 1.0 / bank.c) * max(h_share, 1e-3)
+    params = mk.PkdParams(h=h, n_classes=bank.c) if mode == mk.PKD else None
+    weights = compute_weights(bank, labels, mode, params, weight_tau)
+    assert weights.normalized.shape == (bank.n, bank.k)
+    assert (weights.raw > 0.0).all() and (weights.normalized > 0.0).all()
+    assert np.max(np.abs(weights.normalized.sum(axis=1) - 1.0)) <= WEIGHT_ROW_SUM_TOL
+
+
+@SETTINGS
+@given(banks(max_k=1), taus, taus)
+def test_single_teacher_every_strategy_is_kd_single(bank_labels, tau, weight_tau):
+    bank, labels = bank_labels
+    config = mk.DistillConfig(strategy=mk.KD_SINGLE, tau=tau, weight_tau=weight_tau)
+    expected = build_targets(bank, labels, config).targets
+    for tag in (mk.AVG1, mk.AVG2, mk.GTD, mk.PKD):
+        got = build_targets(bank, labels, config.with_(strategy=tag)).targets
+        assert len(got) == 1 and np.array_equal(got[0], expected[0]), tag
+
+
+@SETTINGS
+@given(st.integers(2, 12), st.integers(0, 11), st.integers(0, 2**32 - 1), st.floats(0.1, 60.0))
+def test_onehot_similarity_ce_equals_kl(c, label, seed, scale):
+    reference = make_gtd(label % c, c)
+    teacher = softmax_t(np.random.default_rng(seed).normal(size=c) * scale)
+    assert similarity_ce(reference, teacher) == similarity_kl(reference, teacher)
+
+
+@SETTINGS
+@given(banks(), taus, st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_avg1_and_avg2_give_equal_gradients(bank_labels, tau, alpha, seed):
+    bank, labels = bank_labels
+    logits = np.random.default_rng(seed).normal(size=(bank.n, bank.c)) * 3.0
+    config = mk.DistillConfig(strategy=mk.AVG1, tau=tau, alpha=alpha)
+    avg1 = loss_gradient(logits, labels, build_targets(bank, labels, config), config)
+    config = config.with_(strategy=mk.AVG2)
+    avg2 = loss_gradient(logits, labels, build_targets(bank, labels, config), config)
+    assert np.array_equal(avg1, avg2)
+
+
+@SETTINGS
+@given(banks(max_k=40), taus)
+def test_avg2_target_is_np_mean_of_softened_teachers(bank_labels, tau):
+    bank, labels = bank_labels
+    target = build_targets(bank, labels, mk.DistillConfig(strategy=mk.AVG2, tau=tau)).targets[0]
+    assert np.array_equal(target, np.mean([softmax_t(t, tau) for t in bank.teachers], axis=0))

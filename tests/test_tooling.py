@@ -1,14 +1,20 @@
-"""The benchmark's own self-test runs against the current program.
+"""The benchmark's own self-test and pins run against the current program.
 
 perfbench wraps multikd's public loaders, writers and pipeline functions
 to trace them. Running its tiny self-test here makes a renamed layer
 function, or a change that breaks the trace wrappers, fail the test
-suite rather than only the benchmark.
+suite rather than only the benchmark. Running one pass of the
+`offline-cli` and `many-teachers` workloads against their checked-in
+pins does the same for a change in their output bytes; the golden
+ablation report covers the `ablation` workload.
 """
 
+import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -19,3 +25,15 @@ def test_perfbench_selftest_passes():
         cwd=ROOT, capture_output=True, text=True, timeout=600,
     )
     assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
+
+
+@pytest.mark.parametrize("workload", ["offline-cli", "many-teachers"])
+def test_workload_matches_pins(workload):
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", "1", "--seconds", "0", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert (result["correct"], result["failed"]) == (True, 0), done.stdout[-2000:]
