@@ -3,7 +3,8 @@
 Subcommands: gen-data, train-teacher, dump-logits, assemble, distill,
 evaluate, ablate, cost-probe. A `--config` file supplies `key = value`
 defaults; explicit flags win. Exit codes: 0 success, 1 usage error,
-2 malformed input file, 3 numerical failure.
+2 malformed input file, 3 numerical failure. `ablate` exits with the
+code of its first failed cell in report order.
 """
 
 from __future__ import annotations
@@ -161,10 +162,18 @@ def cmd_train_teacher(args) -> int:
     return 0
 
 
-def cmd_dump_logits(args) -> int:
-    values = _merged(args)
+def _model_and_data(args):
+    """--model and --data, loaded and checked to agree on the class count."""
     model = load_model(_require(args.model, "--model"))
     dataset = load_dataset(_require(args.data, "--data"))
+    if dataset.n_classes != model.n_classes:
+        raise ValidationError(f"dataset has {dataset.n_classes} classes, model has {model.n_classes}")
+    return model, dataset
+
+
+def cmd_dump_logits(args) -> int:
+    values = _merged(args)
+    model, dataset = _model_and_data(args)
     teacher_id = _require(args.teacher_id, "--teacher-id")
     out = _require(values.get("out"), "--out")
     write_logit_dump(str(out), teacher_id, forward(model, dataset.features))
@@ -206,8 +215,7 @@ def cmd_distill(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    model = load_model(_require(args.model, "--model"))
-    dataset = load_dataset(_require(args.data, "--data"))
+    model, dataset = _model_and_data(args)
     acc = evaluate(model, dataset.features, dataset.labels)
     print(f"top-1 {acc:.4f} on {dataset.n} samples ({dataset.split}/{dataset.modality})")
     return 0
@@ -232,7 +240,9 @@ def cmd_ablate(args) -> int:
         with write_atomically(f"{out}.tsv") as fh:
             fh.write(report_machine_text(report))
     sys.stdout.write(table)
-    return 0 if not report.failures else 3
+    for tag, seed, message in report.failures:
+        print(f"error: {tag} seed {seed}: {message}", file=sys.stderr)
+    return _exit_code_for(report.errors[0]) if report.failures else 0
 
 
 def cmd_cost_probe(args) -> int:

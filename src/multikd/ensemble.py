@@ -8,7 +8,8 @@ the weighted convex combination of the softened teacher distributions.
 
 Everything happens offline on stored logits; no teacher model is ever
 needed once its logits are dumped, so the number of teachers only
-affects this one-shot assembly, never the training loop.
+affects this one-shot assembly, never the training loop. Every strategy,
+AVG1 included, yields one N x C target matrix: O(N*C) memory at any K.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .numerics import (
     EPS,
     cross_entropy_dist,
     cross_entropy_rows,
+    entropy_rows,
     kl_divergence,
     running_mean,
     softmax_t,
@@ -129,15 +131,17 @@ class PkdParams:
 
 @dataclass
 class TargetSet:
-    """Soft targets for one strategy: K matrices for AVG1, else one.
+    """Soft targets for one strategy: none for NONE, else one N x C matrix.
 
-    Strategy NONE carries no targets; GTD and PKD also keep the teacher
-    weights around for inspection.
+    GTD and PKD also keep the teacher weights around for inspection.
+    AVG1 carries its per-row entropy gap H(mean) - mean_k H(t_k), as its
+    loss mean_k KL(t_k || p) is KL(mean || p) + gap. No gap is a zero gap.
     """
 
     strategy: str
     targets: list[np.ndarray] = field(default_factory=list)
     weights: EnsembleWeights | None = None
+    gap: np.ndarray | None = None
 
     def __post_init__(self):
         if self.strategy not in cfg.STRATEGIES:
@@ -145,14 +149,8 @@ class TargetSet:
         if self.strategy == cfg.NONE:
             if self.targets:
                 raise ValidationError("strategy NONE carries no targets")
-        elif len(self.targets) == 0:
-            raise ValidationError(f"strategy {self.strategy} requires target matrices")
-        if self.strategy != cfg.AVG1 and len(self.targets) > 1:
+        elif len(self.targets) != 1:
             raise ValidationError(f"strategy {self.strategy} carries exactly one target matrix")
-
-    def slice(self, idx: np.ndarray) -> "TargetSet":
-        """Row-subset view aligned with a batch (weights are dropped)."""
-        return TargetSet(self.strategy, [t[idx] for t in self.targets])
 
 
 def make_gtd(label: int, n_classes: int) -> np.ndarray:
@@ -256,24 +254,24 @@ def assemble(bank: TeacherBank, weights: EnsembleWeights, assembly_tau: float) -
 def build_targets(bank: TeacherBank, labels, config: cfg.DistillConfig) -> TargetSet:
     """Dispatch one strategy tag to its target construction.
 
-    KD_SINGLE: the lone teacher's softened matrix (requires K=1).
-    AVG1: all K softened matrices, distilled as equal-weight tasks.
-    AVG2: the elementwise mean of the K softened matrices, softened and
-    added one teacher at a time.
+    KD_SINGLE, AVG1 and AVG2: the elementwise mean of the K softened
+    matrices, softened and added one teacher at a time (KD_SINGLE
+    requires K=1). AVG1, distilled as K equal-weight tasks, also gets
+    its entropy gap (see TargetSet), computed here once.
     GTD/PKD: reference-weighted convex assembly.
+    Every result holds one N x C matrix, whatever K is.
     """
-    strategy = config.strategy
-    if strategy == cfg.KD_SINGLE:
-        if bank.k != 1:
-            raise ValidationError(f"KD_SINGLE requires exactly one teacher, got {bank.k}")
-        return TargetSet(strategy, [softmax_t(bank.teachers[0], config.tau)])
-    if strategy == cfg.AVG1:
-        return TargetSet(strategy, [softmax_t(t, config.tau) for t in bank.teachers])
-    if strategy == cfg.AVG2:
-        return TargetSet(strategy, [running_mean(softmax_t(t, config.tau) for t in bank.teachers)])
+    strategy, tau = config.strategy, config.tau
+    if strategy == cfg.KD_SINGLE and bank.k != 1:
+        raise ValidationError(f"KD_SINGLE requires exactly one teacher, got {bank.k}")
+    if strategy in (cfg.KD_SINGLE, cfg.AVG1, cfg.AVG2):
+        target = running_mean(softmax_t(t, tau) for t in bank.teachers)
+        if strategy != cfg.AVG1:
+            return TargetSet(strategy, [target])
+        per_teacher = running_mean(entropy_rows(softmax_t(t, tau)) for t in bank.teachers)
+        return TargetSet(strategy, [target], gap=entropy_rows(target) - per_teacher)
     if strategy in (cfg.GTD, cfg.PKD):
         params = PkdParams(h=config.h, n_classes=bank.c) if strategy == cfg.PKD else None
         weights = compute_weights(bank, labels, strategy, params, config.weight_tau)
-        return TargetSet(strategy, [assemble(bank, weights, config.tau)], weights)
+        return TargetSet(strategy, [assemble(bank, weights, tau)], weights)
     raise ValidationError(f"build_targets cannot handle strategy {strategy!r}")
-

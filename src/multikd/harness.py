@@ -8,8 +8,9 @@ initial weights from splitmix64(stage seed + 0) and its batch order
 from splitmix64(stage seed + 1). Teacher knowledge enters student
 training only as assembled target matrices, so no teacher parameters
 are resident once assembly is done; adding teachers changes the
-one-shot assembly cost, never the per-epoch training work, and AVG2
-assembly holds two N x C matrices at any number of teachers.
+one-shot assembly cost, never the per-epoch training work. Every
+strategy's targets are one N x C matrix, so AVG1, like AVG2, holds
+O(N*C) at any number of teachers.
 
 Reports are written both as an aligned text table and as one
 tab-separated row per (strategy, seed). Without the opt-in timing mode
@@ -78,6 +79,7 @@ class PipelineRow:
 class AblationReport:
     rows: list[PipelineRow]
     failures: list[tuple[str, int, str]] = field(default_factory=list)
+    errors: list[Exception] = field(default_factory=list)  # the exception behind each failure
 
     def mean_top1(self, strategy: str) -> float:
         vals = [r.top1 for r in self.rows if r.strategy == strategy]
@@ -157,15 +159,15 @@ def _obtain_teacher_logits(
 ) -> tuple[TeacherBank | None, dict[str, float]]:
     """Teacher logits on the training samples, plus teacher test accuracy.
 
-    Dumps given in the run config win; otherwise the strategy's teachers
-    in `_TEACHERS` are trained in-process, seeded by their stage index
-    so retraining is bit-exact.
+    NONE has no teachers and binds none. Dumps given in the run config
+    win; otherwise the strategy's teachers in `_TEACHERS` are trained
+    in-process, seeded by their stage index so retraining is bit-exact.
     """
-    if rc.teacher_paths:
-        return bind_teacher_dumps(rc.teacher_paths, data.train_dark, caches), {}
     strategy = rc.distill.strategy
     if strategy == cfg.NONE:
         return None, {}
+    if rc.teacher_paths:
+        return bind_teacher_dumps(rc.teacher_paths, data.train_dark, caches), {}
     roster = _TEACHERS[:1] if strategy == cfg.KD_SINGLE else _TEACHERS
     mats, accs = [], {}
     for teacher_id, stage, modality in roster:
@@ -239,16 +241,17 @@ def run_ablation(
         if tag not in cfg.STRATEGIES:
             raise ValidationError(f"unknown strategy {tag!r}")
     caches: dict = {}
-    rows, failures = [], []
+    report = AblationReport(rows=[])
     for tag in sorted(strategies, key=_strategy_rank):
         for seed in seeds:
             rc = base.with_strategy_seed(tag, seed)
             try:
-                rows.append(run_pipeline(rc, timing=timing, caches=caches))
+                report.rows.append(run_pipeline(rc, timing=timing, caches=caches))
             except Exception as exc:  # cell isolation: report partial results
-                failures.append((tag, seed, str(exc)))
-    rows.sort(key=lambda r: (_strategy_rank(r.strategy), r.tau, r.seed))
-    return AblationReport(rows=rows, failures=failures)
+                report.failures.append((tag, seed, str(exc)))
+                report.errors.append(exc)
+    report.rows.sort(key=lambda r: (_strategy_rank(r.strategy), r.tau, r.seed))
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ forward pass, p1 and p_tau once each, the loss from those two, the
 logit gradient and the update; backward_step and parameter_gradients
 call the same kernel. train() validates its inputs once at entry and
 gathers each epoch's rows once, so a step builds no per-batch objects.
-AVG1 distils through the mean of its K targets, precomputed once per
-fit, so its per-step cost does not grow with K.
+Every distilling TargetSet holds one N x C matrix, AVG1's included, so
+neither memory nor per-step cost grows with the number of teachers.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 from . import config as cfg
 from .ensemble import TargetSet, validate_labels
 from .errors import NumericalError, ValidationError
-from .numerics import EPS, entropy_rows, kl_rows, log_or_zero, running_mean, softmax_rows, softmax_t
+from .numerics import EPS, kl_rows, log_or_zero, softmax_rows, softmax_t
 from .rng import SplitMix64
 
 
@@ -140,19 +140,21 @@ def avg1_loss(student_logits, targets: list[np.ndarray], tau: float) -> float:
     return float(np.mean([kd_loss(student_logits, t, tau) for t in targets]))
 
 
-def total_loss(student_logits, labels, target_set: TargetSet, config: cfg.DistillConfig) -> float:
+def _check_strategy(target_set: TargetSet, config: cfg.DistillConfig) -> None:
     if target_set.strategy != config.strategy:
-        raise ValidationError(
-            f"target set built for {target_set.strategy}, config says {config.strategy}"
-        )
+        raise ValidationError(f"target set built for {target_set.strategy}, config says {config.strategy}")
+
+
+def total_loss(student_logits, labels, target_set: TargetSet, config: cfg.DistillConfig) -> float:
+    """alpha * CE + (1 - alpha) * KD; a gap adds tau^2 * its mean to KD (AVG1)."""
+    _check_strategy(target_set, config)
     logits = np.asarray(student_logits, dtype=np.float64)
     ce = ce_loss(softmax_t(logits, 1.0), labels)
     if config.strategy == cfg.NONE:
         return ce
-    if config.strategy == cfg.AVG1:
-        kd = avg1_loss(logits, target_set.targets, config.tau)
-    else:
-        kd = kd_loss(logits, target_set.targets[0], config.tau)
+    kd = kd_loss(logits, target_set.targets[0], config.tau)
+    if target_set.gap is not None:
+        kd += config.tau * config.tau * float(np.mean(target_set.gap))
     return config.alpha * ce + (1.0 - config.alpha) * kd
 
 
@@ -162,12 +164,9 @@ def loss_gradient(student_logits, labels, target_set: TargetSet, config: cfg.Dis
     Per row: alpha * (p1 - onehot) / N for the cross-entropy part, plus
     (1 - alpha) * tau * (p_tau - target) / N for the distillation part
     (the tau^2 prefactor and the 1/tau softmax chain rule leave one tau).
-    AVG1 uses the elementwise mean of its K targets.
+    A gap is constant in the logits and adds nothing.
     """
-    if target_set.strategy != config.strategy:
-        raise ValidationError(
-            f"target set built for {target_set.strategy}, config says {config.strategy}"
-        )
+    _check_strategy(target_set, config)
     logits = np.asarray(student_logits, dtype=np.float64)
     labels = validate_labels(labels, logits.shape[1])
     n = logits.shape[0]
@@ -177,12 +176,8 @@ def loss_gradient(student_logits, labels, target_set: TargetSet, config: cfg.Dis
     ce_grad /= n
     if config.strategy == cfg.NONE:
         return ce_grad
-    if config.strategy == cfg.AVG1:
-        target = np.mean(target_set.targets, axis=0)
-    else:
-        target = target_set.targets[0]
     p_tau = softmax_t(logits, config.tau)
-    kd_grad = (1.0 - config.alpha) * config.tau * (p_tau - target) / n
+    kd_grad = (1.0 - config.alpha) * config.tau * (p_tau - target_set.targets[0]) / n
     return config.alpha * ce_grad + kd_grad
 
 
@@ -192,23 +187,16 @@ def _rows(model: StudentModel, features, labels, target_set: TargetSet, config: 
     Every check the step kernel relies on runs here, once: the config,
     the strategy tag, feature and label shapes, and the target shapes.
     The result is [features, onehot] for NONE, plus [target, log_target]
-    for a distillation strategy, plus [gap] for AVG1; row n of each is
-    sample n. onehot is a boolean N x C label mask. log_target is
-    log_or_zero(target), as in kl_rows.
+    for a distillation strategy, plus [gap] if the target set has one
+    (AVG1); row n of each is sample n. onehot is a boolean N x C label
+    mask. log_target is log_or_zero(target), as in kl_rows.
 
-    AVG1 distils its K targets through their running_mean, which has
-    the bits of np.mean(targets, axis=0). Its loss, mean_k KL(t_k||p),
-    is KL(mean||p) plus the per-row constant gap = H(mean) - mean_k
-    H(t_k), so no step touches more than one target matrix. Adding gap
-    to KL(mean||p), rather than computing mean_k sum t_k log t_k - sum
-    mean log p, keeps a small loss free of cancellation between two
-    large sums.
+    Adding AVG1's gap to KL(mean||p), rather than computing mean_k sum
+    t_k log t_k - sum mean log p, keeps a small loss free of
+    cancellation between two large sums.
     """
     config.validate()
-    if target_set.strategy != config.strategy:
-        raise ValidationError(
-            f"target set built for {target_set.strategy}, config says {config.strategy}"
-        )
+    _check_strategy(target_set, config)
     features = np.asarray(features, dtype=np.float64)
     labels = validate_labels(labels, model.n_classes)
     n = labels.size
@@ -219,18 +207,18 @@ def _rows(model: StudentModel, features, labels, target_set: TargetSet, config: 
     onehot = labels[:, None] == np.arange(model.n_classes)
     if config.strategy == cfg.NONE:
         return [features, onehot]
-    for t in target_set.targets:
-        if t.shape != (n, model.n_classes):
-            raise ValidationError(
-                f"target matrix {t.shape} misaligned with data ({n}, {model.n_classes})"
-            )
-    targets = [np.asarray(t, dtype=np.float64) for t in target_set.targets]
-    if config.strategy != cfg.AVG1:
-        target = targets[0]
-        return [features, onehot, target, log_or_zero(target)]
-    target = running_mean(targets)
-    gap = entropy_rows(target) - running_mean(entropy_rows(t) for t in targets)
-    return [features, onehot, target, log_or_zero(target), gap]
+    target = np.asarray(target_set.targets[0], dtype=np.float64)
+    if target.shape != (n, model.n_classes):
+        raise ValidationError(
+            f"target matrix {target.shape} misaligned with data ({n}, {model.n_classes})"
+        )
+    rows = [features, onehot, target, log_or_zero(target)]
+    if target_set.gap is not None:
+        gap = np.asarray(target_set.gap, dtype=np.float64)
+        if gap.shape != (n,):
+            raise ValidationError(f"entropy gap {gap.shape} misaligned with data ({n},)")
+        rows.append(gap)
+    return rows
 
 
 def _step(model, config, features, onehot, target=None, log_target=None, gap=None, update=True):
@@ -241,8 +229,8 @@ def _step(model, config, features, onehot, target=None, log_target=None, gap=Non
     takes the zero subgradient at exactly 0), then, if update, the SGD
     update. The arithmetic is that of total_loss and loss_gradient,
     followed by the w2, b2, w1, b1 updates, so parameters match that
-    plain sequence bit for bit; AVG1's loss is rearranged (see _rows)
-    and may differ from avg1_loss in the last bits.
+    plain sequence bit for bit; the loss adds the gap per row (see
+    _rows), so it may differ from total_loss in the last bits.
     Returns the pre-step loss and the (w1, b1, w2, b2) gradients.
     """
     n = features.shape[0]
@@ -338,5 +326,5 @@ def evaluate(model: StudentModel, features, labels) -> float:
     labels = validate_labels(labels, model.n_classes)
     if labels.size != features.shape[0]:
         raise ValidationError("features and labels misaligned")
-    preds = np.argmax(_forward_cached(model, features)[0], axis=1)
+    preds = np.argmax(forward(model, features), axis=1)
     return float(np.mean(preds == labels))

@@ -74,6 +74,14 @@ def rel_err(a, b, floor=1e-6):
     return float(np.max(np.abs(a - b) / denom))
 
 
+def batch_targets(target_set, idx):
+    """The rows `idx` of a target set: its matrix and its gap, if any."""
+    from multikd.ensemble import TargetSet
+
+    gap = None if target_set.gap is None else target_set.gap[idx]
+    return TargetSet(target_set.strategy, [t[idx] for t in target_set.targets], gap=gap)
+
+
 def reference_train(model, features, labels, target_set, config):
     """Train `model` in place, one plain step at a time; return the loss trace.
 
@@ -96,7 +104,7 @@ def reference_train(model, features, labels, target_set, config):
         losses = []
         for lo in range(0, n, config.batch_size):
             idx = order[lo : lo + config.batch_size]
-            x, y, targets = features[idx], labels[idx], target_set.slice(idx)
+            x, y, targets = features[idx], labels[idx], batch_targets(target_set, idx)
             pre = x @ model.w1.T + model.b1
             hidden = np.maximum(pre, 0.0)
             logits = hidden @ model.w2.T + model.b2

@@ -135,9 +135,10 @@ def test_criterion_4_avg1_avg2_identity():
         g1 = loss_gradient(logits, labels, t1, cfg1)
         g2 = loss_gradient(logits, labels, t2, cfg2)
         worst_grad = max(worst_grad, float(np.max(np.abs(g1 - g2))))
-        gap = avg1_loss(logits, t1.targets, tau) - kd_loss(logits, t2.targets[0], tau)
-        mean_h = entropy_rows(np.mean(t1.targets, axis=0))
-        teach_h = np.mean([entropy_rows(t) for t in t1.targets], axis=0)
+        softened = [softmax_t(t, tau) for t in bank.teachers]
+        gap = avg1_loss(logits, softened, tau) - kd_loss(logits, t2.targets[0], tau)
+        mean_h = entropy_rows(np.mean(softened, axis=0))
+        teach_h = np.mean([entropy_rows(t) for t in softened], axis=0)
         predicted = tau * tau * float(np.mean(mean_h - teach_h))
         worst_gap = max(worst_gap, abs(gap - predicted))
         min_gap = min(min_gap, gap)

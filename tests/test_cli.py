@@ -212,3 +212,81 @@ def test_assemble_names_the_mis_shaped_dump_like_distill(position, tmp_path, dat
     assert capsys.readouterr().err == f"error: {message}\n"
     assert run_cli("distill", "--strategy", "PKD", "--data-dir", str(data_dir), *teachers, *SMALL) == 1
     assert capsys.readouterr().err == f"error: stage 'teachers': {message}\n"
+
+
+TINY = ["--n-train", "20", "--n-test", "10", "--epochs", "1"]
+
+
+def short_dump(tmp_path):
+    """A logit dump whose header says two rows and which holds one."""
+    bad = tmp_path / "bad.logits"
+    bad.write_text("#logits v1 n=2 c=2 teacher=t\n0.0 1.0\n")
+    return str(bad)
+
+
+def test_ablate_malformed_dump_exit_2(tmp_path, capsys):
+    bad = short_dump(tmp_path)
+    assert run_cli("ablate", "--seeds", "1", "--strategies", "AVG2", "--teacher", bad, *TINY) == 2
+    captured = capsys.readouterr()
+    assert "AVG2      -    FAILED" in captured.out
+    assert captured.err == (
+        f"error: AVG2 seed 1: stage 'teachers': {bad}: row count mismatch (header says 2, found 1)\n"
+    )
+
+
+def test_ablate_diverging_cell_exit_3(capsys):
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run_cli("ablate", "--seeds", "1", "--strategies", "NONE", *TINY, "--lr", "1e280")
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "error: NONE seed 1: stage 'train-student': non-finite student logits; training aborted\n"
+    )
+
+
+def test_ablate_exit_code_is_the_first_failed_cell_in_report_order(tmp_path, capsys):
+    # the diverging NONE cell precedes the AVG2 cell with the bad dump
+    bad = short_dump(tmp_path)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run_cli("ablate", "--seeds", "1", "--strategies", "AVG2,NONE", "--teacher", bad,
+                       *TINY, "--lr", "1e280")
+    assert code == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[1] for line in lines] == [" NONE seed 1", " AVG2 seed 1"]
+
+
+def test_none_binds_no_teacher_dumps(tmp_path, capsys):
+    bad = short_dump(tmp_path)
+    assert run_cli("distill", "--strategy", "NONE", "--teacher", bad, *TINY) == 0
+    capsys.readouterr()
+    prefix = tmp_path / "report"
+    assert run_cli("ablate", "--seeds", "1", "--strategies", "NONE,AVG2", "--teacher", bad,
+                   "--out", str(prefix), *TINY) == 2
+    capsys.readouterr()
+    rows = [line.split("\t") for line in (tmp_path / "report.tsv").read_text().splitlines()[1:]]
+    assert rows[0][:3] == ["NONE", "4.0", "1"] and rows[0][3] != "FAILED"
+    assert rows[1][:4] == ["AVG2", "-", "1", "FAILED"]
+
+
+@pytest.fixture
+def model_10_in_11_out(tmp_path):
+    path = tmp_path / "m.model"
+    write_model(str(path), init_student(10, 4, 11, SplitMix64(1)))
+    return str(path)
+
+
+def test_evaluate_rejects_feature_width_of_another_model(tmp_path, model_10_in_11_out, capsys):
+    narrow = tmp_path / "narrow.txt"
+    narrow.write_text("#dataset v1 n=1 d=3 c=11 modality=A split=test\n0.1 0.2 0.3 1\n")
+    assert run_cli("evaluate", "--model", model_10_in_11_out, "--data", str(narrow)) == 1
+    assert capsys.readouterr().err == "error: features have 3 dims, model expects 10\n"
+
+
+@pytest.mark.parametrize("command", ["evaluate", "dump-logits"])
+def test_class_count_must_match_the_model(command, tmp_path, model_10_in_11_out, capsys):
+    data = tmp_path / "c3.txt"
+    data.write_text("#dataset v1 n=1 d=10 c=3 modality=A split=test\n" + "0 " * 10 + "1\n")
+    out = tmp_path / "t.logits"
+    extra = ["--teacher-id", "t", "--out", str(out)] if command == "dump-logits" else []
+    assert run_cli(command, "--model", model_10_in_11_out, "--data", str(data), *extra) == 1
+    assert capsys.readouterr().err == "error: dataset has 3 classes, model has 11\n"
+    assert not out.exists()

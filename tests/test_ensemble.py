@@ -260,11 +260,14 @@ class TestBuildTargets:
         mean = sum(softmax_t(t, 2.5) for t in bank.teachers) / 3.0
         assert np.max(np.abs(out - mean)) < 1e-12
 
-    def test_avg1_keeps_k_matrices(self):
-        bank = random_bank(k=4)
-        labels = RNG.integers(bank.c, size=bank.n)
-        out = build_targets(bank, labels, mk.DistillConfig(strategy=mk.AVG1))
-        assert len(out.targets) == 4
+    def test_avg1_targets_do_not_grow_with_teachers(self):
+        def avg1_nbytes(k):
+            bank = random_bank(k=k)
+            labels = RNG.integers(bank.c, size=bank.n)
+            out = build_targets(bank, labels, mk.DistillConfig(strategy=mk.AVG1))
+            return sum(t.nbytes for t in out.targets) + out.gap.nbytes
+
+        assert avg1_nbytes(2) == avg1_nbytes(50)
 
     def test_kd_single_rejects_multiple_teachers(self):
         bank = random_bank(k=2)

@@ -20,7 +20,7 @@ from multikd.ensemble import TeacherBank, build_targets
 from multikd.errors import NumericalError
 from multikd.rng import SplitMix64
 
-from _oracles import reference_train
+from _oracles import batch_targets, reference_train
 
 
 def make_fit(strategy, n, d, c, hidden, k, tau, alpha, batch_size, epochs, seed):
@@ -91,7 +91,7 @@ def calls_per_step(strategy, k, steps=8):
         batch_size=4, epochs=1, seed=3)
 
     def count(n):
-        part = TargetSet(targets.strategy, [t[:n] for t in targets.targets])
+        part = batch_targets(targets, slice(0, n))
         calls = 0
 
         def hook(frame, event, arg):

@@ -3,6 +3,7 @@
 Teacher weights lie strictly inside the simplex; with one teacher every
 strategy's target is KD_SINGLE's; on one-hot references the CE and KL
 similarities agree; AVG1 and AVG2 give the student the same gradient;
+AVG1's one-matrix loss is the mean of its K per-teacher losses;
 and the AVG2 target, summed one teacher at a time, has the bits of
 np.mean over the stacked softened matrices.
 """
@@ -22,7 +23,7 @@ from multikd.ensemble import (
     similarity_kl,
 )
 from multikd.numerics import softmax_t
-from multikd.trainer import loss_gradient
+from multikd.trainer import avg1_loss, ce_loss, loss_gradient, total_loss
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
 
@@ -82,6 +83,18 @@ def test_avg1_and_avg2_give_equal_gradients(bank_labels, tau, alpha, seed):
     config = config.with_(strategy=mk.AVG2)
     avg2 = loss_gradient(logits, labels, build_targets(bank, labels, config), config)
     assert np.array_equal(avg1, avg2)
+
+
+@SETTINGS
+@given(banks(), taus, st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_avg1_total_loss_is_the_mean_of_per_teacher_losses(bank_labels, tau, alpha, seed):
+    bank, labels = bank_labels
+    logits = np.random.default_rng(seed).normal(size=(bank.n, bank.c)) * 3.0
+    config = mk.DistillConfig(strategy=mk.AVG1, tau=tau, alpha=alpha)
+    got = total_loss(logits, labels, build_targets(bank, labels, config), config)
+    softened = [softmax_t(t, tau) for t in bank.teachers]
+    want = alpha * ce_loss(softmax_t(logits), labels) + (1 - alpha) * avg1_loss(logits, softened, tau)
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
 @SETTINGS

@@ -201,10 +201,11 @@ class TestAvg1Avg2Identity:
             g2 = loss_gradient(logits, labels, t2, cfg2)
             assert np.max(np.abs(g1 - g2)) < 1e-10
 
-            kd1 = avg1_loss(logits, t1.targets, tau)
+            softened = [softmax_t(t, tau) for t in bank.teachers]
+            kd1 = avg1_loss(logits, softened, tau)
             kd2 = kd_loss(logits, t2.targets[0], tau)
-            mean_target = np.mean(t1.targets, axis=0)
-            per_teacher_h = np.mean([entropy_rows(t) for t in t1.targets], axis=0)
+            mean_target = np.mean(softened, axis=0)
+            per_teacher_h = np.mean([entropy_rows(t) for t in softened], axis=0)
             gap_expected = tau * tau * np.mean(entropy_rows(mean_target) - per_teacher_h)
             assert kd1 - kd2 == pytest.approx(gap_expected, abs=1e-9)
             assert kd1 - kd2 >= -1e-10
