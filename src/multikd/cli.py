@@ -184,8 +184,10 @@ def cmd_dump_logits(args) -> int:
 def cmd_assemble(args) -> int:
     values = _merged(args)
     rc = _run_config(values)
-    if rc.distill.strategy not in (cfg.AVG2, cfg.GTD, cfg.PKD):
-        raise UsageError("assemble writes a single target matrix: use AVG2, GTD, or PKD")
+    if rc.distill.strategy == cfg.NONE:
+        raise UsageError("strategy NONE has no targets to assemble")
+    if rc.distill.strategy == cfg.AVG1:
+        raise UsageError("assemble cannot write AVG1: a targets file cannot carry its entropy gap")
     if not rc.teacher_paths:
         raise UsageError("assemble needs at least one --teacher dump")
     dataset = load_dataset(_require(args.labels_from, "--labels-from"))

@@ -257,19 +257,27 @@ def build_targets(bank: TeacherBank, labels, config: cfg.DistillConfig) -> Targe
     KD_SINGLE, AVG1 and AVG2: the elementwise mean of the K softened
     matrices, softened and added one teacher at a time (KD_SINGLE
     requires K=1). AVG1, distilled as K equal-weight tasks, also gets
-    its entropy gap (see TargetSet), computed here once.
+    its entropy gap (see TargetSet), computed here once: each teacher is
+    softened once, and its entropy row rides along as an extra column
+    of the running mean, so the mean target and the mean entropy have
+    the bits of two separate running means.
     GTD/PKD: reference-weighted convex assembly.
     Every result holds one N x C matrix, whatever K is.
     """
     strategy, tau = config.strategy, config.tau
     if strategy == cfg.KD_SINGLE and bank.k != 1:
         raise ValidationError(f"KD_SINGLE requires exactly one teacher, got {bank.k}")
-    if strategy in (cfg.KD_SINGLE, cfg.AVG1, cfg.AVG2):
-        target = running_mean(softmax_t(t, tau) for t in bank.teachers)
-        if strategy != cfg.AVG1:
-            return TargetSet(strategy, [target])
-        per_teacher = running_mean(entropy_rows(softmax_t(t, tau)) for t in bank.teachers)
-        return TargetSet(strategy, [target], gap=entropy_rows(target) - per_teacher)
+    if strategy in (cfg.KD_SINGLE, cfg.AVG2):
+        return TargetSet(strategy, [running_mean(softmax_t(t, tau) for t in bank.teachers)])
+    if strategy == cfg.AVG1:
+
+        def with_entropy(logits):
+            p = softmax_t(logits, tau)
+            return np.column_stack((p, entropy_rows(p)))
+
+        means = running_mean(map(with_entropy, bank.teachers))
+        target = np.ascontiguousarray(means[:, :-1])
+        return TargetSet(strategy, [target], gap=entropy_rows(target) - means[:, -1])
     if strategy in (cfg.GTD, cfg.PKD):
         params = PkdParams(h=config.h, n_classes=bank.c) if strategy == cfg.PKD else None
         weights = compute_weights(bank, labels, strategy, params, config.weight_tau)

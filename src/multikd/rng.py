@@ -4,12 +4,17 @@ splitmix64 is used as the single generator everywhere: it is tiny,
 public-domain, and exactly reproducible from pure 64-bit integer
 arithmetic, so identical seeds give identical streams on any platform.
 Standard normals come from the basic Box-Muller transform applied to
-two consecutive uniform draws.
+two consecutive uniform draws. permutation computes its n - 1 draws in
+one pass of numpy uint64 arithmetic, which wraps modulo 2^64 exactly as
+the masked Python integers do, so it gives the same integers as n - 1
+calls of below().
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -54,11 +59,31 @@ class SplitMix64:
         return r * math.cos(2.0 * math.pi * u2), r * math.sin(2.0 * math.pi * u2)
 
     def permutation(self, n: int) -> list[int]:
-        """Fisher-Yates shuffle of range(n)."""
+        """Fisher-Yates shuffle of range(n).
+
+        Swaps position i = n-1 down to 1 with below(i + 1). The draws
+        are computed at once: draw k (k = 1 .. n-1) mixes state
+        s + k * GOLDEN and multiplies by i + 1 = n - k + 1, keeping the
+        high 64 bits of the 128-bit product, assembled from 32-bit
+        halves so that no partial product overflows. The generator ends
+        in the state n - 1 below() calls leave.
+        """
         order = list(range(n))
-        for i in range(n - 1, 0, -1):
-            j = self.below(i + 1)
+        draws = max(n - 1, 0)
+        k = np.arange(1, draws + 1, dtype=np.uint64)
+        z = k * np.uint64(_GOLDEN) + np.uint64(self.state)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        m = np.uint64(draws + 2) - k  # i + 1 = n - k + 1
+        low, shift = np.uint64(0xFFFFFFFF), np.uint64(32)
+        z_hi, z_lo, m_hi, m_lo = z >> shift, z & low, m >> shift, m & low
+        lo_lo, hi_lo = z_lo * m_lo, z_hi * m_lo
+        cross = (lo_lo >> shift) + (hi_lo & low) + z_lo * m_hi
+        high = (hi_lo >> shift) + (cross >> shift) + z_hi * m_hi
+        for i, j in zip(range(n - 1, 0, -1), high.tolist()):
             order[i], order[j] = order[j], order[i]
+        self.state = (self.state + draws * _GOLDEN) & _MASK64
         return order
 
 

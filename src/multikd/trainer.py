@@ -16,6 +16,12 @@ forward pass, p1 and p_tau once each, the loss from those two, the
 logit gradient and the update; backward_step and parameter_gradients
 call the same kernel. train() validates its inputs once at entry and
 gathers each epoch's rows once, so a step builds no per-batch objects.
+The kernel works on a _Flat: w1, w2, b1, b2 copied into one contiguous
+float64 buffer, in that order, with a gradient buffer of the same
+layout. So a step writes its gradients in place, updates all four
+parameters with one subtraction, and checks w1 and w2 with one
+reduction over one view. The values go back into the caller's own
+arrays when training ends, also when it ends in a NumericalError.
 Every distilling TargetSet holds one N x C matrix, AVG1's included, so
 neither memory nor per-step cost grows with the number of teachers.
 """
@@ -33,6 +39,10 @@ from .ensemble import TargetSet, validate_labels
 from .errors import NumericalError, ValidationError
 from .numerics import EPS, kl_rows, log_or_zero, softmax_rows, softmax_t
 from .rng import SplitMix64
+
+# logical_and.reduce(x, None) tests a whole array in one C call; ndarray.all
+# goes through a Python-level wrapper first.
+_all = np.logical_and.reduce
 
 
 @dataclass
@@ -93,6 +103,42 @@ def init_student(d_in: int, hidden_dim: int, n_classes: int, prng: SplitMix64) -
     w1 = uniform_matrix(hidden_dim, d_in, 1.0 / np.sqrt(d_in))
     w2 = uniform_matrix(n_classes, hidden_dim, 1.0 / np.sqrt(hidden_dim))
     return StudentModel(w1, np.zeros(hidden_dim), w2, np.zeros(n_classes))
+
+
+_PACKED = ("w1", "w2", "b1", "b2")
+
+
+class _Flat:
+    """A model's parameters packed into one contiguous float64 buffer.
+
+    data holds w1, w2, b1, b2 in that order, and model is a StudentModel
+    of views into it, so w1 and w2 are together the one view weights.
+    grad has the same layout and grads is its StudentModel of views,
+    which _step fills.
+    """
+
+    __slots__ = ("data", "model", "weights", "grad", "grads")
+
+    def __init__(self, model: StudentModel):
+        parts = [np.asarray(getattr(model, name), dtype=np.float64) for name in _PACKED]
+        self.data = np.concatenate([part.ravel() for part in parts])
+        self.grad = np.empty_like(self.data)
+        self.model = self._views(self.data, parts)
+        self.grads = self._views(self.grad, parts)
+        self.weights = self.data[: parts[0].size + parts[1].size]
+
+    @staticmethod
+    def _views(buffer: np.ndarray, parts: list) -> StudentModel:
+        views, start = {}, 0
+        for name, part in zip(_PACKED, parts):
+            views[name] = buffer[start : start + part.size].reshape(part.shape)
+            start += part.size
+        return StudentModel(**views)
+
+    def copy_to(self, model: StudentModel) -> None:
+        """Write the packed values into model's own arrays."""
+        for name in _PACKED:
+            getattr(model, name)[...] = getattr(self.model, name)
 
 
 def _forward_cached(model: StudentModel, features: np.ndarray):
@@ -221,21 +267,25 @@ def _rows(model: StudentModel, features, labels, target_set: TargetSet, config: 
     return rows
 
 
-def _step(model, config, features, onehot, target=None, log_target=None, gap=None, update=True):
+def _step(flat, config, features, onehot, target=None, log_target=None, gap=None, update=True):
     """The student step on one batch of rows, as returned by _rows.
 
     Forward pass, p1 and p_tau once each, the loss from them, the logit
-    gradient, the parameter gradients pushed through both layers (relu
-    takes the zero subgradient at exactly 0), then, if update, the SGD
-    update. The arithmetic is that of total_loss and loss_gradient,
-    followed by the w2, b2, w1, b1 updates, so parameters match that
-    plain sequence bit for bit; the loss adds the gap per row (see
-    _rows), so it may differ from total_loss in the last bits.
-    Returns the pre-step loss and the (w1, b1, w2, b2) gradients.
+    gradient, the parameter gradients pushed through both layers into
+    flat.grad (relu takes the zero subgradient at exactly 0), then, if
+    update, the SGD update of flat.data. The arithmetic is that of
+    total_loss and loss_gradient, followed by the w2, b2, w1, b1
+    updates, so parameters match that plain sequence bit for bit; the
+    loss adds the gap per row (see _rows), so it may differ from
+    total_loss in the last bits. Every finiteness check is one
+    reduction with no Python frame of its own.
+    Returns the pre-step loss and the (w1, b1, w2, b2) gradients, views
+    into flat.grad.
     """
+    model, grads = flat.model, flat.grads
     n = features.shape[0]
     logits, hidden, pre = _forward_cached(model, features)
-    if not np.isfinite(logits).all():
+    if not _all(np.isfinite(logits), None):
         raise NumericalError("non-finite student logits; training aborted")
     p1 = softmax_rows(logits)
     loss = -float(np.add.reduce(np.log(np.maximum(p1[onehot], EPS))) / n)
@@ -251,35 +301,35 @@ def _step(model, config, features, onehot, target=None, log_target=None, gap=Non
         g_logits = alpha * g_logits + (1.0 - alpha) * tau * (p_tau - target) / n
     if not math.isfinite(loss):
         raise NumericalError(f"non-finite loss {loss}; training aborted")
-    if not np.isfinite(g_logits).all():
+    if not _all(np.isfinite(g_logits), None):
         raise NumericalError("non-finite logit gradient; training aborted")
 
-    g_w2 = g_logits.T @ hidden
-    g_b2 = np.add.reduce(g_logits, axis=0)
+    np.matmul(g_logits.T, hidden, out=grads.w2)
+    np.add.reduce(g_logits, axis=0, out=grads.b2)
     g_hidden = (g_logits @ model.w2) * (pre > 0.0)
-    g_w1 = g_hidden.T @ features
-    g_b1 = np.add.reduce(g_hidden, axis=0)
+    np.matmul(g_hidden.T, features, out=grads.w1)
+    np.add.reduce(g_hidden, axis=0, out=grads.b1)
     if update:
-        lr = config.lr
-        model.w2 -= lr * g_w2
-        model.b2 -= lr * g_b2
-        model.w1 -= lr * g_w1
-        model.b1 -= lr * g_b1
-        if not (np.isfinite(model.w1).all() and np.isfinite(model.w2).all()):
+        flat.data -= config.lr * flat.grad
+        if not _all(np.isfinite(flat.weights), None):
             raise NumericalError("non-finite parameters after update; training aborted")
-    return loss, (g_w1, g_b1, g_w2, g_b2)
+    return loss, (grads.w1, grads.b1, grads.w2, grads.b2)
 
 
 def backward_step(model: StudentModel, batch: Batch, config: cfg.DistillConfig) -> float:
-    """One SGD step on a batch; returns the pre-step loss."""
+    """One SGD step on a batch, in place; returns the pre-step loss."""
     rows = _rows(model, batch.features, batch.labels, batch.targets, config)
-    return _step(model, config, *rows)[0]
+    flat = _Flat(model)
+    try:
+        return _step(flat, config, *rows)[0]
+    finally:
+        flat.copy_to(model)
 
 
 def parameter_gradients(model: StudentModel, batch: Batch, config: cfg.DistillConfig):
     """Analytic (w1, b1, w2, b2) gradients without updating the model."""
     rows = _rows(model, batch.features, batch.labels, batch.targets, config)
-    return _step(model, config, *rows, update=False)[1]
+    return _step(_Flat(model), config, *rows, update=False)[1]
 
 
 def train(
@@ -292,7 +342,11 @@ def train(
     """SGD over epochs * ceil(N / batch) steps, shuffled by config.seed.
 
     Inputs are validated once, here; each epoch gathers its rows in
-    permutation order and every batch is a contiguous slice of them.
+    permutation order into the same buffers, and every batch is a
+    contiguous slice of them.
+    The steps update a packed copy of the parameters (_Flat), which is
+    copied back into model's own arrays on return or on any exception,
+    so model is trained in place as by the plain loop.
 
     Deterministic: the seed fixes the batch order, and every reduction
     runs in a fixed order, so the final parameters and the loss trace
@@ -303,18 +357,26 @@ def train(
     n = rows[0].shape[0]
     size = config.batch_size
     prng = SplitMix64(config.seed)
+    flat = _Flat(model)
     trace: list[float] = []
     times: list[float] = []
-    for _ in range(config.epochs):
-        started = time.perf_counter()
-        order = np.array(prng.permutation(n), dtype=np.int64)
-        shuffled = [column[order] for column in rows]
-        step_losses = []
-        for lo in range(0, n, size):
-            batch = [column[lo : lo + size] for column in shuffled]
-            step_losses.append(_step(model, config, *batch)[0])
-        trace.append(float(np.mean(step_losses)))
-        times.append(time.perf_counter() - started)
+    shuffled = [np.empty_like(column) for column in rows]
+    try:
+        for _ in range(config.epochs):
+            started = time.perf_counter()
+            order = np.array(prng.permutation(n), dtype=np.int64)
+            for column, out in zip(rows, shuffled):
+                # order is a permutation of range(n), so no index is ever
+                # clipped; mode="raise" would gather through a temporary
+                np.take(column, order, axis=0, out=out, mode="clip")
+            step_losses = []
+            for lo in range(0, n, size):
+                batch = [column[lo : lo + size] for column in shuffled]
+                step_losses.append(_step(flat, config, *batch)[0])
+            trace.append(float(np.mean(step_losses)))
+            times.append(time.perf_counter() - started)
+    finally:
+        flat.copy_to(model)
     return TrainResult(model, trace, times)
 
 

@@ -5,6 +5,10 @@ decimal arithmetic and plain term-by-term summation, sharing no code
 with the implementation under test. reference_train is the student SGD
 loop written step by step from the public reference math (total_loss,
 loss_gradient), the standard the fused training step is held to.
+reference_permutation is the scalar Fisher-Yates shuffle, one below()
+call per swap, the standard for SplitMix64.permutation's batched draws.
+reference_avg1_targets builds AVG1's mean target and entropy gap in two
+passes over the teachers, softening each one twice.
 reference_matrix_rows and reference_dataset_rows parse a file body one
 line at a time, as the loaders did before they converted rows in bulk:
 the standard for the block parser's values and diagnostics.
@@ -82,17 +86,45 @@ def batch_targets(target_set, idx):
     return TargetSet(target_set.strategy, [t[idx] for t in target_set.targets], gap=gap)
 
 
-def reference_train(model, features, labels, target_set, config):
+def reference_step(model, x, y, targets, config):
+    """One plain SGD step on a batch, in place; return (loss, gradients).
+
+    Runs the forward pass, takes the loss from total_loss and the logit
+    gradient from loss_gradient, pushes it through both layers, then
+    updates w2, b2, w1, b1 in that order. The gradients are the
+    (w1, b1, w2, b2) tuple.
+    """
+    import numpy as np
+
+    from multikd.trainer import loss_gradient, total_loss
+
+    pre = x @ model.w1.T + model.b1
+    hidden = np.maximum(pre, 0.0)
+    logits = hidden @ model.w2.T + model.b2
+    loss = total_loss(logits, y, targets, config)
+    g = loss_gradient(logits, y, targets, config)
+    g_w2 = g.T @ hidden
+    g_b2 = g.sum(axis=0)
+    g_hidden = (g @ model.w2) * (pre > 0.0)
+    g_w1 = g_hidden.T @ x
+    g_b1 = g_hidden.sum(axis=0)
+    model.w2 -= config.lr * g_w2
+    model.b2 -= config.lr * g_b2
+    model.w1 -= config.lr * g_w1
+    model.b1 -= config.lr * g_b1
+    return loss, (g_w1, g_b1, g_w2, g_b2)
+
+
+def reference_train(model, features, labels, target_set, config, until_nonfinite=False):
     """Train `model` in place, one plain step at a time; return the loss trace.
 
-    Per batch: gather the rows, run the forward pass, take the loss from
-    total_loss and the logit gradient from loss_gradient, push it
-    through both layers, then update w2, b2, w1, b1 in that order.
+    Per batch: gather the rows and take one reference_step. With
+    until_nonfinite, stop after the first update that leaves w1 or w2
+    non-finite, the step at which train raises.
     """
     import numpy as np
 
     from multikd.rng import SplitMix64
-    from multikd.trainer import loss_gradient, total_loss
 
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
@@ -105,22 +137,31 @@ def reference_train(model, features, labels, target_set, config):
         for lo in range(0, n, config.batch_size):
             idx = order[lo : lo + config.batch_size]
             x, y, targets = features[idx], labels[idx], batch_targets(target_set, idx)
-            pre = x @ model.w1.T + model.b1
-            hidden = np.maximum(pre, 0.0)
-            logits = hidden @ model.w2.T + model.b2
-            losses.append(total_loss(logits, y, targets, config))
-            g = loss_gradient(logits, y, targets, config)
-            g_w2 = g.T @ hidden
-            g_b2 = g.sum(axis=0)
-            g_hidden = (g @ model.w2) * (pre > 0.0)
-            g_w1 = g_hidden.T @ x
-            g_b1 = g_hidden.sum(axis=0)
-            model.w2 -= config.lr * g_w2
-            model.b2 -= config.lr * g_b2
-            model.w1 -= config.lr * g_w1
-            model.b1 -= config.lr * g_b1
+            losses.append(reference_step(model, x, y, targets, config)[0])
+            if until_nonfinite and not (
+                np.isfinite(model.w1).all() and np.isfinite(model.w2).all()
+            ):
+                return trace
         trace.append(float(np.mean(losses)))
     return trace
+
+
+def reference_permutation(prng, n):
+    """Fisher-Yates shuffle of range(n), one prng.below draw per swap."""
+    order = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = prng.below(i + 1)
+        order[i], order[j] = order[j], order[i]
+    return order
+
+
+def reference_avg1_targets(bank, tau):
+    """AVG1's mean target and entropy gap, softening every teacher twice."""
+    from multikd.numerics import entropy_rows, running_mean, softmax_t
+
+    target = running_mean(softmax_t(t, tau) for t in bank.teachers)
+    per_teacher = running_mean(entropy_rows(softmax_t(t, tau)) for t in bank.teachers)
+    return target, entropy_rows(target) - per_teacher
 
 
 def _reference_float_row(line, width, path, lineno):

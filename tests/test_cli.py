@@ -5,8 +5,17 @@ import shutil
 import numpy as np
 import pytest
 
+from multikd import DistillConfig
 from multikd.cli import main
-from multikd.formats import load_logits, load_model, load_targets, write_logit_dump, write_model
+from multikd.ensemble import TeacherBank, build_targets
+from multikd.formats import (
+    load_dataset,
+    load_logits,
+    load_model,
+    load_targets,
+    write_logit_dump,
+    write_model,
+)
 from multikd.rng import SplitMix64
 from multikd.trainer import init_student
 
@@ -212,6 +221,37 @@ def test_assemble_names_the_mis_shaped_dump_like_distill(position, tmp_path, dat
     assert capsys.readouterr().err == f"error: {message}\n"
     assert run_cli("distill", "--strategy", "PKD", "--data-dir", str(data_dir), *teachers, *SMALL) == 1
     assert capsys.readouterr().err == f"error: stage 'teachers': {message}\n"
+
+
+def test_assemble_kd_single_writes_the_build_targets_bits(tmp_path, data_dir, capsys):
+    dump = str(tmp_path / "a.logits")
+    write_logit_dump(dump, "a", np.random.default_rng(6).normal(size=(120, 4)))
+    prefix = tmp_path / "single"
+    assert run_cli("assemble", "--labels-from", str(data_dir / "train_A.txt"), "--teacher", dump,
+                   "--strategy", "KD_SINGLE", "--tau", "2.5", "--out", str(prefix)) == 0
+    assert capsys.readouterr().out == f"wrote {prefix}.targets.txt\n"
+    dataset = load_dataset(str(data_dir / "train_A.txt"))
+    bank = TeacherBank([load_logits(dump).rows], ["a"])
+    expected = build_targets(bank, dataset.labels, DistillConfig(strategy="KD_SINGLE", tau=2.5))
+    strategy, tau, rows = load_targets(f"{prefix}.targets.txt")
+    assert (strategy, tau) == ("KD_SINGLE", 2.5)
+    assert rows.tobytes() == expected.targets[0].tobytes()
+
+
+@pytest.mark.parametrize("strategy, message", [
+    ("AVG1", "assemble cannot write AVG1: a targets file cannot carry its entropy gap"),
+    ("NONE", "strategy NONE has no targets to assemble"),
+    ("KD_SINGLE", "KD_SINGLE requires exactly one teacher, got 2"),
+])
+def test_assemble_refuses_avg1_none_and_kd_single_of_two(strategy, message, tmp_path, data_dir,
+                                                         capsys):
+    dump = str(tmp_path / "a.logits")
+    write_logit_dump(dump, "a", np.random.default_rng(6).normal(size=(120, 4)))
+    prefix = tmp_path / "refused"
+    assert run_cli("assemble", "--labels-from", str(data_dir / "train_A.txt"), "--teacher", dump,
+                   "--teacher", dump, "--strategy", strategy, "--out", str(prefix)) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not tmp_path.joinpath("refused.targets.txt").exists()
 
 
 TINY = ["--n-train", "20", "--n-test", "10", "--epochs", "1"]

@@ -4,10 +4,13 @@ train() runs one kernel per batch on rows gathered once per epoch. Its
 final parameters must equal, bit for bit, those of the plain loop built
 from total_loss and loss_gradient (tests/_oracles.py), for every
 strategy and for batches that do not divide N. AVG1 steps must cost the
-same at any number of teachers.
+same at any number of teachers. The steps update a packed copy of the
+parameters, which must end in the caller's own arrays, also when a step
+fails.
 """
 
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,12 +18,24 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import multikd as mk
-from multikd import DistillConfig, TargetSet, init_student, train
+from multikd import (
+    Batch,
+    DistillConfig,
+    StudentModel,
+    TargetSet,
+    backward_step,
+    init_student,
+    train,
+)
 from multikd.ensemble import TeacherBank, build_targets
 from multikd.errors import NumericalError
 from multikd.rng import SplitMix64
+from multikd.trainer import parameter_gradients
 
-from _oracles import batch_targets, reference_train
+import _oracles
+from _oracles import batch_targets, reference_step, reference_train
+
+PARAMETERS = ("w1", "b1", "w2", "b2")
 
 
 def make_fit(strategy, n, d, c, hidden, k, tau, alpha, batch_size, epochs, seed):
@@ -109,6 +124,13 @@ def calls_per_step(strategy, k, steps=8):
     return (count(2 * steps * 4) - count(steps * 4)) / steps
 
 
+def test_calls_per_step_stay_at_their_recorded_counts():
+    # One flat update, one weight check and batched shuffle draws took
+    # these from 31 (NONE) and 36 (PKD); a step that gains calls fails here.
+    assert calls_per_step(mk.NONE, 1) == 14
+    assert calls_per_step(mk.PKD, 2) == 19
+
+
 def test_avg1_step_cost_does_not_grow_with_teachers():
     at_2 = calls_per_step(mk.AVG1, 2)
     at_50 = calls_per_step(mk.AVG1, 50)
@@ -142,3 +164,67 @@ class TestNumericalChecks:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalError, match="non-finite parameters after update"):
                 train(model, features * 1e6, labels, targets, config.with_(lr=1e308))
+
+    def test_nonfinite_w2_alone_is_caught(self):
+        # zero features and a single relu unit at 1: the update moves w2[1]
+        # from 1e308 past the largest double while w1 gets a zero gradient
+        model = StudentModel(np.zeros((1, 2)), np.ones(1), np.array([[1e308], [1e308], [0.0]]),
+                             np.zeros(3))
+        batch = Batch(np.zeros((1, 2)), np.array([1]), TargetSet(mk.NONE))
+        config = DistillConfig(strategy=mk.NONE, lr=1.7e308)
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericalError, match="non-finite parameters after update"):
+                backward_step(model, batch, config)
+        assert np.isfinite(model.w1).all() and not np.isfinite(model.w2).all()
+
+
+class TestInPlace:
+    def test_train_leaves_the_trained_values_in_the_callers_arrays(self):
+        for strategy in mk.STRATEGIES:
+            k = 1 if strategy == mk.KD_SINGLE else 3
+            model, features, labels, targets, config = make_fit(
+                strategy, n=23, d=5, c=4, hidden=6, k=k, tau=3.0, alpha=0.4,
+                batch_size=4, epochs=2, seed=11)
+            arrays = [getattr(model, name) for name in PARAMETERS]
+            expected = model.copy()
+            reference_train(expected, features, labels, targets, config)
+            assert train(model, features, labels, targets, config).model is model
+            for name, array in zip(PARAMETERS, arrays):
+                assert getattr(model, name) is array, name
+                assert np.array_equal(array, getattr(expected, name)), name
+
+    def test_nonfinite_parameters_leave_the_reference_state_of_the_failing_step(self):
+        # at lr 1e156 the first update stays finite and the second overflows
+        model, features, labels, targets, config = make_fit(
+            mk.PKD, n=12, d=3, c=3, hidden=4, k=2, tau=2.0, alpha=0.5,
+            batch_size=4, epochs=2, seed=2)
+        config = config.with_(lr=1e156)
+        arrays = [getattr(model, name) for name in PARAMETERS]
+        expected = model.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            with mock.patch.object(_oracles, "reference_step", wraps=reference_step) as steps:
+                reference_train(expected, features, labels, targets, config, until_nonfinite=True)
+            with pytest.raises(NumericalError, match="non-finite parameters after update"):
+                train(model, features, labels, targets, config)
+        assert steps.call_count == 2
+        for name, array in zip(PARAMETERS, arrays):
+            assert getattr(model, name) is array, name
+            assert np.array_equal(array, getattr(expected, name), equal_nan=True), name
+
+    def test_backward_step_and_parameter_gradients_match_one_reference_step(self):
+        for strategy in mk.STRATEGIES:
+            k = 1 if strategy == mk.KD_SINGLE else 3
+            model, features, labels, targets, config = make_fit(
+                strategy, n=5, d=4, c=3, hidden=5, k=k, tau=2.0, alpha=0.3,
+                batch_size=5, epochs=1, seed=4)
+            batch = Batch(features, labels, targets)
+            expected = model.copy()
+            want_loss, want_grads = reference_step(expected, features, labels, targets, config)
+            for got, want in zip(parameter_gradients(model, batch, config), want_grads):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), strategy
+            arrays = [getattr(model, name) for name in PARAMETERS]
+            loss = backward_step(model, batch, config)
+            assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+            for name, array in zip(PARAMETERS, arrays):
+                assert getattr(model, name) is array, name
+                assert np.array_equal(array, getattr(expected, name)), name

@@ -4,15 +4,19 @@ Teacher weights lie strictly inside the simplex; with one teacher every
 strategy's target is KD_SINGLE's; on one-hot references the CE and KL
 similarities agree; AVG1 and AVG2 give the student the same gradient;
 AVG1's one-matrix loss is the mean of its K per-teacher losses;
-and the AVG2 target, summed one teacher at a time, has the bits of
-np.mean over the stacked softened matrices.
+the AVG2 target, summed one teacher at a time, has the bits of
+np.mean over the stacked softened matrices; and AVG1, softening each
+teacher once, has the bits of the two-pass build.
 """
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import multikd as mk
+from multikd import ensemble
 from multikd.ensemble import (
     WEIGHT_ROW_SUM_TOL,
     TeacherBank,
@@ -24,6 +28,8 @@ from multikd.ensemble import (
 )
 from multikd.numerics import softmax_t
 from multikd.trainer import avg1_loss, ce_loss, loss_gradient, total_loss
+
+from _oracles import reference_avg1_targets
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
 
@@ -103,3 +109,16 @@ def test_avg2_target_is_np_mean_of_softened_teachers(bank_labels, tau):
     bank, labels = bank_labels
     target = build_targets(bank, labels, mk.DistillConfig(strategy=mk.AVG2, tau=tau)).targets[0]
     assert np.array_equal(target, np.mean([softmax_t(t, tau) for t in bank.teachers], axis=0))
+
+
+@SETTINGS
+@given(banks(max_k=40), taus)
+def test_avg1_softens_each_teacher_once_with_the_two_pass_bits(bank_labels, tau):
+    bank, labels = bank_labels
+    with mock.patch.object(ensemble, "softmax_t", wraps=softmax_t) as counted:
+        got = build_targets(bank, labels, mk.DistillConfig(strategy=mk.AVG1, tau=tau))
+    assert counted.call_count == bank.k
+    target, gap = reference_avg1_targets(bank, tau)
+    assert got.targets[0].shape == target.shape and got.gap.shape == gap.shape
+    assert got.targets[0].tobytes() == target.tobytes()
+    assert got.gap.tobytes() == gap.tobytes()

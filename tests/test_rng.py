@@ -4,8 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from multikd.rng import SplitMix64, derive_seed
+
+from _oracles import reference_permutation
 
 # First outputs of splitmix64 from state 0, per the reference C stream.
 SEED0_OUTPUTS = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
@@ -73,6 +77,20 @@ def test_permutation_is_a_permutation_and_deterministic():
     assert SplitMix64(9).permutation(50) == SplitMix64(9).permutation(50)
     perm = SplitMix64(10).permutation(200)
     assert sorted(perm) == list(range(200))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 2**64 - 1), st.integers(0, 3000))
+@example(0, 2000)
+@example(2**64 - 1, 2000)
+@example(0, 3000)
+@example(2**64 - 1, 1)
+@example(7, -3)
+@example(2742, 2000)  # draw 1097's low partial products carry into the high word
+def test_permutation_matches_scalar_fisher_yates(seed, n):
+    prng, reference = SplitMix64(seed), SplitMix64(seed)
+    assert prng.permutation(n) == reference_permutation(reference, n)
+    assert prng.state == reference.state
 
 
 def test_derive_seed_is_splitmix_of_sum():
