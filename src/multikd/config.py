@@ -20,19 +20,8 @@ PKD = "PKD"
 # ensembles, then reference-weighted ensembles.
 STRATEGIES = (NONE, KD_SINGLE, AVG1, AVG2, GTD, PKD)
 
-# Desk-scale temperature used when none is given. The larger
-# per-strategy presets below were tuned on full-scale two-stream video
-# models and are exposed for completeness; pass tau explicitly to use
-# them.
+# Desk-scale temperature used when none is given.
 TAU_DESK_DEFAULT = 4.0
-TAU_PRESETS = {
-    "KD_SINGLE_A": 5.0,
-    "KD_SINGLE_B": 30.0,
-    AVG1: 10.0,
-    AVG2: 60.0,
-    GTD: 20.0,
-    PKD: 20.0,
-}
 
 
 @dataclass

@@ -14,6 +14,7 @@ from (seed, parameters) alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,7 @@ from .preprocess import (
     darken,
     gamma_correct,
 )
-from .rng import SplitMix64, derive_seed
+from .rng import SplitMix64, _mul_high, _uniforms, derive_seed
 
 MODALITY_A = "A"
 MODALITY_B = "B"
@@ -45,6 +46,8 @@ _VIEW_FIELDS = {
 
 CENTER_LO = 0.2
 CENTER_HI = 0.8
+# Samples drawn per block: bounds the draw temporaries whatever the split size.
+_BLOCK_ROWS = 256
 
 
 @dataclass
@@ -121,18 +124,31 @@ class SyntheticData:
         return getattr(self, key)
 
 
+def _scalar_map(fn, x: np.ndarray) -> np.ndarray:
+    """fn of every element of x, one Python call each, in x's shape."""
+    return np.fromiter(map(fn, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
+
+
 def _draw_split(stream: SplitMix64, centers: np.ndarray, n: int, noise: float):
+    """n samples, a row of 1 + dim draws each, in blocks of up to _BLOCK_ROWS rows.
+
+    Column 0 is the label draw, below(n_classes); the others are the
+    dim/2 Box-Muller pairs of uniforms. log, cos and sin stay scalar
+    math calls: numpy's vectorized versions may round differently.
+    """
     n_classes, dim = centers.shape
     features = np.empty((n, dim), dtype=np.float64)
     labels = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        label = stream.below(n_classes)
-        labels[i] = label
-        row = centers[label]
-        for j in range(0, dim, 2):
-            g1, g2 = stream.gauss_pair()
-            features[i, j] = row[j] + noise * g1
-            features[i, j + 1] = row[j + 1] + noise * g2
+    for lo in range(0, n, _BLOCK_ROWS):
+        rows = min(_BLOCK_ROWS, n - lo)
+        block = stream._block(rows * (1 + dim)).reshape(rows, 1 + dim)
+        labels[lo : lo + rows] = _mul_high(block[:, 0], n_classes)
+        u = _uniforms(block[:, 1:])
+        r = np.sqrt(-2.0 * _scalar_map(math.log, 1.0 - u[:, 0::2]))
+        angle = 2.0 * math.pi * u[:, 1::2]
+        out = np.take(centers, labels[lo : lo + rows], axis=0, out=features[lo : lo + rows])
+        out[:, 0::2] += noise * (r * _scalar_map(math.cos, angle))
+        out[:, 1::2] += noise * (r * _scalar_map(math.sin, angle))
     np.clip(features, 0.0, 1.0, out=features)
     return features, labels
 
@@ -147,11 +163,9 @@ def gen_dataset(seed: int, params: DataParams | None = None) -> SyntheticData:
     params = params or DataParams()
     params.validate()
 
-    center_stream = SplitMix64(derive_seed(seed, 0))
-    centers = np.empty((params.n_classes, params.dim), dtype=np.float64)
-    for c in range(params.n_classes):
-        for j in range(params.dim):
-            centers[c, j] = CENTER_LO + (CENTER_HI - CENTER_LO) * center_stream.uniform()
+    centers = CENTER_LO + (CENTER_HI - CENTER_LO) * _uniforms(
+        SplitMix64(derive_seed(seed, 0))._block(params.n_classes * params.dim)
+    ).reshape(params.n_classes, params.dim)
 
     half = params.dim // 2
     out = {}

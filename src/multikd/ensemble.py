@@ -22,12 +22,12 @@ from . import config as cfg
 from .errors import ValidationError
 from .numerics import (
     EPS,
-    cross_entropy_dist,
     cross_entropy_rows,
     entropy_rows,
     kl_divergence,
     running_mean,
     softmax_t,
+    validate_prob_pair,
 )
 
 WEIGHT_ROW_SUM_TOL = 1e-6
@@ -160,9 +160,7 @@ def make_gtd(label: int, n_classes: int) -> np.ndarray:
         raise ValidationError("n_classes must be >= 1")
     if not 0 <= label < n_classes:
         raise ValidationError(f"label {label} out of range [0, {n_classes})")
-    row = np.zeros(n_classes, dtype=np.float64)
-    row[label] = 1.0
-    return row
+    return _reference_rows(np.array([label]), n_classes, cfg.GTD, None)[0]
 
 
 def make_pkd(label: int, params: PkdParams) -> np.ndarray:
@@ -170,9 +168,7 @@ def make_pkd(label: int, params: PkdParams) -> np.ndarray:
     label = int(label)
     if not 0 <= label < params.n_classes:
         raise ValidationError(f"label {label} out of range [0, {params.n_classes})")
-    row = np.full(params.n_classes, (1.0 - params.h) / (params.n_classes - 1))
-    row[label] = params.h
-    return row
+    return _reference_rows(np.array([label]), params.n_classes, cfg.PKD, params)[0]
 
 
 def similarity_kl(reference, teacher_dist) -> float:
@@ -190,10 +186,16 @@ def similarity_ce(reference, teacher_dist) -> float:
     For one-hot references this equals similarity_kl exactly (the
     reference entropy is zero), including the saturation behavior.
     """
-    return 1.0 / max(cross_entropy_dist(reference, teacher_dist), EPS)
+    return float(_inverse_ce(*validate_prob_pair(reference, teacher_dist, "target", "pred")))
+
+
+def _inverse_ce(refs: np.ndarray, dists: np.ndarray) -> np.ndarray:
+    """Row-wise 1 / CE(ref, dist), the cross-entropy floored at 1e-12."""
+    return 1.0 / np.maximum(cross_entropy_rows(refs, dists), EPS)
 
 
 def _reference_rows(labels: np.ndarray, n_classes: int, mode: str, params: PkdParams | None) -> np.ndarray:
+    """One reference row per label: one-hot (GTD) or the preferred distribution (PKD)."""
     refs = np.zeros((labels.size, n_classes), dtype=np.float64)
     if mode == cfg.GTD:
         refs[np.arange(labels.size), labels] = 1.0
@@ -231,8 +233,7 @@ def compute_weights(
     refs = _reference_rows(labels, bank.c, mode, params)
     raw = np.empty((bank.n, bank.k), dtype=np.float64)
     for k, logits in enumerate(bank.teachers):
-        dists = softmax_t(logits, weight_tau)
-        raw[:, k] = 1.0 / np.maximum(cross_entropy_rows(refs, dists), EPS)
+        raw[:, k] = _inverse_ce(refs, softmax_t(logits, weight_tau))
     return EnsembleWeights.from_raw(raw)
 
 

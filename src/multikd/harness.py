@@ -39,7 +39,7 @@ STAGE_TEACHER_B = 2
 STAGE_STUDENT = 3
 
 # The in-process teachers in bank order: (id, stage index, the clean
-# modality it trains and is tested on). KD_SINGLE uses the first alone.
+# modality it trains and is tested on). KD_SINGLE uses the first (_roster).
 _TEACHERS = (
     ("teacher-A", STAGE_TEACHER_A, MODALITY_A),
     ("teacher-B", STAGE_TEACHER_B, MODALITY_B),
@@ -154,6 +154,11 @@ def bind_teacher_dumps(paths: list[str], data: Dataset, caches: dict | None = No
     return TeacherBank([d.rows for d in dumps], [d.teacher_id for d in dumps])
 
 
+def _roster(strategy: str, teachers):
+    """The teachers a strategy distills from: KD_SINGLE the first alone, any other all."""
+    return teachers[:1] if strategy == cfg.KD_SINGLE else teachers
+
+
 def _obtain_teacher_logits(
     rc: RunConfig, data: SyntheticData, caches: dict | None
 ) -> tuple[TeacherBank | None, dict[str, float]]:
@@ -162,13 +167,17 @@ def _obtain_teacher_logits(
     NONE has no teachers and binds none. Dumps given in the run config
     win; otherwise the strategy's teachers in `_TEACHERS` are trained
     in-process, seeded by their stage index so retraining is bit-exact.
+    Both are cut to the strategy's `_roster`, dumps after one cached read of all.
     """
     strategy = rc.distill.strategy
     if strategy == cfg.NONE:
         return None, {}
     if rc.teacher_paths:
-        return bind_teacher_dumps(rc.teacher_paths, data.train_dark, caches), {}
-    roster = _TEACHERS[:1] if strategy == cfg.KD_SINGLE else _TEACHERS
+        bank = bind_teacher_dumps(rc.teacher_paths, data.train_dark, caches)
+        if len(_roster(strategy, bank.teachers)) < bank.k:
+            bank = TeacherBank(_roster(strategy, bank.teachers), _roster(strategy, bank.teacher_ids))
+        return bank, {}
+    roster = _roster(strategy, _TEACHERS)
     mats, accs = [], {}
     for teacher_id, stage, modality in roster:
         train_view, test_view = data.view("train", modality), data.view("test", modality)

@@ -89,11 +89,16 @@ def running_mean(arrays) -> np.ndarray:
 
 def kl_divergence(q, p) -> float:
     """KL(q || p) = sum q*log(q/p) with 0*log(0)=0 and p floored at EPS."""
-    q = validate_prob_row(q, "q")
-    p = validate_prob_row(p, "p")
-    if q.shape != p.shape:
-        raise ValidationError(f"dimension mismatch: {q.shape} vs {p.shape}")
-    return float(kl_rows(q, p))
+    return float(kl_rows(*validate_prob_pair(q, p, "q", "p")))
+
+
+def validate_prob_pair(a, b, name_a: str, name_b: str):
+    """Two validated probability rows (see validate_prob_row) of one shape."""
+    a = validate_prob_row(a, name_a)
+    b = validate_prob_row(b, name_b)
+    if a.shape != b.shape:
+        raise ValidationError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    return a, b
 
 
 def log_or_zero(p: np.ndarray) -> np.ndarray:
@@ -110,11 +115,7 @@ def kl_rows(q: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 def cross_entropy_dist(target, pred) -> float:
     """-sum target*log(pred) with pred floored at EPS."""
-    target = validate_prob_row(target, "target")
-    pred = validate_prob_row(pred, "pred")
-    if target.shape != pred.shape:
-        raise ValidationError(f"dimension mismatch: {target.shape} vs {pred.shape}")
-    return float(cross_entropy_rows(target, pred))
+    return float(cross_entropy_rows(*validate_prob_pair(target, pred, "target", "pred")))
 
 
 def cross_entropy_rows(target: np.ndarray, pred: np.ndarray) -> np.ndarray:

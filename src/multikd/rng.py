@@ -4,10 +4,10 @@ splitmix64 is used as the single generator everywhere: it is tiny,
 public-domain, and exactly reproducible from pure 64-bit integer
 arithmetic, so identical seeds give identical streams on any platform.
 Standard normals come from the basic Box-Muller transform applied to
-two consecutive uniform draws. permutation computes its n - 1 draws in
-one pass of numpy uint64 arithmetic, which wraps modulo 2^64 exactly as
-the masked Python integers do, so it gives the same integers as n - 1
-calls of below().
+two consecutive uniform draws. A block of draws is one pass of numpy
+uint64 arithmetic, which wraps modulo 2^64 as the masked Python integers
+do, so it holds the integers of as many next_u64() calls: permutation,
+initial weights and synthetic data are drawn in blocks.
 """
 
 from __future__ import annotations
@@ -58,33 +58,43 @@ class SplitMix64:
         r = math.sqrt(-2.0 * math.log(1.0 - u1))
         return r * math.cos(2.0 * math.pi * u2), r * math.sin(2.0 * math.pi * u2)
 
-    def permutation(self, n: int) -> list[int]:
-        """Fisher-Yates shuffle of range(n).
-
-        Swaps position i = n-1 down to 1 with below(i + 1). The draws
-        are computed at once: draw k (k = 1 .. n-1) mixes state
-        s + k * GOLDEN and multiplies by i + 1 = n - k + 1, keeping the
-        high 64 bits of the 128-bit product, assembled from 32-bit
-        halves so that no partial product overflows. The generator ends
-        in the state n - 1 below() calls leave.
-        """
-        order = list(range(n))
-        draws = max(n - 1, 0)
-        k = np.arange(1, draws + 1, dtype=np.uint64)
-        z = k * np.uint64(_GOLDEN) + np.uint64(self.state)
+    def _block(self, count: int) -> np.ndarray:
+        """The next `count` next_u64() outputs as one uint64 array; state advances by count."""
+        z = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GOLDEN) + np.uint64(self.state)
         z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
         z ^= z >> np.uint64(31)
-        m = np.uint64(draws + 2) - k  # i + 1 = n - k + 1
-        low, shift = np.uint64(0xFFFFFFFF), np.uint64(32)
-        z_hi, z_lo, m_hi, m_lo = z >> shift, z & low, m >> shift, m & low
-        lo_lo, hi_lo = z_lo * m_lo, z_hi * m_lo
-        cross = (lo_lo >> shift) + (hi_lo & low) + z_lo * m_hi
-        high = (hi_lo >> shift) + (cross >> shift) + z_hi * m_hi
+        self.state = (self.state + count * _GOLDEN) & _MASK64
+        return z
+
+    def permutation(self, n: int) -> list[int]:
+        """Fisher-Yates shuffle of range(n).
+
+        Swaps position i = n-1 down to 1 with below(i + 1), the n - 1
+        draws taken as one block, so the generator ends in the state
+        n - 1 below() calls leave.
+        """
+        order = list(range(n))
+        draws = max(n - 1, 0)
+        high = _mul_high(self._block(draws), np.arange(draws + 1, 1, -1, dtype=np.uint64))
         for i, j in zip(range(n - 1, 0, -1), high.tolist()):
             order[i], order[j] = order[j], order[i]
-        self.state = (self.state + draws * _GOLDEN) & _MASK64
         return order
+
+
+def _mul_high(z: np.ndarray, m) -> np.ndarray:
+    """High 64 bits of the 128-bit products z * m, from 32-bit halves (none overflows)."""
+    m = np.asarray(m, dtype=np.uint64)
+    low, shift = np.uint64(0xFFFFFFFF), np.uint64(32)
+    z_hi, z_lo, m_hi, m_lo = z >> shift, z & low, m >> shift, m & low
+    lo_lo, hi_lo = z_lo * m_lo, z_hi * m_lo
+    cross = (lo_lo >> shift) + (hi_lo & low) + z_lo * m_hi
+    return (hi_lo >> shift) + (cross >> shift) + z_hi * m_hi
+
+
+def _uniforms(z: np.ndarray) -> np.ndarray:
+    """uniform() of each next_u64() output in z: z / 2^64, as float64."""
+    return z / _TWO64
 
 
 def derive_seed(seed: int, index: int) -> int:

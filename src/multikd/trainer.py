@@ -16,12 +16,11 @@ forward pass, p1 and p_tau once each, the loss from those two, the
 logit gradient and the update; backward_step and parameter_gradients
 call the same kernel. train() validates its inputs once at entry and
 gathers each epoch's rows once, so a step builds no per-batch objects.
-The kernel works on a _Flat: w1, w2, b1, b2 copied into one contiguous
-float64 buffer, in that order, with a gradient buffer of the same
-layout. So a step writes its gradients in place, updates all four
-parameters with one subtraction, and checks w1 and w2 with one
-reduction over one view. The values go back into the caller's own
-arrays when training ends, also when it ends in a NumericalError.
+A StudentModel is one contiguous float64 buffer whose fields are views,
+so a step writes its gradients into a second model of the same layout,
+updates all four parameters with one subtraction, and checks w1 and w2
+with one reduction over one view; there is no copy of the model to write
+back, and train trains the caller's model in place.
 Every distilling TargetSet holds one N x C matrix, AVG1's included, so
 neither memory nor per-step cost grows with the number of teachers.
 """
@@ -38,21 +37,45 @@ from . import config as cfg
 from .ensemble import TargetSet, validate_labels
 from .errors import NumericalError, ValidationError
 from .numerics import EPS, kl_rows, log_or_zero, softmax_rows, softmax_t
-from .rng import SplitMix64
+from .rng import SplitMix64, _uniforms
 
 # logical_and.reduce(x, None) tests a whole array in one C call; ndarray.all
 # goes through a Python-level wrapper first.
 _all = np.logical_and.reduce
 
 
-@dataclass
-class StudentModel:
-    """Parameters of logits = w2 @ relu(w1 @ x + b1) + b2."""
+_FIELDS = ("w1", "w2", "b1", "b2")  # their order in a StudentModel's buffer
 
-    w1: np.ndarray  # hidden x d_in
-    b1: np.ndarray  # hidden
-    w2: np.ndarray  # classes x hidden
-    b2: np.ndarray  # classes
+
+class StudentModel:
+    """Parameters of logits = w2 @ relu(w1 @ x + b1) + b2, in one buffer.
+
+    w1 is hidden x d_in, b1 hidden, w2 classes x hidden, b2 classes. The
+    constructor copies w1, w2, b1, b2, as float64, into the one
+    contiguous array data, in that order. The four fields are views of
+    data, and so is weights, the w1 + w2 prefix. Assigning a field
+    writes into its view (a wrong shape raises ValidationError), so the
+    fields and data never diverge.
+    """
+
+    def __init__(self, w1, b1, w2, b2):
+        parts = [np.asarray(part, dtype=np.float64) for part in (w1, w2, b1, b2)]
+        data = np.concatenate([part.ravel() for part in parts])
+        views, start = {"data": data}, 0
+        for name, part in zip(_FIELDS, parts):
+            views[name] = data[start : start + part.size].reshape(part.shape)
+            start += part.size
+        views["weights"] = data[: parts[0].size + parts[1].size]
+        self.__dict__.update(views)
+
+    def __setattr__(self, name: str, value) -> None:
+        if name not in _FIELDS:
+            raise AttributeError(f"StudentModel has no assignable field {name!r}")
+        view = self.__dict__[name]
+        value = np.asarray(value, dtype=np.float64)
+        if value.shape != view.shape:
+            raise ValidationError(f"{name} must have shape {view.shape}, got {value.shape}")
+        view[...] = value
 
     @property
     def d_in(self) -> int:
@@ -67,7 +90,7 @@ class StudentModel:
         return self.w2.shape[0]
 
     def copy(self) -> "StudentModel":
-        return StudentModel(self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy())
+        return StudentModel(self.w1, self.b1, self.w2, self.b2)
 
 
 @dataclass
@@ -87,58 +110,16 @@ class TrainResult:
 def init_student(d_in: int, hidden_dim: int, n_classes: int, prng: SplitMix64) -> StudentModel:
     """Weights uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)], zero biases.
 
-    Draw order is fixed (w1 row-major, then w2 row-major) so a given
-    generator state always yields the same model.
+    Draw order is fixed (w1 row-major, then w2 row-major, one block of
+    draws) so a given generator state always yields the same model.
     """
     if min(d_in, hidden_dim, n_classes) < 1:
         raise ValidationError("model dimensions must be positive")
-
-    def uniform_matrix(rows: int, columns: int, bound: float) -> np.ndarray:
-        out = np.empty((rows, columns), dtype=np.float64)
-        for i in range(rows):
-            for j in range(columns):
-                out[i, j] = (2.0 * prng.uniform() - 1.0) * bound
-        return out
-
-    w1 = uniform_matrix(hidden_dim, d_in, 1.0 / np.sqrt(d_in))
-    w2 = uniform_matrix(n_classes, hidden_dim, 1.0 / np.sqrt(hidden_dim))
+    split = hidden_dim * d_in
+    u = _uniforms(prng._block(split + n_classes * hidden_dim))
+    w1 = ((2.0 * u[:split] - 1.0) * (1.0 / np.sqrt(d_in))).reshape(hidden_dim, d_in)
+    w2 = ((2.0 * u[split:] - 1.0) * (1.0 / np.sqrt(hidden_dim))).reshape(n_classes, hidden_dim)
     return StudentModel(w1, np.zeros(hidden_dim), w2, np.zeros(n_classes))
-
-
-_PACKED = ("w1", "w2", "b1", "b2")
-
-
-class _Flat:
-    """A model's parameters packed into one contiguous float64 buffer.
-
-    data holds w1, w2, b1, b2 in that order, and model is a StudentModel
-    of views into it, so w1 and w2 are together the one view weights.
-    grad has the same layout and grads is its StudentModel of views,
-    which _step fills.
-    """
-
-    __slots__ = ("data", "model", "weights", "grad", "grads")
-
-    def __init__(self, model: StudentModel):
-        parts = [np.asarray(getattr(model, name), dtype=np.float64) for name in _PACKED]
-        self.data = np.concatenate([part.ravel() for part in parts])
-        self.grad = np.empty_like(self.data)
-        self.model = self._views(self.data, parts)
-        self.grads = self._views(self.grad, parts)
-        self.weights = self.data[: parts[0].size + parts[1].size]
-
-    @staticmethod
-    def _views(buffer: np.ndarray, parts: list) -> StudentModel:
-        views, start = {}, 0
-        for name, part in zip(_PACKED, parts):
-            views[name] = buffer[start : start + part.size].reshape(part.shape)
-            start += part.size
-        return StudentModel(**views)
-
-    def copy_to(self, model: StudentModel) -> None:
-        """Write the packed values into model's own arrays."""
-        for name in _PACKED:
-            getattr(model, name)[...] = getattr(self.model, name)
 
 
 def _forward_cached(model: StudentModel, features: np.ndarray):
@@ -267,22 +248,22 @@ def _rows(model: StudentModel, features, labels, target_set: TargetSet, config: 
     return rows
 
 
-def _step(flat, config, features, onehot, target=None, log_target=None, gap=None, update=True):
+def _step(model, grads, config, features, onehot, target=None, log_target=None, gap=None,
+          update=True):
     """The student step on one batch of rows, as returned by _rows.
 
     Forward pass, p1 and p_tau once each, the loss from them, the logit
     gradient, the parameter gradients pushed through both layers into
-    flat.grad (relu takes the zero subgradient at exactly 0), then, if
-    update, the SGD update of flat.data. The arithmetic is that of
-    total_loss and loss_gradient, followed by the w2, b2, w1, b1
-    updates, so parameters match that plain sequence bit for bit; the
-    loss adds the gap per row (see _rows), so it may differ from
-    total_loss in the last bits. Every finiteness check is one
+    grads, a model of model's layout (relu takes the zero subgradient at
+    exactly 0), then, if update, the SGD update of model.data. The
+    arithmetic is that of total_loss and loss_gradient, followed by the
+    w2, b2, w1, b1 updates, so parameters match that plain sequence bit
+    for bit; the loss adds the gap per row (see _rows), so it may differ
+    from total_loss in the last bits. Every finiteness check is one
     reduction with no Python frame of its own.
     Returns the pre-step loss and the (w1, b1, w2, b2) gradients, views
-    into flat.grad.
+    into grads.data.
     """
-    model, grads = flat.model, flat.grads
     n = features.shape[0]
     logits, hidden, pre = _forward_cached(model, features)
     if not _all(np.isfinite(logits), None):
@@ -310,8 +291,9 @@ def _step(flat, config, features, onehot, target=None, log_target=None, gap=None
     np.matmul(g_hidden.T, features, out=grads.w1)
     np.add.reduce(g_hidden, axis=0, out=grads.b1)
     if update:
-        flat.data -= config.lr * flat.grad
-        if not _all(np.isfinite(flat.weights), None):
+        data = model.data  # a local name: an augmented attribute assignment would run __setattr__
+        data -= config.lr * grads.data
+        if not _all(np.isfinite(model.weights), None):
             raise NumericalError("non-finite parameters after update; training aborted")
     return loss, (grads.w1, grads.b1, grads.w2, grads.b2)
 
@@ -319,17 +301,13 @@ def _step(flat, config, features, onehot, target=None, log_target=None, gap=None
 def backward_step(model: StudentModel, batch: Batch, config: cfg.DistillConfig) -> float:
     """One SGD step on a batch, in place; returns the pre-step loss."""
     rows = _rows(model, batch.features, batch.labels, batch.targets, config)
-    flat = _Flat(model)
-    try:
-        return _step(flat, config, *rows)[0]
-    finally:
-        flat.copy_to(model)
+    return _step(model, model.copy(), config, *rows)[0]
 
 
 def parameter_gradients(model: StudentModel, batch: Batch, config: cfg.DistillConfig):
     """Analytic (w1, b1, w2, b2) gradients without updating the model."""
     rows = _rows(model, batch.features, batch.labels, batch.targets, config)
-    return _step(_Flat(model), config, *rows, update=False)[1]
+    return _step(model, model.copy(), config, *rows, update=False)[1]
 
 
 def train(
@@ -343,10 +321,9 @@ def train(
 
     Inputs are validated once, here; each epoch gathers its rows in
     permutation order into the same buffers, and every batch is a
-    contiguous slice of them.
-    The steps update a packed copy of the parameters (_Flat), which is
-    copied back into model's own arrays on return or on any exception,
-    so model is trained in place as by the plain loop.
+    contiguous slice of them. Each step updates model.data, so model is
+    trained in place, and a NumericalError leaves it as the failing
+    step made it; the gradients go into one copy of model, made here.
 
     Deterministic: the seed fixes the batch order, and every reduction
     runs in a fixed order, so the final parameters and the loss trace
@@ -357,26 +334,23 @@ def train(
     n = rows[0].shape[0]
     size = config.batch_size
     prng = SplitMix64(config.seed)
-    flat = _Flat(model)
+    grads = model.copy()
     trace: list[float] = []
     times: list[float] = []
     shuffled = [np.empty_like(column) for column in rows]
-    try:
-        for _ in range(config.epochs):
-            started = time.perf_counter()
-            order = np.array(prng.permutation(n), dtype=np.int64)
-            for column, out in zip(rows, shuffled):
-                # order is a permutation of range(n), so no index is ever
-                # clipped; mode="raise" would gather through a temporary
-                np.take(column, order, axis=0, out=out, mode="clip")
-            step_losses = []
-            for lo in range(0, n, size):
-                batch = [column[lo : lo + size] for column in shuffled]
-                step_losses.append(_step(flat, config, *batch)[0])
-            trace.append(float(np.mean(step_losses)))
-            times.append(time.perf_counter() - started)
-    finally:
-        flat.copy_to(model)
+    for _ in range(config.epochs):
+        started = time.perf_counter()
+        order = np.array(prng.permutation(n), dtype=np.int64)
+        for column, out in zip(rows, shuffled):
+            # order is a permutation of range(n), so no index is ever
+            # clipped; mode="raise" would gather through a temporary
+            np.take(column, order, axis=0, out=out, mode="clip")
+        step_losses = []
+        for lo in range(0, n, size):
+            batch = [column[lo : lo + size] for column in shuffled]
+            step_losses.append(_step(model, grads, config, *batch)[0])
+        trace.append(float(np.mean(step_losses)))
+        times.append(time.perf_counter() - started)
     return TrainResult(model, trace, times)
 
 

@@ -7,6 +7,9 @@ loop written step by step from the public reference math (total_loss,
 loss_gradient), the standard the fused training step is held to.
 reference_permutation is the scalar Fisher-Yates shuffle, one below()
 call per swap, the standard for SplitMix64.permutation's batched draws.
+reference_gen_dataset and reference_init_student draw the synthetic
+data and a student's initial weights one scalar uniform(), below() or
+gauss_pair() call at a time: the standard for their block draws.
 reference_avg1_targets builds AVG1's mean target and entropy gap in two
 passes over the teachers, softening each one twice.
 reference_matrix_rows and reference_dataset_rows parse a file body one
@@ -153,6 +156,53 @@ def reference_permutation(prng, n):
         j = prng.below(i + 1)
         order[i], order[j] = order[j], order[i]
     return order
+
+
+def reference_gen_dataset(seed, params):
+    """{split: (features, labels)} of gen_dataset, before the views are cut.
+
+    Class centers from stream 0, then per split (train from stream 1,
+    test from stream 2) per sample: the label, then dim/2 Box-Muller
+    pairs, clamped to [0, 1].
+    """
+    import numpy as np
+
+    from multikd.datagen import CENTER_HI, CENTER_LO
+    from multikd.rng import SplitMix64, derive_seed
+
+    center_stream = SplitMix64(derive_seed(seed, 0))
+    centers = np.empty((params.n_classes, params.dim))
+    for c in range(params.n_classes):
+        for j in range(params.dim):
+            centers[c, j] = CENTER_LO + (CENTER_HI - CENTER_LO) * center_stream.uniform()
+    out = {}
+    for split, n, index in (("train", params.n_train, 1), ("test", params.n_test, 2)):
+        stream = SplitMix64(derive_seed(seed, index))
+        features = np.empty((n, params.dim))
+        labels = np.empty(n, dtype=np.int64)
+        for i in range(n):
+            labels[i] = stream.below(params.n_classes)
+            for j in range(0, params.dim, 2):
+                g1, g2 = stream.gauss_pair()
+                features[i, j] = centers[labels[i], j] + params.noise * g1
+                features[i, j + 1] = centers[labels[i], j + 1] + params.noise * g2
+        out[split] = (np.clip(features, 0.0, 1.0), labels)
+    return out
+
+
+def reference_init_student(d_in, hidden_dim, n_classes, prng):
+    """(w1, w2) of init_student, one uniform() draw per weight, w1 first, row-major."""
+    import numpy as np
+
+    def uniform_matrix(rows, columns, bound):
+        out = np.empty((rows, columns))
+        for i in range(rows):
+            for j in range(columns):
+                out[i, j] = (2.0 * prng.uniform() - 1.0) * bound
+        return out
+
+    return (uniform_matrix(hidden_dim, d_in, 1.0 / np.sqrt(d_in)),
+            uniform_matrix(n_classes, hidden_dim, 1.0 / np.sqrt(hidden_dim)))
 
 
 def reference_avg1_targets(bank, tau):

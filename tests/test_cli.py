@@ -9,6 +9,7 @@ from multikd import DistillConfig
 from multikd.cli import main
 from multikd.ensemble import TeacherBank, build_targets
 from multikd.formats import (
+    fmt_float,
     load_dataset,
     load_logits,
     load_model,
@@ -16,8 +17,9 @@ from multikd.formats import (
     write_logit_dump,
     write_model,
 )
+from multikd.harness import assembly_flop_estimate
 from multikd.rng import SplitMix64
-from multikd.trainer import init_student
+from multikd.trainer import evaluate, init_student
 
 
 def run_cli(*argv):
@@ -252,6 +254,44 @@ def test_assemble_refuses_avg1_none_and_kd_single_of_two(strategy, message, tmp_
                    "--teacher", dump, "--strategy", strategy, "--out", str(prefix)) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not tmp_path.joinpath("refused.targets.txt").exists()
+
+
+@pytest.fixture
+def two_dumps(tmp_path):
+    """Two teacher dumps over the 120 x 4 training view of data_dir."""
+    paths = []
+    for k in range(2):
+        paths.append(str(tmp_path / f"t{k}.logits"))
+        write_logit_dump(paths[-1], f"t{k}", np.random.default_rng(k).normal(size=(120, 4)) * 3.0)
+    return paths
+
+
+def test_kd_single_distills_from_the_first_of_several_dumps(tmp_path, data_dir, two_dumps, capsys):
+    files = ["--data-dir", str(data_dir), "--teacher", two_dumps[0], "--teacher", two_dumps[1]]
+    prefix = tmp_path / "report"
+    assert run_cli("ablate", "--seeds", "5", "--strategies", "KD_SINGLE,PKD", *files,
+                   "--out", str(prefix), *SMALL) == 0
+    student = tmp_path / "single.model"
+    assert run_cli("distill", "--seed", "5", "--strategy", "KD_SINGLE", "--data-dir", str(data_dir),
+                   "--teacher", two_dumps[0], "--out", str(student), *SMALL) == 0
+    capsys.readouterr()
+    rows = [line.split("\t") for line in (tmp_path / "report.tsv").read_text().splitlines()[1:]]
+    assert [row[0] for row in rows] == ["KD_SINGLE", "PKD"]
+    test = load_dataset(str(data_dir / "test_A_dark.txt"))
+    top1 = evaluate(load_model(str(student)), test.features, test.labels)
+    assert rows[0][3] == fmt_float(top1)
+
+
+def test_cost_probe_with_two_dumps_times_kd_single_on_the_first(tmp_path, data_dir, two_dumps,
+                                                                 capsys):
+    out = tmp_path / "probe.txt"
+    assert run_cli("cost-probe", "--epochs", "2", "--data-dir", str(data_dir), "--teacher",
+                   two_dumps[0], "--teacher", two_dumps[1], "--out", str(out), *SMALL) == 0
+    capsys.readouterr()
+    flops = {line.split()[0]: line.split()[-1] for line in out.read_text().splitlines()
+             if "assembly-flops" in line}
+    assert flops == {"NONE": "0", "KD_SINGLE": str(assembly_flop_estimate(120, 1, 4)),
+                     "PKD": str(assembly_flop_estimate(120, 2, 4))}
 
 
 TINY = ["--n-train", "20", "--n-test", "10", "--epochs", "1"]

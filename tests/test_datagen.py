@@ -1,11 +1,16 @@
-"""Synthetic data generator: determinism, alignment, balance."""
+"""Synthetic data generator: determinism, alignment, balance, and the
+block draws against the scalar draw loop."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from multikd.datagen import DataParams, gen_dataset
 from multikd.errors import ValidationError
 from multikd.preprocess import darken, gamma_correct
+
+from _oracles import reference_gen_dataset
 
 SMALL = DataParams(n_train=200, n_test=100, n_classes=5, dim=8, noise=0.1)
 
@@ -84,3 +89,20 @@ def test_invalid_params_rejected():
         gen_dataset(0, DataParams(noise=-0.1))
     with pytest.raises(ValidationError):
         gen_dataset(0, DataParams(n_train=0))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2**64 - 1), st.integers(1, 60), st.integers(1, 30), st.integers(2, 12),
+       st.integers(1, 8), st.floats(0.0, 2.0))
+@example(0, 2000, 1000, 11, 10, 0.15)  # package defaults at seed 0
+@example(2**64 - 1, 3, 1, 2, 1, 0.0)
+def test_block_draws_match_the_scalar_draw_loop(seed, n_train, n_test, n_classes, half, noise):
+    params = DataParams(n_train=n_train, n_test=n_test, n_classes=n_classes, dim=2 * half,
+                        noise=noise)
+    data = gen_dataset(seed, params)
+    for split, (features, labels) in reference_gen_dataset(seed, params).items():
+        a, b = data.view(split, "A"), data.view(split, "B")
+        assert a.features.tobytes() == features[:, :half].tobytes(), split
+        assert b.features.tobytes() == features[:, half:].tobytes(), split
+        for view in (a, b, data.view(split, "A_dark")):
+            assert view.labels.tobytes() == labels.tobytes(), split

@@ -4,9 +4,10 @@ train() runs one kernel per batch on rows gathered once per epoch. Its
 final parameters must equal, bit for bit, those of the plain loop built
 from total_loss and loss_gradient (tests/_oracles.py), for every
 strategy and for batches that do not divide N. AVG1 steps must cost the
-same at any number of teachers. The steps update a packed copy of the
-parameters, which must end in the caller's own arrays, also when a step
-fails.
+same at any number of teachers. A StudentModel is one float64 buffer
+whose fields are views: the steps update the caller's own arrays, also
+when a step fails, and whatever dtype the model was built from, it
+trains as its float64 twin.
 """
 
 import sys
@@ -14,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import multikd as mk
@@ -28,12 +29,12 @@ from multikd import (
     train,
 )
 from multikd.ensemble import TeacherBank, build_targets
-from multikd.errors import NumericalError
+from multikd.errors import NumericalError, ValidationError
 from multikd.rng import SplitMix64
 from multikd.trainer import parameter_gradients
 
 import _oracles
-from _oracles import batch_targets, reference_step, reference_train
+from _oracles import batch_targets, reference_init_student, reference_step, reference_train
 
 PARAMETERS = ("w1", "b1", "w2", "b2")
 
@@ -228,3 +229,76 @@ class TestInPlace:
             for name, array in zip(PARAMETERS, arrays):
                 assert getattr(model, name) is array, name
                 assert np.array_equal(array, getattr(expected, name)), name
+
+
+class TestOneBuffer:
+    def fit(self, seed=5):
+        return make_fit(mk.PKD, n=23, d=5, c=4, hidden=6, k=3, tau=3.0, alpha=0.4,
+                        batch_size=4, epochs=2, seed=seed)
+
+    def test_fields_are_views_of_data_in_w1_w2_b1_b2_order(self):
+        model = self.fit()[0]
+        parts = [getattr(model, name).ravel() for name in ("w1", "w2", "b1", "b2")]
+        assert model.data.dtype == np.float64 and model.data.flags.c_contiguous
+        assert model.data.tobytes() == np.concatenate(parts).tobytes()
+        for name in PARAMETERS:
+            assert np.shares_memory(getattr(model, name), model.data), name
+        assert model.weights.tobytes() == np.concatenate(parts[:2]).tobytes()
+
+    @pytest.mark.parametrize("name", PARAMETERS)
+    def test_assigning_a_field_writes_into_data_and_train_trains_it(self, name):
+        model, features, labels, targets, config = self.fit()
+        view = getattr(model, name)
+        value = np.random.default_rng(8).normal(size=view.shape)
+        setattr(model, name, value)
+        assert getattr(model, name) is view and np.array_equal(view, value)
+        expected = model.copy()
+        assert getattr(expected, name).tobytes() == value.tobytes()
+        reference_train(expected, features, labels, targets, config)
+        train(model, features, labels, targets, config)
+        assert model.data.tobytes() == expected.data.tobytes()
+
+    @pytest.mark.parametrize("name", PARAMETERS)
+    def test_a_wrong_shaped_assignment_is_refused(self, name):
+        model = self.fit()[0]
+        before = model.data.copy()
+        shape = getattr(model, name).shape
+        with pytest.raises(ValidationError, match=f"{name} must have shape"):
+            setattr(model, name, np.zeros(shape + (1,)))
+        with pytest.raises(ValidationError, match=f"{name} must have shape"):
+            setattr(model, name, np.zeros(shape[0] + 1))
+        assert model.data.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32])
+    def test_a_model_of_any_dtype_trains_as_its_float64_twin(self, dtype):
+        model, features, labels, targets, config = self.fit()
+        arrays = {name: (getattr(model, name) * 4.0).astype(dtype) for name in PARAMETERS}
+        narrow = StudentModel(**arrays)
+        twin = StudentModel(**{name: array.astype(np.float64) for name, array in arrays.items()})
+        train(narrow, features, labels, targets, config)
+        train(twin, features, labels, targets, config)
+        for name in PARAMETERS:
+            got = getattr(narrow, name)
+            assert got.dtype == np.float64 and got.tobytes() == getattr(twin, name).tobytes(), name
+
+    def test_copy_shares_no_memory(self):
+        model = self.fit()[0]
+        twin = model.copy()
+        assert twin is not model and twin.data.tobytes() == model.data.tobytes()
+        for name in ("data", "weights") + PARAMETERS:
+            assert not np.shares_memory(getattr(twin, name), model.data), name
+        twin.w1 = np.zeros_like(twin.w1)
+        assert np.any(model.w1 != 0.0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 2**64 - 1), st.integers(1, 12), st.integers(1, 12), st.integers(1, 12))
+@example(0, 10, 32, 11)  # a default-sized teacher: 10 features, hidden 32, 11 classes
+@example(2**64 - 1, 1, 1, 1)
+def test_init_student_block_draws_match_the_scalar_draw_loop(seed, d_in, hidden, n_classes):
+    prng, reference = SplitMix64(seed), SplitMix64(seed)
+    model = init_student(d_in, hidden, n_classes, prng)
+    w1, w2 = reference_init_student(d_in, hidden, n_classes, reference)
+    assert model.w1.tobytes() == w1.tobytes() and model.w2.tobytes() == w2.tobytes()
+    assert not model.b1.any() and not model.b2.any()
+    assert prng.state == reference.state

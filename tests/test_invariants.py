@@ -2,7 +2,8 @@
 
 Teacher weights lie strictly inside the simplex; with one teacher every
 strategy's target is KD_SINGLE's; on one-hot references the CE and KL
-similarities agree; AVG1 and AVG2 give the student the same gradient;
+similarities agree, and compute_weights scores every teacher row with
+the bits of similarity_ce; AVG1 and AVG2 give the student the same gradient;
 AVG1's one-matrix loss is the mean of its K per-teacher losses;
 the AVG2 target, summed one teacher at a time, has the bits of
 np.mean over the stacked softened matrices; and AVG1, softening each
@@ -23,6 +24,7 @@ from multikd.ensemble import (
     build_targets,
     compute_weights,
     make_gtd,
+    make_pkd,
     similarity_ce,
     similarity_kl,
 )
@@ -58,6 +60,20 @@ def test_weights_strictly_positive_rows_sum_to_one(bank_labels, mode, h_share, w
     assert weights.normalized.shape == (bank.n, bank.k)
     assert (weights.raw > 0.0).all() and (weights.normalized > 0.0).all()
     assert np.max(np.abs(weights.normalized.sum(axis=1) - 1.0)) <= WEIGHT_ROW_SUM_TOL
+
+
+@SETTINGS
+@given(banks(), st.sampled_from([mk.GTD, mk.PKD]), st.floats(0.0, 1.0), taus)
+def test_raw_weights_are_similarity_ce_of_each_teacher_row(bank_labels, mode, h_share, weight_tau):
+    bank, labels = bank_labels
+    h = 1.0 / bank.c + (1.0 - 1.0 / bank.c) * max(h_share, 1e-3)
+    params = mk.PkdParams(h=h, n_classes=bank.c) if mode == mk.PKD else None
+    raw = compute_weights(bank, labels, mode, params, weight_tau).raw
+    for n, label in enumerate(labels):
+        reference = make_gtd(label, bank.c) if mode == mk.GTD else make_pkd(label, params)
+        for k, logits in enumerate(bank.teachers):
+            want = similarity_ce(reference, softmax_t(logits[n], weight_tau))
+            assert raw[n, k].tobytes() == np.float64(want).tobytes(), (n, k)
 
 
 @SETTINGS
