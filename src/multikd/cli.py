@@ -2,9 +2,12 @@
 
 Subcommands: gen-data, train-teacher, dump-logits, assemble, distill,
 evaluate, ablate, cost-probe. A `--config` file supplies `key = value`
-defaults; explicit flags win. Exit codes: 0 success, 1 usage error,
-2 malformed input file, 3 numerical failure. `ablate` exits with the
-code of its first failed cell in report order.
+defaults; explicit flags win. `main` binds every run once, before any
+subcommand does work: it reads `--config`, merges the flags over it and
+builds the `RunConfig`, so each subcommand rejects an unreadable config
+and a bad run-key value, also one it does not use. Exit codes: 0
+success, 1 usage error, 2 malformed input file, 3 numerical failure.
+`ablate` exits with the code of its first failed cell in report order.
 """
 
 from __future__ import annotations
@@ -70,16 +73,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="multikd", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    for name, help_text in [
-        ("gen-data", "write the six dataset views to --out directory"),
-        ("train-teacher", "train a plain classifier on --data, write --out model"),
-        ("dump-logits", "run --model over --data and write a logit dump"),
-        ("assemble", "write assembled targets (and weights) for inspection"),
-        ("distill", "full pipeline for one strategy and seed"),
-        ("evaluate", "top-1 accuracy of --model on --data"),
-        ("ablate", "strategies x seeds grid; writes <out>.txt and <out>.tsv"),
-        ("cost-probe", "per-epoch wall-time and assembly-op comparison"),
-    ]:
+    for name, (help_text, _) in _COMMANDS.items():
         sub = subs.add_parser(name, help=help_text)
         sub.add_argument("--config", help="key = value config file")
         _add_run_keys(sub, ablate_only=False)
@@ -140,9 +134,7 @@ def _run_config(values: dict) -> RunConfig:
     )
 
 
-def cmd_gen_data(args) -> int:
-    values = _merged(args)
-    rc = _run_config(values)
+def cmd_gen_data(args, values: dict, rc: RunConfig) -> int:
     out = _require(values.get("out"), "--out")
     data = generate_data(rc)
     written = write_all_views(str(out), data)
@@ -150,9 +142,7 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def cmd_train_teacher(args) -> int:
-    values = _merged(args)
-    rc = _run_config(values)
+def cmd_train_teacher(args, values: dict, rc: RunConfig) -> int:
     dataset = load_dataset(_require(args.data, "--data"))
     model = train_plain(dataset, rc.distill, rc.seed)
     out = _require(values.get("out"), "--out")
@@ -171,8 +161,7 @@ def _model_and_data(args):
     return model, dataset
 
 
-def cmd_dump_logits(args) -> int:
-    values = _merged(args)
+def cmd_dump_logits(args, values: dict, rc: RunConfig) -> int:
     model, dataset = _model_and_data(args)
     teacher_id = _require(args.teacher_id, "--teacher-id")
     out = _require(values.get("out"), "--out")
@@ -181,9 +170,7 @@ def cmd_dump_logits(args) -> int:
     return 0
 
 
-def cmd_assemble(args) -> int:
-    values = _merged(args)
-    rc = _run_config(values)
+def cmd_assemble(args, values: dict, rc: RunConfig) -> int:
     if rc.distill.strategy == cfg.NONE:
         raise UsageError("strategy NONE has no targets to assemble")
     if rc.distill.strategy == cfg.AVG1:
@@ -203,9 +190,7 @@ def cmd_assemble(args) -> int:
     return 0
 
 
-def cmd_distill(args) -> int:
-    values = _merged(args)
-    rc = _run_config(values)
+def cmd_distill(args, values: dict, rc: RunConfig) -> int:
     row = run_pipeline(rc)
     out = values.get("out")
     if out:
@@ -216,16 +201,14 @@ def cmd_distill(args) -> int:
     return 0
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args, values: dict, rc: RunConfig) -> int:
     model, dataset = _model_and_data(args)
     acc = evaluate(model, dataset.features, dataset.labels)
     print(f"top-1 {acc:.4f} on {dataset.n} samples ({dataset.split}/{dataset.modality})")
     return 0
 
 
-def cmd_ablate(args) -> int:
-    values = _merged(args)
-    rc = _run_config(values)
+def cmd_ablate(args, values: dict, rc: RunConfig) -> int:
     raw_seeds = values.get("seeds", "1,2,3,4,5")
     try:
         seeds = [int(tok) for tok in str(raw_seeds).split(",") if tok.strip() != ""]
@@ -247,9 +230,7 @@ def cmd_ablate(args) -> int:
     return _exit_code_for(report.errors[0]) if report.failures else 0
 
 
-def cmd_cost_probe(args) -> int:
-    values = _merged(args)
-    rc = _run_config(values)
+def cmd_cost_probe(args, values: dict, rc: RunConfig) -> int:
     probe = cost_probe(rc, epochs=rc.distill.epochs if "epochs" in values else 5)
     text = cost_probe_text(probe)
     out = values.get("out")
@@ -260,15 +241,16 @@ def cmd_cost_probe(args) -> int:
     return 0
 
 
+# Each subcommand's help and handler; `build_parser` and `main` both read it.
 _COMMANDS = {
-    "gen-data": cmd_gen_data,
-    "train-teacher": cmd_train_teacher,
-    "dump-logits": cmd_dump_logits,
-    "assemble": cmd_assemble,
-    "distill": cmd_distill,
-    "evaluate": cmd_evaluate,
-    "ablate": cmd_ablate,
-    "cost-probe": cmd_cost_probe,
+    "gen-data": ("write the six dataset views to --out directory", cmd_gen_data),
+    "train-teacher": ("train a plain classifier on --data, write --out model", cmd_train_teacher),
+    "dump-logits": ("run --model over --data and write a logit dump", cmd_dump_logits),
+    "assemble": ("write assembled targets (and weights) for inspection", cmd_assemble),
+    "distill": ("full pipeline for one strategy and seed", cmd_distill),
+    "evaluate": ("top-1 accuracy of --model on --data", cmd_evaluate),
+    "ablate": ("strategies x seeds grid; writes <out>.txt and <out>.tsv", cmd_ablate),
+    "cost-probe": ("per-epoch wall-time and assembly-op comparison", cmd_cost_probe),
 }
 
 
@@ -291,7 +273,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        values = _merged(args)
+        _, handler = _COMMANDS[args.command]
+        return handler(args, values, _run_config(values))
     except (MultiKdError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code_for(exc)

@@ -142,16 +142,22 @@ def bind_teacher_dumps(paths: list[str], data: Dataset, caches: dict | None = No
     """The teacher dumps at `paths` as a bank whose row n is sample n of `data`.
 
     Each dump is checked against `data` before the bank is built, so a
-    dump of the wrong shape is named whichever place it holds.
+    dump of the wrong shape is named whichever place it holds. Through
+    `caches` each file is parsed once, and each bank built and checked
+    once per (paths, data shape), however many cells bind it.
     """
-    dumps = _cached(caches, ("dumps", tuple(paths)), lambda: [load_logits(p) for p in paths])
-    for dump in dumps:
-        if dump.n != data.n or dump.c != data.n_classes:
-            raise ValidationError(
-                f"teacher dump {dump.teacher_id!r} is {dump.n}x{dump.c}, "
-                f"training data needs {data.n}x{data.n_classes}"
-            )
-    return TeacherBank([d.rows for d in dumps], [d.teacher_id for d in dumps])
+
+    def bank() -> TeacherBank:
+        dumps = [_cached(caches, ("dump", path), lambda: load_logits(path)) for path in paths]
+        for dump in dumps:
+            if dump.n != data.n or dump.c != data.n_classes:
+                raise ValidationError(
+                    f"teacher dump {dump.teacher_id!r} is {dump.n}x{dump.c}, "
+                    f"training data needs {data.n}x{data.n_classes}"
+                )
+        return TeacherBank([d.rows for d in dumps], [d.teacher_id for d in dumps])
+
+    return _cached(caches, ("bank", tuple(paths), data.n, data.n_classes), bank)
 
 
 def _roster(strategy: str, teachers):
@@ -164,19 +170,17 @@ def _obtain_teacher_logits(
 ) -> tuple[TeacherBank | None, dict[str, float]]:
     """Teacher logits on the training samples, plus teacher test accuracy.
 
-    NONE has no teachers and binds none. Dumps given in the run config
-    win; otherwise the strategy's teachers in `_TEACHERS` are trained
-    in-process, seeded by their stage index so retraining is bit-exact.
-    Both are cut to the strategy's `_roster`, dumps after one cached read of all.
+    NONE has no teachers and binds none. Otherwise the strategy's
+    `_roster` is taken from the dumps given in the run config, which
+    win, or from `_TEACHERS`, which are trained in-process, seeded by
+    their stage index so retraining is bit-exact. Only the dumps in the
+    roster are read and checked: KD_SINGLE binds the first alone.
     """
     strategy = rc.distill.strategy
     if strategy == cfg.NONE:
         return None, {}
     if rc.teacher_paths:
-        bank = bind_teacher_dumps(rc.teacher_paths, data.train_dark, caches)
-        if len(_roster(strategy, bank.teachers)) < bank.k:
-            bank = TeacherBank(_roster(strategy, bank.teachers), _roster(strategy, bank.teacher_ids))
-        return bank, {}
+        return bind_teacher_dumps(_roster(strategy, rc.teacher_paths), data.train_dark, caches), {}
     roster = _roster(strategy, _TEACHERS)
     mats, accs = [], {}
     for teacher_id, stage, modality in roster:
@@ -239,16 +243,23 @@ def run_ablation(
     reproduce bit-exactly, so reports do not depend on cell order.
     Teacher dumps (`base.teacher_paths`) and `base.data_dir` views are
     read once per ablation, on first use, and shared by every cell; a
-    file edited while the ablation runs is not seen by it. Each cell
-    still checks the dumps' shape against its training data, and a load
-    that fails is not cached, so it fails every cell alike.
-    Failed cells are recorded and the report still covers the rest.
+    file edited while the ablation runs is not seen by it. A cell binds
+    only the dumps its strategy distills from, as one bank shared by
+    every cell with the same dumps and data shape. A load or shape
+    check that fails is not cached, so it fails every such cell alike.
+    Failed cells are recorded and the report still covers the rest. A
+    strategy or seed named twice is refused, since it would run its
+    cells twice and count them twice in `mean_top1`.
     """
     if not strategies or not seeds:
         raise ValidationError("need at least one strategy and one seed")
     for tag in strategies:
         if tag not in cfg.STRATEGIES:
             raise ValidationError(f"unknown strategy {tag!r}")
+    for kind, values in (("strategy", strategies), ("seed", seeds)):
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise ValidationError(f"{kind} {value!r} is given twice")
     caches: dict = {}
     report = AblationReport(rows=[])
     for tag in sorted(strategies, key=_strategy_rank):

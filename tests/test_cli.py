@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from multikd import DistillConfig
-from multikd.cli import main
+from multikd.cli import build_parser, main
 from multikd.ensemble import TeacherBank, build_targets
 from multikd.formats import (
     fmt_float,
@@ -24,6 +24,10 @@ from multikd.trainer import evaluate, init_student
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+# Read from the parser, so a subcommand added later is covered as well.
+SUBCOMMANDS = list(next(a for a in build_parser()._actions if a.dest == "command").choices)
 
 
 SMALL = ["--n-train", "120", "--n-test", "60", "--classes", "4", "--dim", "8",
@@ -199,6 +203,19 @@ def test_bad_seeds_named_as_run_key(source, tmp_path, capsys):
     assert "error: bad value for seeds: 'a,b'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_every_subcommand_rejects_an_unreadable_config(command, tmp_path, capsys):
+    assert run_cli(command, "--config", str(tmp_path / "nope.cfg")) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read")
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_every_subcommand_rejects_a_bad_run_key(command, capsys):
+    # checked before any work, also where the subcommand does not use the key
+    assert run_cli(command, "--lr", "nan") == 1
+    assert capsys.readouterr().err == "error: lr must be positive and finite, got nan\n"
+
+
 def test_dump_logits_empty_dataset_exit_2(tmp_path, capsys):
     model = tmp_path / "t.model"
     write_model(str(model), init_student(4, 3, 4, SplitMix64(1)))
@@ -314,6 +331,16 @@ def test_ablate_malformed_dump_exit_2(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--strategies", "NONE", "--seeds", "1,1"], "seed 1 is given twice"),
+    (["--strategies", "NONE,AVG2,NONE", "--seeds", "1"], "strategy 'NONE' is given twice"),
+])
+def test_ablate_refuses_a_repeated_seed_or_strategy(flags, message, capsys):
+    assert run_cli("ablate", *flags, *TINY) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
 def test_ablate_diverging_cell_exit_3(capsys):
     with np.errstate(over="ignore", invalid="ignore"):
         code = run_cli("ablate", "--seeds", "1", "--strategies", "NONE", *TINY, "--lr", "1e280")
@@ -345,6 +372,17 @@ def test_none_binds_no_teacher_dumps(tmp_path, capsys):
     rows = [line.split("\t") for line in (tmp_path / "report.tsv").read_text().splitlines()[1:]]
     assert rows[0][:3] == ["NONE", "4.0", "1"] and rows[0][3] != "FAILED"
     assert rows[1][:4] == ["AVG2", "-", "1", "FAILED"]
+
+
+def test_kd_single_binds_only_the_first_dump(tmp_path, data_dir, two_dumps, capsys):
+    files = ["--data-dir", str(data_dir), "--teacher", two_dumps[0]]
+    assert run_cli("distill", "--strategy", "KD_SINGLE", *files, *SMALL) == 0
+    alone = capsys.readouterr().out
+    bad = short_dump(tmp_path)
+    assert run_cli("distill", "--strategy", "KD_SINGLE", *files, "--teacher", bad, *SMALL) == 0
+    assert capsys.readouterr().out == alone
+    assert run_cli("distill", "--strategy", "PKD", *files, "--teacher", bad, *SMALL) == 2
+    capsys.readouterr()
 
 
 @pytest.fixture

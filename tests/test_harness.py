@@ -9,6 +9,7 @@ import pytest
 import multikd as mk
 import multikd.harness as harness
 from multikd.datagen import DataParams
+from multikd.ensemble import TeacherBank
 from multikd.errors import StageError
 from multikd.formats import write_all_views, write_logit_dump
 from multikd.harness import (
@@ -179,6 +180,24 @@ class TestAblationReadsInputsOnce:
         report = run_ablation(dumped, DUMP_STRATEGIES, [1, 2])
         assert report.rows == []
         assert report.failures == [(tag, seed, expected) for tag in DUMP_STRATEGIES for seed in (1, 2)]
+
+
+class TestBindTeacherDumpsOnce:
+    @pytest.mark.parametrize("strategies, banks", [
+        (DUMP_STRATEGIES, 1),
+        (DUMP_STRATEGIES + [mk.KD_SINGLE], 2),  # KD_SINGLE binds the first dump alone
+    ])
+    def test_one_bank_per_roster(self, dumped, monkeypatch, strategies, banks):
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return TeacherBank(*args)
+
+        monkeypatch.setattr(harness, "TeacherBank", counting)
+        report = run_ablation(dumped, strategies, [1, 2])
+        assert report.failures == [] and len(report.rows) == 2 * len(strategies)
+        assert len(built) == banks
 
 
 class TestCostProbe:

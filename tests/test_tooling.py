@@ -6,10 +6,12 @@ function, or a change that breaks the trace wrappers, fail the test
 suite rather than only the benchmark. Running one pass of the
 `offline-cli` and `many-teachers` workloads against their checked-in
 pins does the same for a change in their output bytes; the golden
-ablation report covers the `ablation` workload.
+ablation report covers the `ablation` workload. `python -m multikd` is
+run as a process too, so the exit code it hands the shell is checked.
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -37,3 +39,18 @@ def test_workload_matches_pins(workload):
     assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
     result = json.loads(done.stdout.splitlines()[-1])
     assert (result["correct"], result["failed"]) == (True, 0), done.stdout[-2000:]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["distill", "--config", "missing.cfg"], 2),
+    ([], 1),
+    (["--help"], 0),
+])
+def test_module_entry_point_exit_code(tmp_path, argv, code):
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-m", "multikd", *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == code, done.stderr[-2000:]
