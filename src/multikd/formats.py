@@ -5,10 +5,13 @@ Every format is line-oriented text with a magic first line of the form
 round-trip repr, so dump-then-load reproduces every value bit-exactly
 and files stay diffable. Loaders reject, with a named diagnostic, each
 of: bad magic line, dimension mismatches, and non-finite values.
-Matrix bodies are converted a chunk of rows at a time; a faulty chunk
-is parsed again line by line, so each diagnostic names the first faulty
-line. Writers write a temporary file beside the target and move it into
-place only once it is complete.
+Lines are counted at "\n", as iterating over the file counts them, so
+each diagnostic names the file's own line. A matrix body is converted
+by one C parse (`np.loadtxt`); a body it rejects is parsed again line by
+line, which accepts what `float` accepts and names the first faulty
+line. Writers refuse a block the loaders would reject, format each row
+in one pass over its values, and write a temporary file beside the
+target that they move into place only once it is complete.
 """
 
 from __future__ import annotations
@@ -46,9 +49,10 @@ def fmt_float(x: float) -> str:
     return repr(float(x))
 
 
-def _check_teacher_id(teacher_id: str) -> str:
+def _check_teacher_id(teacher_id: str, where: str = "") -> str:
+    """`teacher_id`, checked; `where` ("path:1: ") prefixes the diagnostic of a file's id."""
     if not teacher_id or any(ch.isspace() for ch in teacher_id):
-        raise FormatError(f"teacher id must be non-empty without whitespace, got {teacher_id!r}")
+        raise FormatError(f"{where}teacher id must be non-empty without whitespace, got {teacher_id!r}")
     return teacher_id
 
 
@@ -82,64 +86,47 @@ def _dataset_row(line: str, d: int, c: int, path: str, lineno: int) -> tuple[np.
     return features, label
 
 
-# Rows converted per numpy call. A chunk bounds the list of token strings
-# held at once, so a large file costs little more memory than its matrix.
-_CHUNK_ROWS = 256
+def _parse_rows(
+    lines: list[str], linenos: range | list[int], width: int, path: str,
+    n_classes: int | None = None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """`lines`, at file line numbers `linenos`, as an (n, width) float matrix.
 
+    With `n_classes`, each line ends in one more column, an integer label
+    in [0, n_classes) checked as `_dataset_row` checks it, and the labels
+    are returned too; otherwise the second value is None.
 
-def _convert_chunk(rows: list[list[str]], width: int, n_classes: int | None):
-    """(values, labels) of a chunk of split rows, or None if any row is faulty.
-
-    One `np.array` call converts every float token; it accepts the
-    syntax `float` accepts and gives the same bits.
+    One `np.loadtxt` call converts the body. Its C parser splits at the
+    whitespace `str.split` splits at and accepts a subset of what `float`
+    accepts (no `_`, no non-ASCII digits), with the same bits. It holds
+    no token strings, so a large body costs little more memory than its
+    lines and its matrix. A body it rejects, or whose shape, values or
+    labels are faulty, is parsed again line by line, which raises the
+    diagnostic naming its first faulty line, exactly as a line-by-line
+    parse of the file would.
     """
-    columns = width if n_classes is None else width + 1
-    if any(len(row) != columns for row in rows):
-        return None
     try:
-        block = np.array(list(itertools.chain.from_iterable(rows)), dtype=np.float64)
+        block = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
         labels = None
         if n_classes is not None:
-            labels = np.array([int(row[width]) for row in rows], dtype=np.int64)
-    except (ValueError, OverflowError):  # a malformed number, or a label past int64
-        return None
-    values = block.reshape(len(rows), columns)[:, :width]
-    if not np.isfinite(values).all():
-        return None
-    if labels is not None and not (0 <= labels.min() and labels.max() < n_classes):
-        return None
-    return values, labels
-
-
-def _parse_rows(
-    lines: list[str], width: int, path: str, lineno: int, n_classes: int | None = None
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """`lines` as an (n, width) float matrix, checked as `_float_row` checks a row.
-
-    `lineno` is the file line number of lines[0]. With `n_classes`, each
-    line ends in one more column, an integer label in [0, n_classes)
-    checked as `_dataset_row` checks it, and the labels are returned
-    too; otherwise the second value is None.
-
-    Rows are converted a chunk at a time. A chunk with any fault is
-    parsed again line by line, which raises the diagnostic naming its
-    first faulty line, exactly as a line-by-line parse of the file would.
-    """
+            labels = np.array([int(line.rsplit(None, 1)[-1]) for line in lines], dtype=np.int64)
+    except (ValueError, OverflowError):  # a malformed row, or a label past int64
+        block = None
+    columns = width if n_classes is None else width + 1
+    if (
+        block is not None
+        and block.shape == (len(lines), columns)
+        and np.isfinite(block).all()
+        and (labels is None or (0 <= labels.min() and labels.max() < n_classes))
+    ):
+        return (block, None) if labels is None else (np.ascontiguousarray(block[:, :width]), labels)
     matrix = np.empty((len(lines), width))
     labels = None if n_classes is None else np.empty(len(lines), dtype=np.int64)
-    for start in range(0, len(lines), _CHUNK_ROWS):
-        chunk = lines[start : start + _CHUNK_ROWS]
-        converted = _convert_chunk([line.split() for line in chunk], width, n_classes)
-        if converted is not None:
-            matrix[start : start + len(chunk)] = converted[0]
-            if labels is not None:
-                labels[start : start + len(chunk)] = converted[1]
-            continue
-        for i, line in enumerate(chunk, start):
-            if labels is None:
-                matrix[i] = _float_row(line, width, path, lineno + i)
-            else:
-                matrix[i], labels[i] = _dataset_row(line, width, n_classes, path, lineno + i)
+    for i, (lineno, line) in enumerate(zip(linenos, lines)):
+        if labels is None:
+            matrix[i] = _float_row(line, width, path, lineno)
+        else:
+            matrix[i], labels[i] = _dataset_row(line, width, n_classes, path, lineno)
     return matrix, labels
 
 
@@ -171,10 +158,11 @@ def write_atomically(path):
 
 
 def _read_lines(path: str) -> list[str]:
+    """The file's lines as iterating over it yields them: split at "\n" only."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read().splitlines()
-    except OSError as exc:
+            return fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read {path}: {exc}") from None
 
 
@@ -192,11 +180,14 @@ def _parse_number(raw: str, key: str, read: type, path: str):
     return value
 
 
-def _body(lines: list[str], n: int, path: str) -> list[str]:
-    body = [line for line in lines[1:] if line.strip()]
+def _body(lines: list[str], n: int, path: str) -> tuple[list[str], range | list[int]]:
+    """The n non-blank lines after the magic line, and their file line numbers."""
+    body = list(filter(str.strip, lines[1:]))
     if len(body) != n:
         raise FormatError(f"{path}: row count mismatch (header says {n}, found {len(body)})")
-    return body
+    if len(body) == len(lines) - 1:  # no blank line: the numbers need no list
+        return body, range(2, n + 2)
+    return body, [lineno for lineno, line in enumerate(lines[1:], start=2) if line.strip()]
 
 
 def _read_matrix(path: str, kind: str, schema: dict, empty: str) -> tuple[dict, list[str]]:
@@ -233,15 +224,30 @@ def _read_matrix(path: str, kind: str, schema: dict, empty: str) -> tuple[dict, 
     return header, lines
 
 
-def _write_matrix(path: str, kind: str, header: dict, *blocks, labels=None) -> None:
+def _write_matrix(path: str, kind: str, header: dict, *blocks, dims=(), labels=None) -> None:
     """Write the magic line `#<kind> v1 key=value ...`, then one line per
-    row of each block in turn; with `labels`, line i ends in labels[i]."""
-    ends = itertools.repeat("") if labels is None else (f" {int(label)}" for label in labels)
+    row of each block in turn; with `labels`, line i ends in labels[i].
+
+    The magic line starts with the first block's shape under the names
+    `dims`, then lists `header`. Each block must be a non-empty, finite
+    2-D matrix, as the loaders require; FormatError is raised before any
+    file is opened otherwise.
+    """
+    blocks = [np.asarray(block, dtype=np.float64) for block in blocks]
+    for block in blocks:
+        if block.ndim != 2 or block.size == 0:
+            raise FormatError(f"{kind} file needs non-empty 2-D matrices, got shape {block.shape}")
+        if not np.isfinite(block).all():
+            raise FormatError(f"{kind} file rejects non-finite values")
+    header = {**dict(zip(dims, blocks[0].shape)), **header}
     magic = " ".join([f"#{kind} v1", *(f"{key}={value}" for key, value in header.items())])
+    # One row at a time, so the text is never held whole: a file costs
+    # little more memory than its matrix.
+    rows = (row.tolist() for block in blocks for row in block)
+    ends = itertools.repeat("\n") if labels is None else (f" {label}\n" for label in labels.tolist())
     with write_atomically(path) as fh:
         fh.write(magic + "\n")
-        for row, end in zip(itertools.chain(*blocks), ends):
-            fh.write(" ".join(fmt_float(x) for x in row) + end + "\n")
+        fh.writelines(" ".join(map(repr, row)) + end for row, end in zip(rows, ends))
 
 
 # ---------------------------------------------------------------------------
@@ -249,14 +255,7 @@ def _write_matrix(path: str, kind: str, header: dict, *blocks, labels=None) -> N
 
 
 def write_logit_dump(path: str, teacher_id: str, rows) -> None:
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[0] == 0:
-        raise FormatError("logit dump needs a non-empty N x C matrix")
-    if not np.isfinite(rows).all():
-        raise FormatError("logit dump rejects non-finite values")
-    _check_teacher_id(teacher_id)
-    n, c = rows.shape
-    _write_matrix(path, "logits", {"n": n, "c": c, "teacher": teacher_id}, rows)
+    _write_matrix(path, "logits", {"teacher": _check_teacher_id(teacher_id)}, rows, dims=("n", "c"))
 
 
 def load_logits(path: str) -> LogitDump:
@@ -265,8 +264,8 @@ def load_logits(path: str) -> LogitDump:
         "empty dump rejected (n and c must be positive)",
     )
     n, c = header["n"], header["c"]
-    rows, _ = _parse_rows(_body(lines, n, path), c, path, 2)
-    return LogitDump(teacher_id=_check_teacher_id(header["teacher"]), n=n, c=c, rows=rows)
+    rows, _ = _parse_rows(*_body(lines, n, path), c, path)
+    return LogitDump(teacher_id=_check_teacher_id(header["teacher"], f"{path}:1: "), n=n, c=c, rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +286,7 @@ def load_dataset(path: str) -> Dataset:
         "empty dataset rejected",
     )
     c = header["c"]
-    features, labels = _parse_rows(_body(lines, header["n"], path), header["d"], path, 2, n_classes=c)
+    features, labels = _parse_rows(*_body(lines, header["n"], path), header["d"], path, n_classes=c)
     return Dataset(features, labels, c, header["modality"], header["split"])
 
 
@@ -305,11 +304,13 @@ def load_model(path: str) -> StudentModel:
         path, "model", {"d": int, "h": int, "c": int}, "degenerate model dimensions"
     )
     d, h, c = header["d"], header["h"], header["c"]
-    body = _body(lines, h + 1 + c + 1, path)
-    w1, _ = _parse_rows(body[:h], d, path, 2)
-    b1, _ = _parse_rows(body[h : h + 1], h, path, h + 2)
-    w2, _ = _parse_rows(body[h + 1 : h + 1 + c], h, path, h + 3)
-    b2, _ = _parse_rows(body[h + 1 + c :], c, path, h + c + 3)
+    body, linenos = _body(lines, h + 1 + c + 1, path)
+
+    def block(start: int, stop: int, width: int) -> np.ndarray:
+        return _parse_rows(body[start:stop], linenos[start:stop], width, path)[0]
+
+    w1, b1 = block(0, h, d), block(h, h + 1, h)
+    w2, b2 = block(h + 1, h + 1 + c, h), block(h + 1 + c, h + c + 2, c)
     return StudentModel(w1, b1[0], w2, b2[0])
 
 
@@ -318,10 +319,8 @@ def load_model(path: str) -> StudentModel:
 
 
 def write_targets(path: str, strategy: str, tau: float, matrix) -> None:
-    matrix = np.asarray(matrix, dtype=np.float64)
-    n, c = matrix.shape
-    header = {"n": n, "c": c, "strategy": strategy, "tau": fmt_float(tau)}
-    _write_matrix(path, "targets", header, matrix)
+    header = {"strategy": strategy, "tau": fmt_float(tau)}
+    _write_matrix(path, "targets", header, matrix, dims=("n", "c"))
 
 
 def load_targets(path: str) -> tuple[str, float, np.ndarray]:
@@ -329,14 +328,12 @@ def load_targets(path: str) -> tuple[str, float, np.ndarray]:
         path, "targets", {"n": int, "c": int, "strategy": STRATEGIES, "tau": float},
         "empty targets rejected (n and c must be positive)",
     )
-    rows, _ = _parse_rows(_body(lines, header["n"], path), header["c"], path, 2)
+    rows, _ = _parse_rows(*_body(lines, header["n"], path), header["c"], path)
     return header["strategy"], header["tau"], rows
 
 
 def write_weights(path: str, mode: str, matrix) -> None:
-    matrix = np.asarray(matrix, dtype=np.float64)
-    n, k = matrix.shape
-    _write_matrix(path, "weights", {"n": n, "k": k, "mode": mode}, matrix)
+    _write_matrix(path, "weights", {"mode": mode}, matrix, dims=("n", "k"))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ passes over the teachers, softening each one twice.
 reference_matrix_rows and reference_dataset_rows parse a file body one
 line at a time, as the loaders did before they converted rows in bulk:
 the standard for the block parser's values and diagnostics.
+reference_load parses a whole matrix file that way, naming each line by
+its number in the file as iterating over the file counts them.
 """
 
 from decimal import Decimal, getcontext
@@ -244,27 +246,78 @@ def reference_matrix_rows(body, width, path, first_lineno=2):
     return rows
 
 
+def _reference_dataset_row(line, d, c, path, lineno):
+    from multikd.errors import FormatError
+
+    tokens = line.split()
+    if len(tokens) != d + 1:
+        raise FormatError(f"{path}:{lineno}: column count mismatch (expected {d} floats + label)")
+    features = _reference_float_row(" ".join(tokens[:d]), d, path, lineno)
+    try:
+        label = int(tokens[d])
+    except ValueError:
+        raise FormatError(f"{path}:{lineno}: malformed label {tokens[d]!r}") from None
+    if not 0 <= label < c:
+        raise FormatError(f"{path}:{lineno}: label {label} out of range [0, {c})")
+    return features, label
+
+
 def reference_dataset_rows(body, d, c, path):
     """A dataset body parsed line by line: (features, labels)."""
     import numpy as np
-
-    from multikd.errors import FormatError
 
     n = len(body)
     features = np.empty((n, d), dtype=np.float64)
     labels = np.empty(n, dtype=np.int64)
     for i, line in enumerate(body):
-        tokens = line.split()
-        if len(tokens) != d + 1:
-            raise FormatError(
-                f"{path}:{i + 2}: column count mismatch (expected {d} floats + label)"
-            )
-        features[i] = _reference_float_row(" ".join(tokens[:d]), d, path, i + 2)
-        try:
-            label = int(tokens[d])
-        except ValueError:
-            raise FormatError(f"{path}:{i + 2}: malformed label {tokens[d]!r}") from None
-        if not 0 <= label < c:
-            raise FormatError(f"{path}:{i + 2}: label {label} out of range [0, {c})")
-        labels[i] = label
+        features[i], labels[i] = _reference_dataset_row(line, d, c, path, i + 2)
     return features, labels
+
+
+def reference_load(kind, path):
+    """The matrices of a matrix file of `kind`, parsed one line at a time.
+
+    The dimensions come from the magic line, which must be well formed.
+    Lines are counted at "\n" in the text `open` yields, and blank lines
+    after the magic line are skipped. Returns the list of matrices in
+    file order (w1, b1, w2, b2 for a model), then the labels for a
+    dataset; raises FormatError as the loaders do for a row count, a
+    column count, a number or a label at fault.
+    """
+    import numpy as np
+
+    from multikd.errors import FormatError
+
+    path = str(path)
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    dims = {}
+    for token in lines[0].split()[2:]:
+        key, _, value = token.partition("=")
+        dims[key] = value
+    if kind == "model":
+        d, h, c = (int(dims[key]) for key in ("d", "h", "c"))
+        shapes = [(h, d), (1, h), (c, h), (1, c)]
+    elif kind == "dataset":
+        shapes = [(int(dims["n"]), int(dims["d"]))]
+    else:
+        shapes = [(int(dims["n"]), int(dims["c"]))]
+    body = [(lineno, line) for lineno, line in enumerate(lines[1:], start=2) if line.strip()]
+    total = sum(rows for rows, _ in shapes)
+    if len(body) != total:
+        raise FormatError(f"{path}: row count mismatch (header says {total}, found {len(body)})")
+    out, start = [], 0
+    for rows, width in shapes:
+        matrix = np.empty((rows, width), dtype=np.float64)
+        if kind == "dataset":
+            labels = np.empty(rows, dtype=np.int64)
+        for i, (lineno, line) in enumerate(body[start : start + rows]):
+            if kind == "dataset":
+                matrix[i], labels[i] = _reference_dataset_row(line, width, int(dims["c"]), path, lineno)
+            else:
+                matrix[i] = _reference_float_row(line, width, path, lineno)
+        out.append(matrix)
+        start += rows
+    if kind == "dataset":
+        out.append(labels)
+    return out

@@ -1,5 +1,6 @@
 """File formats: bit-exact round trips and named rejection diagnostics."""
 
+import contextlib
 import os
 import shutil
 
@@ -24,7 +25,7 @@ from multikd.formats import (
     write_weights,
 )
 from multikd.rng import SplitMix64
-from multikd.trainer import init_student
+from multikd.trainer import StudentModel, init_student
 
 RNG = np.random.default_rng(55)
 
@@ -76,6 +77,13 @@ class TestLogitDump:
     def test_bad_teacher_id(self, tmp_path):
         with pytest.raises(FormatError):
             write_logit_dump(tmp_path / "x.txt", "two words", np.zeros((1, 2)))
+
+    def test_empty_teacher_id_in_file_names_its_line(self, tmp_path):
+        path = tmp_path / "dump.txt"
+        path.write_text("#logits v1 n=1 c=2 teacher= \n0.0 1.0\n")
+        with pytest.raises(FormatError) as info:
+            load_logits(path)
+        assert str(info.value).startswith(f"{path}:1: teacher id must be non-empty")
 
     def test_missing_file(self):
         with pytest.raises(FormatError):
@@ -238,19 +246,57 @@ class TestAtomicWriters:
     def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch, writer):
         path = tmp_path / "out.txt"
         path.write_text("old contents\n")
-        calls = 0
-        real_fmt = formats.fmt_float
+        real_write_atomically = formats.write_atomically
+        written = []
 
-        def failing_fmt(x):  # fails once a header and a row are written
-            nonlocal calls
-            calls += 1
-            if calls > 3:
-                raise OSError("disk full")
-            return real_fmt(x)
+        class FillingDisk:  # fails once a header and a row are written
+            def __init__(self, fh):
+                self.fh = fh
 
-        monkeypatch.setattr(formats, "fmt_float", failing_fmt)
+            def write(self, text):
+                if len(written) >= 2:
+                    raise OSError("disk full")
+                written.extend(text.splitlines())
+                return self.fh.write(text)
+
+            def writelines(self, lines):
+                for line in lines:
+                    self.write(line)
+
+        @contextlib.contextmanager
+        def failing_write_atomically(target):
+            with real_write_atomically(target) as fh:
+                yield FillingDisk(fh)
+
+        monkeypatch.setattr(formats, "write_atomically", failing_write_atomically)
         with pytest.raises(OSError, match="disk full"):
             WRITERS[writer](path)
+        assert len(written) == 2 and written[0].startswith("#")
+        assert path.read_text() == "old contents\n"
+        assert os.listdir(tmp_path) == ["out.txt"]
+
+    @pytest.mark.parametrize("writer, matrix", [
+        (writer, matrix)
+        for writer in ("logits", "targets", "weights")
+        for matrix in ([[np.nan, 1.0]], [[1.0, np.inf]], [0.5, 0.5], np.zeros((0, 2)), np.zeros((2, 0)), 1.0)
+    ] + [
+        ("dataset", Dataset([[0.5, np.nan]], [0], 2, "A", "train")),
+        ("dataset", Dataset(np.zeros((0, 2)), [], 2, "A", "train")),
+        ("model", StudentModel([[np.inf]], [0.0], [[1.0]], [0.0])),
+        ("model", StudentModel(np.zeros((1, 0)), [0.0], [[1.0]], [0.0])),
+    ])
+    def test_writer_refuses_what_the_loader_rejects(self, tmp_path, writer, matrix):
+        write = {
+            "logits": lambda path: write_logit_dump(path, "t", matrix),
+            "targets": lambda path: write_targets(path, "PKD", 2.0, matrix),
+            "weights": lambda path: write_weights(path, "PKD", matrix),
+            "dataset": lambda path: write_dataset(path, matrix),
+            "model": lambda path: write_model(path, matrix),
+        }[writer]
+        path = tmp_path / "out.txt"
+        path.write_text("old contents\n")
+        with pytest.raises(FormatError, match="needs non-empty 2-D matrices|rejects non-finite"):
+            write(path)
         assert path.read_text() == "old contents\n"
         assert os.listdir(tmp_path) == ["out.txt"]
 
