@@ -1,11 +1,12 @@
 """Multi-teacher knowledge distillation with offline logit assembly.
 
-Teachers are scored per sample against a reference distribution
-(one-hot, or the preferred variant keeping mass h on the true class),
-their softened distributions are combined into one soft target, and a
-small classifier is trained against it. Includes a deterministic
-synthetic two-modality data generator, a darkening/gamma preprocessing
-pair, and a CLI harness for ablations and cost probes.
+Teachers enter as stored logits. They are scored per sample against a
+reference distribution (one-hot, or the preferred variant keeping mass
+h on the true class), their softened distributions are combined once
+into one soft target, and a small classifier is trained against it.
+Includes a deterministic synthetic two-modality data generator, a
+darkening/gamma preprocessing pair, and a CLI harness for ablations and
+cost probes.
 """
 
 from .config import AVG1, AVG2, GTD, KD_SINGLE, NONE, PKD, STRATEGIES, DistillConfig
@@ -18,10 +19,6 @@ from .ensemble import (
     assemble,
     build_targets,
     compute_weights,
-    make_gtd,
-    make_pkd,
-    similarity_ce,
-    similarity_kl,
 )
 from .errors import (
     FormatError,
@@ -40,22 +37,9 @@ from .harness import (
     run_ablation,
     run_pipeline,
 )
-from .numerics import cross_entropy_dist, entropy, kl_divergence, softmax_t, top1
+from .numerics import softmax_t
 from .preprocess import darken, gamma_correct
 from .rng import SplitMix64, derive_seed
-from .trainer import (
-    Batch,
-    StudentModel,
-    avg1_loss,
-    backward_step,
-    ce_loss,
-    evaluate,
-    forward,
-    init_student,
-    kd_loss,
-    loss_gradient,
-    total_loss,
-    train,
-)
+from .trainer import StudentModel, evaluate, forward, init_student, train
 
 __version__ = "0.1.0"

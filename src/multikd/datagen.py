@@ -132,7 +132,7 @@ def _scalar_map(fn, x: np.ndarray) -> np.ndarray:
 def _draw_split(stream: SplitMix64, centers: np.ndarray, n: int, noise: float):
     """n samples, a row of 1 + dim draws each, in blocks of up to _BLOCK_ROWS rows.
 
-    Column 0 is the label draw, below(n_classes); the others are the
+    Column 0 is the label draw, an integer below n_classes; the others are the
     dim/2 Box-Muller pairs of uniforms. log, cos and sin stay scalar
     math calls: numpy's vectorized versions may round differently.
     """

@@ -20,15 +20,7 @@ import numpy as np
 
 from . import config as cfg
 from .errors import ValidationError
-from .numerics import (
-    EPS,
-    cross_entropy_rows,
-    entropy_rows,
-    kl_divergence,
-    running_mean,
-    softmax_t,
-    validate_prob_pair,
-)
+from .numerics import EPS, cross_entropy_rows, entropy_rows, running_mean, softmax_t
 
 WEIGHT_ROW_SUM_TOL = 1e-6
 
@@ -153,44 +145,13 @@ class TargetSet:
             raise ValidationError(f"strategy {self.strategy} carries exactly one target matrix")
 
 
-def make_gtd(label: int, n_classes: int) -> np.ndarray:
-    """One-hot distribution for the ground-truth class."""
-    label = int(label)
-    if n_classes < 1:
-        raise ValidationError("n_classes must be >= 1")
-    if not 0 <= label < n_classes:
-        raise ValidationError(f"label {label} out of range [0, {n_classes})")
-    return _reference_rows(np.array([label]), n_classes, cfg.GTD, None)[0]
-
-
-def make_pkd(label: int, params: PkdParams) -> np.ndarray:
-    """Mass h on the true class, (1-h)/(C-1) on every other class."""
-    label = int(label)
-    if not 0 <= label < params.n_classes:
-        raise ValidationError(f"label {label} out of range [0, {params.n_classes})")
-    return _reference_rows(np.array([label]), params.n_classes, cfg.PKD, params)[0]
-
-
-def similarity_kl(reference, teacher_dist) -> float:
-    """Inverse KL(reference || teacher); divergence saturates at 1e-12.
-
-    The clamp keeps a teacher that exactly matches the reference at a
-    finite, dominant weight instead of an infinity.
-    """
-    return 1.0 / max(kl_divergence(reference, teacher_dist), EPS)
-
-
-def similarity_ce(reference, teacher_dist) -> float:
-    """Inverse cross-entropy CE(reference, teacher), floored at 1e-12.
-
-    For one-hot references this equals similarity_kl exactly (the
-    reference entropy is zero), including the saturation behavior.
-    """
-    return float(_inverse_ce(*validate_prob_pair(reference, teacher_dist, "target", "pred")))
-
-
 def _inverse_ce(refs: np.ndarray, dists: np.ndarray) -> np.ndarray:
-    """Row-wise 1 / CE(ref, dist), the cross-entropy floored at 1e-12."""
+    """Row-wise 1 / CE(ref, dist), the cross-entropy floored at 1e-12.
+
+    The floor keeps a teacher that matches its reference exactly at a
+    finite, dominant weight. A one-hot reference has zero entropy, so
+    there this is the inverse of KL(ref || dist), bit for bit.
+    """
     return 1.0 / np.maximum(cross_entropy_rows(refs, dists), EPS)
 
 

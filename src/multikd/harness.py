@@ -260,16 +260,17 @@ def run_ablation(
         for i, value in enumerate(values):
             if value in values[:i]:
                 raise ValidationError(f"{kind} {value!r} is given twice")
+    # every cell's config is built, and so checked, before any cell runs
+    cells = [(tag, seed, base.with_strategy_seed(tag, seed))
+             for tag in sorted(strategies, key=_strategy_rank) for seed in seeds]
     caches: dict = {}
     report = AblationReport(rows=[])
-    for tag in sorted(strategies, key=_strategy_rank):
-        for seed in seeds:
-            rc = base.with_strategy_seed(tag, seed)
-            try:
-                report.rows.append(run_pipeline(rc, timing=timing, caches=caches))
-            except Exception as exc:  # cell isolation: report partial results
-                report.failures.append((tag, seed, str(exc)))
-                report.errors.append(exc)
+    for tag, seed, rc in cells:
+        try:
+            report.rows.append(run_pipeline(rc, timing=timing, caches=caches))
+        except Exception as exc:  # cell isolation: report partial results
+            report.failures.append((tag, seed, str(exc)))
+            report.errors.append(exc)
     report.rows.sort(key=lambda r: (_strategy_rank(r.strategy), r.tau, r.seed))
     return report
 

@@ -1,13 +1,15 @@
-"""Probability and divergence kernels.
+"""Probability kernels that assembly and training run.
 
 Every routine here is a pure function of float64 arrays. Distributions
-are rows: a valid probability row is nonnegative and sums to 1 within
-1e-9. A probability floor EPS is applied only to arguments of log, so
-the 0*log(0) = 0 convention survives while log(0) never occurs.
+are rows. A probability floor EPS is applied only to arguments of log,
+so the 0*log(0) = 0 convention survives while log(0) never occurs.
 
-Row functions accept 1-D arrays; softmax_t also broadcasts over the
-rows of a 2-D array. Reductions use numpy's fixed evaluation order, so
-results are bit-reproducible for a fixed input order.
+softmax_t checks its logits and temperature, then calls softmax_rows,
+which the training step also calls directly. The other row functions
+take checked arrays, 1-D or row-wise 2-D, and check nothing. Reductions
+use numpy's fixed evaluation order, so results are bit-reproducible for
+a fixed input order. The scalar references these kernels are tested
+against (KL, probability-row checks) live in tests/_oracles.py.
 """
 
 from __future__ import annotations
@@ -17,31 +19,14 @@ import numpy as np
 from .errors import ValidationError
 
 EPS = 1e-12
-PROB_SUM_TOL = 1e-9
-
-
-def as_float_array(values, name: str = "values") -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 0:
-        raise ValidationError(f"{name} must be non-empty")
-    return arr
 
 
 def validate_logit_row(values, name: str = "logits") -> np.ndarray:
-    arr = as_float_array(values, name)
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.size == 0:
+        raise ValidationError(f"{name} must be non-empty")
     if not np.isfinite(arr).all():
         raise ValidationError(f"{name} must be finite (no NaN/Inf)")
-    return arr
-
-
-def validate_prob_row(values, name: str = "probs") -> np.ndarray:
-    """Check nonnegativity and unit sum (within 1e-9) of a distribution row."""
-    arr = validate_logit_row(values, name)
-    if (arr < 0.0).any():
-        raise ValidationError(f"{name} has negative entries")
-    sums = arr.sum(axis=-1)
-    if np.max(np.abs(sums - 1.0)) > PROB_SUM_TOL:
-        raise ValidationError(f"{name} rows must sum to 1 within {PROB_SUM_TOL}")
     return arr
 
 
@@ -87,35 +72,9 @@ def running_mean(arrays) -> np.ndarray:
     return total / count
 
 
-def kl_divergence(q, p) -> float:
-    """KL(q || p) = sum q*log(q/p) with 0*log(0)=0 and p floored at EPS."""
-    return float(kl_rows(*validate_prob_pair(q, p, "q", "p")))
-
-
-def validate_prob_pair(a, b, name_a: str, name_b: str):
-    """Two validated probability rows (see validate_prob_row) of one shape."""
-    a = validate_prob_row(a, name_a)
-    b = validate_prob_row(b, name_b)
-    if a.shape != b.shape:
-        raise ValidationError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a, b
-
-
 def log_or_zero(p: np.ndarray) -> np.ndarray:
     """log(p) where p > 0 and 0 elsewhere, so that p * log(p) is 0 at 0."""
     return np.log(np.where(p > 0.0, p, 1.0))
-
-
-def kl_rows(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Row-wise KL for pre-validated stacked distributions (no checks)."""
-    log_q = log_or_zero(q)
-    log_p = np.log(np.maximum(p, EPS))
-    return (q * (log_q - log_p)).sum(axis=-1)
-
-
-def cross_entropy_dist(target, pred) -> float:
-    """-sum target*log(pred) with pred floored at EPS."""
-    return float(cross_entropy_rows(*validate_prob_pair(target, pred, "target", "pred")))
 
 
 def cross_entropy_rows(target: np.ndarray, pred: np.ndarray) -> np.ndarray:
@@ -123,19 +82,6 @@ def cross_entropy_rows(target: np.ndarray, pred: np.ndarray) -> np.ndarray:
     return -(target * np.log(np.maximum(pred, EPS))).sum(axis=-1)
 
 
-def entropy(p) -> float:
-    """Shannon entropy -sum p*log(p) in nats, with 0*log(0)=0."""
-    p = validate_prob_row(p)
-    return float(entropy_rows(p))
-
-
 def entropy_rows(p: np.ndarray) -> np.ndarray:
+    """Row-wise Shannon entropy in nats, with 0*log(0)=0 (no checks)."""
     return -(p * log_or_zero(p)).sum(axis=-1)
-
-
-def top1(p) -> int:
-    """Index of the largest entry; ties break toward the lowest index."""
-    arr = as_float_array(p, "row")
-    if arr.ndim != 1:
-        raise ValidationError("top1 expects a single row")
-    return int(np.argmax(arr))

@@ -3,16 +3,14 @@
 splitmix64 is used as the single generator everywhere: it is tiny,
 public-domain, and exactly reproducible from pure 64-bit integer
 arithmetic, so identical seeds give identical streams on any platform.
-Standard normals come from the basic Box-Muller transform applied to
-two consecutive uniform draws. A block of draws is one pass of numpy
-uint64 arithmetic, which wraps modulo 2^64 as the masked Python integers
-do, so it holds the integers of as many next_u64() calls: permutation,
-initial weights and synthetic data are drawn in blocks.
+The program draws only in blocks: one pass of numpy uint64 arithmetic,
+which wraps modulo 2^64 as the masked Python integers do, holds the
+integers of as many next_u64() calls. The permutation, initial weights
+and synthetic data are drawn this way; tests/_oracles.py holds the
+one-draw-at-a-time uniform, below and Gaussian-pair loops they match.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -38,26 +36,6 @@ class SplitMix64:
         z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
-    def uniform(self) -> float:
-        """Uniform real in [0, 1): next_u64 / 2^64."""
-        return self.next_u64() / _TWO64
-
-    def below(self, n: int) -> int:
-        """Uniform integer in [0, n) via the multiply-shift trick."""
-        if n <= 0:
-            raise ValueError("n must be positive")
-        return (self.next_u64() * n) >> 64
-
-    def gauss_pair(self) -> tuple[float, float]:
-        """Two standard normals from two consecutive uniform draws.
-
-        Uses log(1 - u1), which never sees zero because u1 < 1.
-        """
-        u1 = self.uniform()
-        u2 = self.uniform()
-        r = math.sqrt(-2.0 * math.log(1.0 - u1))
-        return r * math.cos(2.0 * math.pi * u2), r * math.sin(2.0 * math.pi * u2)
-
     def _block(self, count: int) -> np.ndarray:
         """The next `count` next_u64() outputs as one uint64 array; state advances by count."""
         z = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GOLDEN) + np.uint64(self.state)
@@ -70,9 +48,10 @@ class SplitMix64:
     def permutation(self, n: int) -> list[int]:
         """Fisher-Yates shuffle of range(n).
 
-        Swaps position i = n-1 down to 1 with below(i + 1), the n - 1
-        draws taken as one block, so the generator ends in the state
-        n - 1 below() calls leave.
+        Swaps position i = n-1 down to 1 with position j, the high 64
+        bits of next_u64() * (i + 1). The n - 1 draws are taken as one
+        block, so the generator ends in the state n - 1 next_u64() calls
+        leave.
         """
         order = list(range(n))
         draws = max(n - 1, 0)
@@ -93,7 +72,7 @@ def _mul_high(z: np.ndarray, m) -> np.ndarray:
 
 
 def _uniforms(z: np.ndarray) -> np.ndarray:
-    """uniform() of each next_u64() output in z: z / 2^64, as float64."""
+    """Each next_u64() output in z as a uniform in [0, 1): z / 2^64, as float64."""
     return z / _TWO64
 
 

@@ -1,4 +1,4 @@
-"""Distillation losses with analytic gradients and a small SGD trainer.
+"""The student: its model, its SGD step with analytic gradients, evaluation.
 
 The student is a two-layer relu classifier, deliberately tiny: large
 enough that soft targets have headroom over one-hot labels, small
@@ -10,11 +10,11 @@ probabilities; only the distillation term is temperature-softened and
 carries the tau^2 prefactor. Strategy NONE trains on the plain
 cross-entropy alone (alpha does not apply; this is the baseline).
 
-ce_loss, kd_loss, avg1_loss, total_loss and loss_gradient are the
-reference math. Training runs one step kernel, _step, that computes the
-forward pass, p1 and p_tau once each, the loss from those two, the
-logit gradient and the update; backward_step and parameter_gradients
-call the same kernel. train() validates its inputs once at entry and
+Training runs one step kernel, _step, that computes the forward pass,
+p1 and p_tau once each, the loss from those two, the logit gradient and
+the update; parameter_gradients runs the same kernel without the update.
+The plain loss and gradient formulas the kernel is tested against live
+in tests/_oracles.py. train() validates its inputs once at entry and
 gathers each epoch's rows once, so a step builds no per-batch objects.
 A StudentModel is one contiguous float64 buffer whose fields are views,
 so a step writes its gradients into a second model of the same layout,
@@ -36,7 +36,7 @@ import numpy as np
 from . import config as cfg
 from .ensemble import TargetSet, validate_labels
 from .errors import NumericalError, ValidationError
-from .numerics import EPS, kl_rows, log_or_zero, softmax_rows, softmax_t
+from .numerics import EPS, log_or_zero, softmax_rows
 from .rng import SplitMix64, _uniforms
 
 # logical_and.reduce(x, None) tests a whole array in one C call; ndarray.all
@@ -94,13 +94,6 @@ class StudentModel:
 
 
 @dataclass
-class Batch:
-    features: np.ndarray
-    labels: np.ndarray
-    targets: TargetSet
-
-
-@dataclass
 class TrainResult:
     model: StudentModel
     loss_trace: list[float]
@@ -140,74 +133,6 @@ def forward(model: StudentModel, features) -> np.ndarray:
     return logits[0] if squeeze else logits
 
 
-def ce_loss(student_probs, labels) -> float:
-    """Mean negative log-probability of the true class."""
-    probs = np.asarray(student_probs, dtype=np.float64)
-    labels = validate_labels(labels, probs.shape[1])
-    if labels.size != probs.shape[0]:
-        raise ValidationError("labels misaligned with probability rows")
-    picked = probs[np.arange(labels.size), labels]
-    return float(-np.mean(np.log(np.maximum(picked, EPS))))
-
-
-def kd_loss(student_logits, target, tau: float) -> float:
-    """tau^2 times the mean KL from the target rows to the softened student."""
-    logits = np.asarray(student_logits, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if logits.shape != target.shape:
-        raise ValidationError(f"dimension mismatch: logits {logits.shape} vs target {target.shape}")
-    student = softmax_t(logits, tau)
-    return float(tau * tau * np.mean(kl_rows(target, student)))
-
-
-def avg1_loss(student_logits, targets: list[np.ndarray], tau: float) -> float:
-    """Equal-weight multi-task distillation: mean of the per-teacher losses."""
-    if len(targets) == 0:
-        raise ValidationError("avg1_loss needs at least one target matrix")
-    return float(np.mean([kd_loss(student_logits, t, tau) for t in targets]))
-
-
-def _check_strategy(target_set: TargetSet, config: cfg.DistillConfig) -> None:
-    if target_set.strategy != config.strategy:
-        raise ValidationError(f"target set built for {target_set.strategy}, config says {config.strategy}")
-
-
-def total_loss(student_logits, labels, target_set: TargetSet, config: cfg.DistillConfig) -> float:
-    """alpha * CE + (1 - alpha) * KD; a gap adds tau^2 * its mean to KD (AVG1)."""
-    _check_strategy(target_set, config)
-    logits = np.asarray(student_logits, dtype=np.float64)
-    ce = ce_loss(softmax_t(logits, 1.0), labels)
-    if config.strategy == cfg.NONE:
-        return ce
-    kd = kd_loss(logits, target_set.targets[0], config.tau)
-    if target_set.gap is not None:
-        kd += config.tau * config.tau * float(np.mean(target_set.gap))
-    return config.alpha * ce + (1.0 - config.alpha) * kd
-
-
-def loss_gradient(student_logits, labels, target_set: TargetSet, config: cfg.DistillConfig) -> np.ndarray:
-    """Exact gradient of total_loss with respect to the student logits.
-
-    Per row: alpha * (p1 - onehot) / N for the cross-entropy part, plus
-    (1 - alpha) * tau * (p_tau - target) / N for the distillation part
-    (the tau^2 prefactor and the 1/tau softmax chain rule leave one tau).
-    A gap is constant in the logits and adds nothing.
-    """
-    _check_strategy(target_set, config)
-    logits = np.asarray(student_logits, dtype=np.float64)
-    labels = validate_labels(labels, logits.shape[1])
-    n = logits.shape[0]
-    p1 = softmax_t(logits, 1.0)
-    ce_grad = p1.copy()
-    ce_grad[np.arange(n), labels] -= 1.0
-    ce_grad /= n
-    if config.strategy == cfg.NONE:
-        return ce_grad
-    p_tau = softmax_t(logits, config.tau)
-    kd_grad = (1.0 - config.alpha) * config.tau * (p_tau - target_set.targets[0]) / n
-    return config.alpha * ce_grad + kd_grad
-
-
 def _rows(model: StudentModel, features, labels, target_set: TargetSet, config: cfg.DistillConfig) -> list:
     """Validate one training call and return its per-row step inputs.
 
@@ -216,14 +141,16 @@ def _rows(model: StudentModel, features, labels, target_set: TargetSet, config: 
     The result is [features, onehot] for NONE, plus [target, log_target]
     for a distillation strategy, plus [gap] if the target set has one
     (AVG1); row n of each is sample n. onehot is a boolean N x C label
-    mask. log_target is log_or_zero(target), as in kl_rows.
+    mask. log_target is log_or_zero(target), so a zero target entry adds
+    nothing to the KL term.
 
     Adding AVG1's gap to KL(mean||p), rather than computing mean_k sum
     t_k log t_k - sum mean log p, keeps a small loss free of
     cancellation between two large sums.
     """
     config.validate()
-    _check_strategy(target_set, config)
+    if target_set.strategy != config.strategy:
+        raise ValidationError(f"target set built for {target_set.strategy}, config says {config.strategy}")
     features = np.asarray(features, dtype=np.float64)
     labels = validate_labels(labels, model.n_classes)
     n = labels.size
@@ -298,15 +225,10 @@ def _step(model, grads, config, features, onehot, target=None, log_target=None, 
     return loss, (grads.w1, grads.b1, grads.w2, grads.b2)
 
 
-def backward_step(model: StudentModel, batch: Batch, config: cfg.DistillConfig) -> float:
-    """One SGD step on a batch, in place; returns the pre-step loss."""
-    rows = _rows(model, batch.features, batch.labels, batch.targets, config)
-    return _step(model, model.copy(), config, *rows)[0]
-
-
-def parameter_gradients(model: StudentModel, batch: Batch, config: cfg.DistillConfig):
-    """Analytic (w1, b1, w2, b2) gradients without updating the model."""
-    rows = _rows(model, batch.features, batch.labels, batch.targets, config)
+def parameter_gradients(model: StudentModel, features, labels, target_set: TargetSet,
+                        config: cfg.DistillConfig):
+    """Analytic (w1, b1, w2, b2) gradients of the loss on these rows, model unchanged."""
+    rows = _rows(model, features, labels, target_set, config)
     return _step(model, model.copy(), config, *rows, update=False)[1]
 
 

@@ -1,15 +1,22 @@
-"""Independent oracles used to freeze expected values.
+"""Independent oracles and the reference math the program is held to.
 
 The dec_* routines re-evaluate the exact float64 inputs with 50-digit
 decimal arithmetic and plain term-by-term summation, sharing no code
-with the implementation under test. reference_train is the student SGD
-loop written step by step from the public reference math (total_loss,
-loss_gradient), the standard the fused training step is held to.
-reference_permutation is the scalar Fisher-Yates shuffle, one below()
-call per swap, the standard for SplitMix64.permutation's batched draws.
-reference_gen_dataset and reference_init_student draw the synthetic
-data and a student's initial weights one scalar uniform(), below() or
-gauss_pair() call at a time: the standard for their block draws.
+with the implementation under test.
+kl_rows, validate_prob_row and the losses ce_loss, kd_loss, avg1_loss,
+total_loss with its logit gradient loss_gradient are the plain formulas
+of the distillation objective. The program runs none of them: its step
+kernel computes loss and gradient in one pass and is tested against
+them. reference_train is the student SGD loop written step by step
+from total_loss and loss_gradient, the standard the fused training step
+is held to.
+uniform, below and gauss_pair are the scalar draws, one next_u64()
+call at a time (gauss_pair is the Box-Muller transform of two uniform
+draws). reference_permutation is the scalar Fisher-Yates shuffle, one
+below() draw per swap, the standard for SplitMix64.permutation's
+batched draws. reference_gen_dataset and reference_init_student draw
+the synthetic data and a student's initial weights one scalar draw at
+a time: the standard for their block draws.
 reference_avg1_targets builds AVG1's mean target and entropy gap in two
 passes over the teachers, softening each one twice.
 reference_matrix_rows and reference_dataset_rows parse a file body one
@@ -19,7 +26,17 @@ reference_load parses a whole matrix file that way, naming each line by
 its number in the file as iterating over the file counts them.
 """
 
+import math
 from decimal import Decimal, getcontext
+
+import numpy as np
+
+from multikd import config as cfg
+from multikd.datagen import CENTER_HI, CENTER_LO
+from multikd.ensemble import TargetSet, validate_labels
+from multikd.errors import FormatError, ValidationError
+from multikd.numerics import EPS, entropy_rows, log_or_zero, running_mean, softmax_t, validate_logit_row
+from multikd.rng import SplitMix64, derive_seed
 
 getcontext().prec = 50
 
@@ -58,10 +75,116 @@ def dec_entropy(p):
     return float(total)
 
 
+PROB_SUM_TOL = 1e-9
+
+
+def validate_prob_row(values, name: str = "probs") -> np.ndarray:
+    """Check nonnegativity and unit sum (within 1e-9) of a distribution row."""
+    arr = validate_logit_row(values, name)
+    if (arr < 0.0).any():
+        raise ValidationError(f"{name} has negative entries")
+    sums = arr.sum(axis=-1)
+    if np.max(np.abs(sums - 1.0)) > PROB_SUM_TOL:
+        raise ValidationError(f"{name} rows must sum to 1 within {PROB_SUM_TOL}")
+    return arr
+
+
+def kl_rows(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Row-wise KL(q || p) with 0*log(0)=0 and p floored at EPS (no checks)."""
+    log_q = log_or_zero(q)
+    log_p = np.log(np.maximum(p, EPS))
+    return (q * (log_q - log_p)).sum(axis=-1)
+
+
+def ce_loss(student_probs, labels) -> float:
+    """Mean negative log-probability of the true class."""
+    probs = np.asarray(student_probs, dtype=np.float64)
+    labels = validate_labels(labels, probs.shape[1])
+    if labels.size != probs.shape[0]:
+        raise ValidationError("labels misaligned with probability rows")
+    picked = probs[np.arange(labels.size), labels]
+    return float(-np.mean(np.log(np.maximum(picked, EPS))))
+
+
+def kd_loss(student_logits, target, tau: float) -> float:
+    """tau^2 times the mean KL from the target rows to the softened student."""
+    logits = np.asarray(student_logits, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)
+    if logits.shape != target.shape:
+        raise ValidationError(f"dimension mismatch: logits {logits.shape} vs target {target.shape}")
+    student = softmax_t(logits, tau)
+    return float(tau * tau * np.mean(kl_rows(target, student)))
+
+
+def avg1_loss(student_logits, targets, tau: float) -> float:
+    """Equal-weight multi-task distillation: mean of the per-teacher losses."""
+    if len(targets) == 0:
+        raise ValidationError("avg1_loss needs at least one target matrix")
+    return float(np.mean([kd_loss(student_logits, t, tau) for t in targets]))
+
+
+def total_loss(student_logits, labels, target_set, config) -> float:
+    """alpha * CE + (1 - alpha) * KD; a gap adds tau^2 * its mean to KD (AVG1)."""
+    logits = np.asarray(student_logits, dtype=np.float64)
+    ce = ce_loss(softmax_t(logits, 1.0), labels)
+    if config.strategy == cfg.NONE:
+        return ce
+    kd = kd_loss(logits, target_set.targets[0], config.tau)
+    if target_set.gap is not None:
+        kd += config.tau * config.tau * float(np.mean(target_set.gap))
+    return config.alpha * ce + (1.0 - config.alpha) * kd
+
+
+def loss_gradient(student_logits, labels, target_set, config) -> np.ndarray:
+    """Exact gradient of total_loss with respect to the student logits.
+
+    Per row: alpha * (p1 - onehot) / N for the cross-entropy part, plus
+    (1 - alpha) * tau * (p_tau - target) / N for the distillation part
+    (the tau^2 prefactor and the 1/tau softmax chain rule leave one tau).
+    A gap is constant in the logits and adds nothing.
+    """
+    logits = np.asarray(student_logits, dtype=np.float64)
+    labels = validate_labels(labels, logits.shape[1])
+    n = logits.shape[0]
+    p1 = softmax_t(logits, 1.0)
+    ce_grad = p1.copy()
+    ce_grad[np.arange(n), labels] -= 1.0
+    ce_grad /= n
+    if config.strategy == cfg.NONE:
+        return ce_grad
+    p_tau = softmax_t(logits, config.tau)
+    kd_grad = (1.0 - config.alpha) * config.tau * (p_tau - target_set.targets[0]) / n
+    return config.alpha * ce_grad + kd_grad
+
+
+TWO64 = float(1 << 64)
+
+
+def uniform(prng) -> float:
+    """Uniform real in [0, 1): next_u64 / 2^64."""
+    return prng.next_u64() / TWO64
+
+
+def below(prng, n: int) -> int:
+    """Uniform integer in [0, n) via the multiply-shift trick."""
+    if n <= 0:
+        raise ValueError("n must be positive")
+    return (prng.next_u64() * n) >> 64
+
+
+def gauss_pair(prng) -> tuple[float, float]:
+    """Two standard normals from two consecutive uniform draws.
+
+    Uses log(1 - u1), which never sees zero because u1 < 1.
+    """
+    u1 = uniform(prng)
+    u2 = uniform(prng)
+    r = math.sqrt(-2.0 * math.log(1.0 - u1))
+    return r * math.cos(2.0 * math.pi * u2), r * math.sin(2.0 * math.pi * u2)
+
+
 def fd_gradient(fn, x, step=1e-5):
     """Central finite differences of a scalar function of a flat vector."""
-    import numpy as np
-
     x = np.asarray(x, dtype=np.float64)
     grad = np.zeros_like(x)
     for i in range(x.size):
@@ -75,8 +198,6 @@ def fd_gradient(fn, x, step=1e-5):
 
 
 def rel_err(a, b, floor=1e-6):
-    import numpy as np
-
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
@@ -85,8 +206,6 @@ def rel_err(a, b, floor=1e-6):
 
 def batch_targets(target_set, idx):
     """The rows `idx` of a target set: its matrix and its gap, if any."""
-    from multikd.ensemble import TargetSet
-
     gap = None if target_set.gap is None else target_set.gap[idx]
     return TargetSet(target_set.strategy, [t[idx] for t in target_set.targets], gap=gap)
 
@@ -99,10 +218,6 @@ def reference_step(model, x, y, targets, config):
     updates w2, b2, w1, b1 in that order. The gradients are the
     (w1, b1, w2, b2) tuple.
     """
-    import numpy as np
-
-    from multikd.trainer import loss_gradient, total_loss
-
     pre = x @ model.w1.T + model.b1
     hidden = np.maximum(pre, 0.0)
     logits = hidden @ model.w2.T + model.b2
@@ -127,10 +242,6 @@ def reference_train(model, features, labels, target_set, config, until_nonfinite
     until_nonfinite, stop after the first update that leaves w1 or w2
     non-finite, the step at which train raises.
     """
-    import numpy as np
-
-    from multikd.rng import SplitMix64
-
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
     n = labels.size
@@ -152,10 +263,10 @@ def reference_train(model, features, labels, target_set, config, until_nonfinite
 
 
 def reference_permutation(prng, n):
-    """Fisher-Yates shuffle of range(n), one prng.below draw per swap."""
+    """Fisher-Yates shuffle of range(n), one below(prng, i + 1) draw per swap."""
     order = list(range(n))
     for i in range(n - 1, 0, -1):
-        j = prng.below(i + 1)
+        j = below(prng, i + 1)
         order[i], order[j] = order[j], order[i]
     return order
 
@@ -167,25 +278,20 @@ def reference_gen_dataset(seed, params):
     test from stream 2) per sample: the label, then dim/2 Box-Muller
     pairs, clamped to [0, 1].
     """
-    import numpy as np
-
-    from multikd.datagen import CENTER_HI, CENTER_LO
-    from multikd.rng import SplitMix64, derive_seed
-
     center_stream = SplitMix64(derive_seed(seed, 0))
     centers = np.empty((params.n_classes, params.dim))
     for c in range(params.n_classes):
         for j in range(params.dim):
-            centers[c, j] = CENTER_LO + (CENTER_HI - CENTER_LO) * center_stream.uniform()
+            centers[c, j] = CENTER_LO + (CENTER_HI - CENTER_LO) * uniform(center_stream)
     out = {}
     for split, n, index in (("train", params.n_train, 1), ("test", params.n_test, 2)):
         stream = SplitMix64(derive_seed(seed, index))
         features = np.empty((n, params.dim))
         labels = np.empty(n, dtype=np.int64)
         for i in range(n):
-            labels[i] = stream.below(params.n_classes)
+            labels[i] = below(stream, params.n_classes)
             for j in range(0, params.dim, 2):
-                g1, g2 = stream.gauss_pair()
+                g1, g2 = gauss_pair(stream)
                 features[i, j] = centers[labels[i], j] + params.noise * g1
                 features[i, j + 1] = centers[labels[i], j + 1] + params.noise * g2
         out[split] = (np.clip(features, 0.0, 1.0), labels)
@@ -194,13 +300,11 @@ def reference_gen_dataset(seed, params):
 
 def reference_init_student(d_in, hidden_dim, n_classes, prng):
     """(w1, w2) of init_student, one uniform() draw per weight, w1 first, row-major."""
-    import numpy as np
-
     def uniform_matrix(rows, columns, bound):
         out = np.empty((rows, columns))
         for i in range(rows):
             for j in range(columns):
-                out[i, j] = (2.0 * prng.uniform() - 1.0) * bound
+                out[i, j] = (2.0 * uniform(prng) - 1.0) * bound
         return out
 
     return (uniform_matrix(hidden_dim, d_in, 1.0 / np.sqrt(d_in)),
@@ -209,18 +313,12 @@ def reference_init_student(d_in, hidden_dim, n_classes, prng):
 
 def reference_avg1_targets(bank, tau):
     """AVG1's mean target and entropy gap, softening every teacher twice."""
-    from multikd.numerics import entropy_rows, running_mean, softmax_t
-
     target = running_mean(softmax_t(t, tau) for t in bank.teachers)
     per_teacher = running_mean(entropy_rows(softmax_t(t, tau)) for t in bank.teachers)
     return target, entropy_rows(target) - per_teacher
 
 
 def _reference_float_row(line, width, path, lineno):
-    import numpy as np
-
-    from multikd.errors import FormatError
-
     tokens = line.split()
     if len(tokens) != width:
         raise FormatError(
@@ -238,8 +336,6 @@ def _reference_float_row(line, width, path, lineno):
 
 def reference_matrix_rows(body, width, path, first_lineno=2):
     """A float matrix body parsed line by line; raises at the first faulty line."""
-    import numpy as np
-
     rows = np.empty((len(body), width), dtype=np.float64)
     for i, line in enumerate(body):
         rows[i] = _reference_float_row(line, width, path, first_lineno + i)
@@ -247,8 +343,6 @@ def reference_matrix_rows(body, width, path, first_lineno=2):
 
 
 def _reference_dataset_row(line, d, c, path, lineno):
-    from multikd.errors import FormatError
-
     tokens = line.split()
     if len(tokens) != d + 1:
         raise FormatError(f"{path}:{lineno}: column count mismatch (expected {d} floats + label)")
@@ -264,8 +358,6 @@ def _reference_dataset_row(line, d, c, path, lineno):
 
 def reference_dataset_rows(body, d, c, path):
     """A dataset body parsed line by line: (features, labels)."""
-    import numpy as np
-
     n = len(body)
     features = np.empty((n, d), dtype=np.float64)
     labels = np.empty(n, dtype=np.int64)
@@ -284,10 +376,6 @@ def reference_load(kind, path):
     dataset; raises FormatError as the loaders do for a row count, a
     column count, a number or a label at fault.
     """
-    import numpy as np
-
-    from multikd.errors import FormatError
-
     path = str(path)
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().split("\n")

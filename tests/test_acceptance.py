@@ -4,7 +4,9 @@ Run with `pytest -s tests/test_acceptance.py` to see the lines. The
 ablation criteria share a single five-seed six-strategy run at package
 defaults; everything is seeded, so the numbers (and pass/fail) are
 bit-reproducible, and the report bytes are pinned against a golden
-file written by `multikd ablate --seeds 1,2,3,4,5`.
+file written by `multikd ablate --seeds 1,2,3,4,5`. Losses and
+logit gradients come from the reference math of _oracles.py; the
+one-hot criterion runs _inverse_ce, the scorer of compute_weights.
 """
 
 import filecmp
@@ -18,22 +20,22 @@ import pytest
 import multikd as mk
 from multikd.cli import main as cli_main
 from multikd.datagen import DataParams, gen_dataset
-from multikd.ensemble import PkdParams, TargetSet, TeacherBank, build_targets, compute_weights
+from multikd.ensemble import (
+    PkdParams,
+    TargetSet,
+    TeacherBank,
+    _inverse_ce,
+    _reference_rows,
+    build_targets,
+    compute_weights,
+)
 from multikd.formats import load_dataset, load_logits, write_dataset, write_logit_dump
 from multikd.harness import RunConfig, cost_probe, report_machine_text, run_ablation
-from multikd.numerics import entropy_rows, softmax_t
+from multikd.numerics import EPS, entropy_rows, softmax_t
 from multikd.rng import SplitMix64
-from multikd.trainer import (
-    avg1_loss,
-    forward,
-    init_student,
-    kd_loss,
-    loss_gradient,
-    parameter_gradients,
-    total_loss,
-)
+from multikd.trainer import forward, init_student, parameter_gradients
 
-from _oracles import fd_gradient, rel_err
+from _oracles import avg1_loss, fd_gradient, kd_loss, kl_rows, loss_gradient, rel_err, total_loss
 
 GOLDEN_ABLATION = Path(__file__).parent / "golden" / "ablation_default.tsv"
 
@@ -108,9 +110,9 @@ def test_criterion_3_onehot_kl_ce_equivalence():
         rest = rng.random(c - 1) + 1e-9
         rest = rest / rest.sum() * (1.0 - true_prob)
         row = np.insert(rest, label, true_prob)
-        ref = mk.make_gtd(label, c)
-        a = mk.similarity_kl(ref, row)
-        b = mk.similarity_ce(ref, row)
+        ref = _reference_rows(np.array([label]), c, mk.GTD, None)[0]
+        a = 1.0 / max(kl_rows(ref, row), EPS)
+        b = _inverse_ce(ref, row)
         worst = max(worst, abs(a - b) / max(abs(a), abs(b)))
     elapsed = time.perf_counter() - started
     report(3, "one-hot KL == CE similarity", worst <= 1e-9 and elapsed < 1.0,
@@ -180,8 +182,7 @@ def test_criterion_5_gradient_checks():
 
         features = rng.random((n, d))
         model = init_student(d, hidden, c, SplitMix64(900 + i))
-        batch = mk.Batch(features, labels, targets)
-        grads = parameter_gradients(model, batch, config)
+        grads = parameter_gradients(model, features, labels, targets, config)
         for idx, attr in enumerate(("w1", "b1", "w2", "b2")):
             def loss_of_param(flat, attr=attr):
                 probe = model.copy()

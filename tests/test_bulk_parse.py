@@ -1,11 +1,11 @@
-"""Matrix bodies parsed in chunks against the line-by-line reference.
+"""Matrix bodies parsed in bulk against the line-by-line reference.
 
-The loaders convert a chunk of rows per numpy call and fall back to a
-line-by-line parse only for a faulty chunk. Values must equal, bit for
-bit, those of the line-by-line parse in tests/_oracles.py, and each
-diagnostic must be the same exception with the same message, naming
-the same line, for faults anywhere in the file, past the first chunk
-too.
+The loaders convert a whole body in one numpy call and fall back to a
+line-by-line parse only for a body that call rejects. Values must
+equal, bit for bit, those of the line-by-line parse in
+tests/_oracles.py, and each diagnostic must be the same exception with
+the same message, naming the same file line, for a fault on any line
+of the file, deep in a long body too.
 """
 
 import numpy as np
@@ -159,6 +159,10 @@ def test_dataset_fault_message_matches_line_by_line_parse(tmp_path, case):
     assert _message(load_dataset, path) == want
 
 
+# The first and last lines of a 700-line body, and lines on either side
+# of row 256. An earlier parser converted 256-row chunks, whence the
+# test's name; the cases still check that a fault on any file line is
+# named by that line.
 @pytest.mark.parametrize("line", [0, 255, 256, 300, 699])
 @pytest.mark.parametrize("kind", FAULTS)
 def test_fault_in_any_chunk_names_its_line(tmp_path, line, kind):

@@ -341,6 +341,12 @@ def test_ablate_refuses_a_repeated_seed_or_strategy(flags, message, capsys):
     assert captured.err == f"error: {message}\n" and captured.out == ""
 
 
+def test_ablate_refuses_an_out_of_range_seed_before_any_cell(capsys):
+    assert run_cli("ablate", "--seeds", "1,-1", *TINY) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: seed must fit in 64 unsigned bits\n" and captured.out == ""
+
+
 def test_ablate_diverging_cell_exit_3(capsys):
     with np.errstate(over="ignore", invalid="ignore"):
         code = run_cli("ablate", "--seeds", "1", "--strategies", "NONE", *TINY, "--lr", "1e280")

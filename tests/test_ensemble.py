@@ -1,4 +1,10 @@
-"""Reference distributions, teacher weighting, and target assembly."""
+"""Reference distributions, teacher weighting, and target assembly.
+
+References and similarities are checked on the row kernels that
+compute_weights runs: _reference_rows and _inverse_ce. The inverse-KL
+similarity is the reference 1 / max(kl_rows, 1e-12) of _oracles.py,
+which equals _inverse_ce bit for bit on one-hot references.
+"""
 
 import math
 
@@ -13,15 +19,12 @@ from multikd import (
     assemble,
     build_targets,
     compute_weights,
-    make_gtd,
-    make_pkd,
-    similarity_ce,
-    similarity_kl,
 )
+from multikd.ensemble import _inverse_ce, _reference_rows
 from multikd.errors import ValidationError
-from multikd.numerics import softmax_t, validate_prob_row
+from multikd.numerics import EPS, softmax_t
 
-from _oracles import dec_cross_entropy, dec_kl
+from _oracles import dec_cross_entropy, dec_kl, kl_rows, validate_prob_row
 
 RNG = np.random.default_rng(31337)
 
@@ -31,24 +34,41 @@ def random_bank(n=6, c=5, k=3, scale=3.0):
     return TeacherBank(mats, [f"t{i}" for i in range(k)])
 
 
+def gtd_row(label, n_classes):
+    return _reference_rows(np.array([label]), n_classes, mk.GTD, None)[0]
+
+
+def pkd_row(label, params):
+    return _reference_rows(np.array([label]), params.n_classes, mk.PKD, params)[0]
+
+
+def similarity_kl(reference, teacher_dist):
+    return 1.0 / max(float(kl_rows(np.asarray(reference), np.asarray(teacher_dist))), EPS)
+
+
+def similarity_ce(reference, teacher_dist):
+    return float(_inverse_ce(np.asarray(reference), np.asarray(teacher_dist)))
+
+
 class TestReferences:
     def test_gtd_onehot(self):
-        assert np.array_equal(make_gtd(2, 4), [0.0, 0.0, 1.0, 0.0])
+        assert np.array_equal(gtd_row(2, 4), [0.0, 0.0, 1.0, 0.0])
 
     def test_gtd_single_class(self):
-        assert np.array_equal(make_gtd(0, 1), [1.0])
+        assert np.array_equal(gtd_row(0, 1), [1.0])
 
     def test_gtd_equals_pkd_at_h_one(self):
         for c in (2, 5, 11):
             for label in (0, c - 1):
-                assert np.array_equal(make_gtd(label, c), make_pkd(label, PkdParams(1.0, c)))
+                assert np.array_equal(gtd_row(label, c), pkd_row(label, PkdParams(1.0, c)))
 
     def test_gtd_label_out_of_range(self):
+        bank = random_bank(n=1, c=4, k=2)
         with pytest.raises(ValidationError):
-            make_gtd(4, 4)
+            compute_weights(bank, [4], mk.GTD)
 
     def test_pkd_values(self):
-        row = make_pkd(3, PkdParams(0.99, 11))
+        row = pkd_row(3, PkdParams(0.99, 11))
         assert row[3] == 0.99
         off = np.delete(row, 3)
         assert np.allclose(off, 0.001, atol=1e-15)
@@ -56,7 +76,7 @@ class TestReferences:
     def test_pkd_sums_to_one(self):
         for c in (2, 7, 30):
             for h in (1.0 / c + 1e-6, 0.5 + 0.5 / c, 0.99, 1.0):
-                row = make_pkd(1, PkdParams(h, c))
+                row = pkd_row(1, PkdParams(h, c))
                 assert row.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_pkd_rejects_h_at_or_below_uniform(self):
@@ -83,7 +103,7 @@ class TestSimilarities:
         assert similarity_kl(row, row) == pytest.approx(1e12)
 
     def test_kl_derived_oracle(self):
-        ref = make_pkd(0, PkdParams(0.9, 3))
+        ref = pkd_row(0, PkdParams(0.9, 3))
         teacher = [0.8, 0.1, 0.1]
         frozen = 27.25537251233703  # 1 / dec_kl
         assert 1.0 / dec_kl(ref, teacher) == pytest.approx(frozen, rel=1e-15)
@@ -100,7 +120,7 @@ class TestSimilarities:
         assert similarity_ce(uniform, uniform) == pytest.approx(1.0 / math.log(c), rel=1e-12)
 
     def test_ce_derived_oracle(self):
-        ref = make_pkd(0, PkdParams(0.9, 3))
+        ref = pkd_row(0, PkdParams(0.9, 3))
         teacher = [0.8, 0.1, 0.1]
         frozen = 2.3197135693801558  # 1 / dec_cross_entropy = 1 / (-0.9 ln 0.8 - 0.1 ln 0.1)
         assert 1.0 / dec_cross_entropy(ref, teacher) == pytest.approx(frozen, rel=1e-15)
@@ -112,10 +132,8 @@ class TestSimilarities:
             label = int(RNG.integers(c))
             row = RNG.random(c) + 1e-4
             row /= row.sum()
-            ref = make_gtd(label, c)
-            a = similarity_kl(ref, row)
-            b = similarity_ce(ref, row)
-            assert abs(a - b) <= 1e-9 * max(abs(a), abs(b))
+            ref = gtd_row(label, c)
+            assert _inverse_ce(ref, row) == 1.0 / max(kl_rows(ref, row), EPS)
 
 
 class TestComputeWeights:
@@ -165,7 +183,7 @@ class TestComputeWeights:
         labels = RNG.integers(bank.c, size=bank.n)
         params = PkdParams(0.9, bank.c)
         w = compute_weights(bank, labels, mk.PKD, params)
-        refs = np.array([make_pkd(y, params) for y in labels])
+        refs = np.array([pkd_row(y, params) for y in labels])
         ces = np.stack(
             [-(refs * np.log(softmax_t(t, 1.0))).sum(axis=1) for t in bank.teachers], axis=1
         )

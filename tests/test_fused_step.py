@@ -20,11 +20,9 @@ from hypothesis import strategies as st
 
 import multikd as mk
 from multikd import (
-    Batch,
     DistillConfig,
     StudentModel,
     TargetSet,
-    backward_step,
     init_student,
     train,
 )
@@ -171,11 +169,10 @@ class TestNumericalChecks:
         # from 1e308 past the largest double while w1 gets a zero gradient
         model = StudentModel(np.zeros((1, 2)), np.ones(1), np.array([[1e308], [1e308], [0.0]]),
                              np.zeros(3))
-        batch = Batch(np.zeros((1, 2)), np.array([1]), TargetSet(mk.NONE))
-        config = DistillConfig(strategy=mk.NONE, lr=1.7e308)
+        config = DistillConfig(strategy=mk.NONE, lr=1.7e308, epochs=1, batch_size=1)
         with np.errstate(over="ignore"):
             with pytest.raises(NumericalError, match="non-finite parameters after update"):
-                backward_step(model, batch, config)
+                train(model, np.zeros((1, 2)), np.array([1]), TargetSet(mk.NONE), config)
         assert np.isfinite(model.w1).all() and not np.isfinite(model.w2).all()
 
 
@@ -213,18 +210,23 @@ class TestInPlace:
             assert np.array_equal(array, getattr(expected, name), equal_nan=True), name
 
     def test_backward_step_and_parameter_gradients_match_one_reference_step(self):
+        # one epoch of one full batch is one step, on the rows in the
+        # epoch's shuffled order, as reference_train takes it
         for strategy in mk.STRATEGIES:
             k = 1 if strategy == mk.KD_SINGLE else 3
             model, features, labels, targets, config = make_fit(
                 strategy, n=5, d=4, c=3, hidden=5, k=k, tau=2.0, alpha=0.3,
                 batch_size=5, epochs=1, seed=4)
-            batch = Batch(features, labels, targets)
-            expected = model.copy()
-            want_loss, want_grads = reference_step(expected, features, labels, targets, config)
-            for got, want in zip(parameter_gradients(model, batch, config), want_grads):
+            _, want_grads = reference_step(model.copy(), features, labels, targets, config)
+            got_grads = parameter_gradients(model, features, labels, targets, config)
+            for got, want in zip(got_grads, want_grads):
                 assert got.shape == want.shape and got.tobytes() == want.tobytes(), strategy
+            expected = model.copy()
+            with mock.patch.object(_oracles, "reference_step", wraps=reference_step) as steps:
+                (want_loss,) = reference_train(expected, features, labels, targets, config)
+            assert steps.call_count == 1
             arrays = [getattr(model, name) for name in PARAMETERS]
-            loss = backward_step(model, batch, config)
+            (loss,) = train(model, features, labels, targets, config).loss_trace
             assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
             for name, array in zip(PARAMETERS, arrays):
                 assert getattr(model, name) is array, name

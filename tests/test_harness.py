@@ -10,7 +10,7 @@ import multikd as mk
 import multikd.harness as harness
 from multikd.datagen import DataParams
 from multikd.ensemble import TeacherBank
-from multikd.errors import StageError
+from multikd.errors import StageError, ValidationError
 from multikd.formats import write_all_views, write_logit_dump
 from multikd.harness import (
     AblationReport,
@@ -120,6 +120,13 @@ class TestRunAblation:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(Exception):
             run_ablation(small_rc(mk.NONE), ["BOGUS"], [1])
+
+    def test_a_bad_seed_is_refused_before_any_cell_runs(self, monkeypatch):
+        cells = []
+        monkeypatch.setattr(harness, "run_pipeline", lambda rc, **kw: cells.append(rc))
+        with pytest.raises(ValidationError, match="seed must fit in 64 unsigned bits"):
+            run_ablation(small_rc(mk.NONE), [mk.NONE, mk.PKD], [1, -1])
+        assert cells == []
 
 
 DUMP_STRATEGIES = [mk.AVG1, mk.AVG2, mk.GTD, mk.PKD]

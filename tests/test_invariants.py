@@ -1,9 +1,11 @@
 """The paper's invariants over random shapes, temperatures and references.
 
 Teacher weights lie strictly inside the simplex; with one teacher every
-strategy's target is KD_SINGLE's; on one-hot references the CE and KL
-similarities agree, and compute_weights scores every teacher row with
-the bits of similarity_ce; AVG1 and AVG2 give the student the same gradient;
+strategy's target is KD_SINGLE's; compute_weights scores every teacher
+row with the bits of its row kernel _inverse_ce, and on one-hot
+references that inverse CE has the bits of the inverse KL (kl_rows of
+_oracles.py); AVG1 and AVG2 give the student the same gradient, by the
+reference loss_gradient;
 AVG1's one-matrix loss is the mean of its K per-teacher losses;
 the AVG2 target, summed one teacher at a time, has the bits of
 np.mean over the stacked softened matrices; and AVG1, softening each
@@ -21,17 +23,14 @@ from multikd import ensemble
 from multikd.ensemble import (
     WEIGHT_ROW_SUM_TOL,
     TeacherBank,
+    _inverse_ce,
+    _reference_rows,
     build_targets,
     compute_weights,
-    make_gtd,
-    make_pkd,
-    similarity_ce,
-    similarity_kl,
 )
-from multikd.numerics import softmax_t
-from multikd.trainer import avg1_loss, ce_loss, loss_gradient, total_loss
+from multikd.numerics import EPS, softmax_t
 
-from _oracles import reference_avg1_targets
+from _oracles import avg1_loss, ce_loss, kl_rows, loss_gradient, reference_avg1_targets, total_loss
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
 
@@ -70,9 +69,9 @@ def test_raw_weights_are_similarity_ce_of_each_teacher_row(bank_labels, mode, h_
     params = mk.PkdParams(h=h, n_classes=bank.c) if mode == mk.PKD else None
     raw = compute_weights(bank, labels, mode, params, weight_tau).raw
     for n, label in enumerate(labels):
-        reference = make_gtd(label, bank.c) if mode == mk.GTD else make_pkd(label, params)
+        reference = _reference_rows(np.array([label]), bank.c, mode, params)[0]
         for k, logits in enumerate(bank.teachers):
-            want = similarity_ce(reference, softmax_t(logits[n], weight_tau))
+            want = _inverse_ce(reference, softmax_t(logits[n], weight_tau))
             assert raw[n, k].tobytes() == np.float64(want).tobytes(), (n, k)
 
 
@@ -90,9 +89,9 @@ def test_single_teacher_every_strategy_is_kd_single(bank_labels, tau, weight_tau
 @SETTINGS
 @given(st.integers(2, 12), st.integers(0, 11), st.integers(0, 2**32 - 1), st.floats(0.1, 60.0))
 def test_onehot_similarity_ce_equals_kl(c, label, seed, scale):
-    reference = make_gtd(label % c, c)
+    reference = _reference_rows(np.array([label % c]), c, mk.GTD, None)[0]
     teacher = softmax_t(np.random.default_rng(seed).normal(size=c) * scale)
-    assert similarity_ce(reference, teacher) == similarity_kl(reference, teacher)
+    assert _inverse_ce(reference, teacher) == 1.0 / max(kl_rows(reference, teacher), EPS)
 
 
 @SETTINGS

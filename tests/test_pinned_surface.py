@@ -1,19 +1,26 @@
-"""Pins on what the program shows the outside: file bytes, CLI flags, run keys.
+"""Pins on what the program shows the outside: file bytes, CLI flags, run keys, API.
 
 The writer goldens in tests/golden/writers/ and the parser snapshot in
 tests/golden/cli_surface.json were written from the code before the
 run-key table and the matrix codec replaced the hand-written versions.
-`python tests/test_pinned_surface.py` writes them again from the current
-code; do that only for a deliberate format or CLI change.
+tests/golden/api_surface.json lists the public names of the package and
+of each module. `python tests/test_pinned_surface.py` writes them all
+again from the current code; do that only for a deliberate format, CLI
+or API change.
 """
 
+import ast
+import importlib
+import inspect
 import json
+import pkgutil
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import multikd
 from multikd import cli
 from multikd.datagen import Dataset
 from multikd.formats import (
@@ -71,6 +78,32 @@ def cli_surface() -> dict:
     return surface
 
 
+def api_surface() -> dict:
+    """The sorted public names of multikd and of each of its modules but __main__.
+
+    The package's names are what it re-exports. A module's are the names
+    it defines itself: those its own import statements bind are left out.
+    """
+    surface = {"multikd": sorted(
+        key for key, value in vars(multikd).items()
+        if not key.startswith("_") and not inspect.ismodule(value)
+    )}
+    for info in pkgutil.iter_modules(multikd.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"multikd.{info.name}")
+        imported = {
+            alias.asname or alias.name
+            for node in ast.parse(inspect.getsource(module)).body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        surface[module.__name__] = sorted(
+            key for key in vars(module) if not key.startswith("_") and key not in imported
+        )
+    return surface
+
+
 @pytest.mark.parametrize("writer", WRITERS)
 def test_writer_bytes_pinned(tmp_path, writer):
     path = tmp_path / f"{writer}.txt"
@@ -80,6 +113,10 @@ def test_writer_bytes_pinned(tmp_path, writer):
 
 def test_cli_surface_pinned():
     assert cli_surface() == json.loads((GOLDEN / "cli_surface.json").read_text())
+
+
+def test_api_surface_pinned():
+    assert api_surface() == json.loads((GOLDEN / "api_surface.json").read_text())
 
 
 def test_run_config_defaults_are_the_dataclass_defaults():
@@ -151,4 +188,6 @@ if __name__ == "__main__":
     for name, write in WRITERS.items():
         write(out / f"{name}.txt")
     (GOLDEN / "cli_surface.json").write_text(json.dumps(cli_surface(), indent=1) + "\n")
-    print(f"wrote {len(WRITERS)} writer goldens and the CLI surface under {GOLDEN}", file=sys.stderr)
+    (GOLDEN / "api_surface.json").write_text(json.dumps(api_surface(), indent=1) + "\n")
+    print(f"wrote {len(WRITERS)} writer goldens, the CLI and the API surface under {GOLDEN}",
+          file=sys.stderr)

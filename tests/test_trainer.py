@@ -1,4 +1,10 @@
-"""Losses, analytic gradients, the SGD loop, and evaluation."""
+"""Losses, analytic gradients, the SGD loop, and evaluation.
+
+The loss functions are the reference math of _oracles.py, checked here
+against frozen values and identities. The step itself is checked
+through train (one epoch of one full batch takes one step) and
+parameter_gradients.
+"""
 
 import math
 
@@ -7,19 +13,12 @@ import pytest
 
 import multikd as mk
 from multikd import (
-    Batch,
     DistillConfig,
     StudentModel,
     TargetSet,
-    avg1_loss,
-    backward_step,
-    ce_loss,
     evaluate,
     forward,
     init_student,
-    kd_loss,
-    loss_gradient,
-    total_loss,
     train,
 )
 from multikd.errors import NumericalError, ValidationError
@@ -28,7 +27,7 @@ from multikd.numerics import entropy_rows, softmax_t
 from multikd.rng import SplitMix64
 from multikd.trainer import parameter_gradients
 
-from _oracles import fd_gradient, rel_err
+from _oracles import avg1_loss, ce_loss, fd_gradient, kd_loss, loss_gradient, rel_err, total_loss
 
 RNG = np.random.default_rng(777)
 
@@ -146,8 +145,9 @@ class TestTotalLoss:
 
     def test_strategy_mismatch_rejected(self):
         targets, labels = random_targets(mk.PKD, 3, 4)
-        with pytest.raises(ValidationError):
-            total_loss(RNG.normal(size=(3, 4)), labels, targets, DistillConfig(strategy=mk.AVG2))
+        model = init_student(2, 3, 4, SplitMix64(0))
+        with pytest.raises(ValidationError, match="target set built for PKD, config says AVG2"):
+            train(model, RNG.random((3, 2)), labels, targets, DistillConfig(strategy=mk.AVG2))
 
 
 class TestLossGradient:
@@ -248,17 +248,23 @@ class TestBackwardStep:
         features = rng.random((n, d))
         targets, labels = random_targets(strategy, n, c, seed_offset=seed)
         model = init_student(d, hidden, c, SplitMix64(seed))
-        return model, Batch(features, labels, targets)
+        return model, features, labels, targets
+
+    @staticmethod
+    def one_step(model, features, labels, targets, config):
+        """One SGD step over all rows, in place; returns the pre-step loss."""
+        config = config.with_(epochs=1, batch_size=len(labels))
+        return train(model, features, labels, targets, config).loss_trace[0]
 
     def test_vanishing_lr_keeps_model(self):
         # lr must be positive by config contract; a denormal step is the
         # closest legal probe. Nonzero weights stay bit-identical (the
         # update is far below one ulp); exact-zero biases can only pick
         # up denormal-sized dust.
-        model, batch = self._setup()
+        model, features, labels, targets = self._setup()
         before = model.copy()
         config = DistillConfig(strategy=mk.PKD, lr=1e-300)
-        loss = backward_step(model, batch, config)
+        loss = self.one_step(model, features, labels, targets, config)
         assert np.isfinite(loss)
         assert np.array_equal(model.w1, before.w1)
         assert np.array_equal(model.w2, before.w2)
@@ -266,39 +272,39 @@ class TestBackwardStep:
         assert np.max(np.abs(model.b2 - before.b2)) < 1e-290
 
     def test_single_sample_descent(self):
-        model, _ = self._setup(n=1)
+        model, *_ = self._setup(n=1)
         rng = np.random.default_rng(4)
         features = rng.random((1, 5))
         targets, labels = random_targets(mk.KD_SINGLE, 1, 4, k=1)
         config = DistillConfig(strategy=mk.KD_SINGLE, lr=1e-3)
-        batch = Batch(features, labels, targets)
-        loss_before = backward_step(model, batch, config)
+        loss_before = self.one_step(model, features, labels, targets, config)
         loss_after = total_loss(forward(model, features), labels, targets, config)
         assert loss_after < loss_before
 
     def test_parameter_gradients_match_finite_differences(self):
         for case in range(8):
             strategy = mk.STRATEGIES[case % len(mk.STRATEGIES)]
-            model, batch = self._setup(strategy=strategy, n=4, d=3, c=3, hidden=4, seed=case)
+            model, features, labels, targets = self._setup(
+                strategy=strategy, n=4, d=3, c=3, hidden=4, seed=case)
             config = DistillConfig(strategy=strategy, alpha=0.6, tau=2.0)
-            analytic = parameter_gradients(model, batch, config)
+            analytic = parameter_gradients(model, features, labels, targets, config)
             for name, attr in (("w1", "w1"), ("b1", "b1"), ("w2", "w2"), ("b2", "b2")):
                 def scalar(flat, attr=attr):
                     probe = model.copy()
                     setattr(probe, attr, flat.reshape(getattr(model, attr).shape))
-                    return total_loss(forward(probe, batch.features), batch.labels, batch.targets, config)
+                    return total_loss(forward(probe, features), labels, targets, config)
 
                 numeric = fd_gradient(scalar, getattr(model, attr).ravel())
                 idx = ("w1", "b1", "w2", "b2").index(name)
                 assert rel_err(analytic[idx].ravel(), numeric) <= 1e-4, name
 
     def test_nonfinite_loss_aborts(self):
-        model, batch = self._setup()
+        model, features, labels, targets = self._setup()
         model.w1[:] = 1e308
         model.w2[:] = 1e308
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalError):
-                backward_step(model, batch, DistillConfig(strategy=mk.PKD))
+                self.one_step(model, features, labels, targets, DistillConfig(strategy=mk.PKD))
 
 
 class TestTrainAndEvaluate:
