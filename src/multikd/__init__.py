@@ -11,15 +11,7 @@ cost probes.
 
 from .config import AVG1, AVG2, GTD, KD_SINGLE, NONE, PKD, STRATEGIES, DistillConfig
 from .datagen import DataParams, Dataset, SyntheticData, gen_dataset
-from .ensemble import (
-    EnsembleWeights,
-    PkdParams,
-    TargetSet,
-    TeacherBank,
-    assemble,
-    build_targets,
-    compute_weights,
-)
+from .ensemble import TargetSet, TeacherBank, build_targets
 from .errors import (
     FormatError,
     MultiKdError,

@@ -20,6 +20,7 @@ from .datagen import DataParams
 from .ensemble import build_targets
 from .errors import FormatError, MultiKdError, NumericalError, ValidationError
 from .formats import (
+    _check_teacher_id,
     load_dataset,
     load_model,
     parse_config_file,
@@ -162,8 +163,11 @@ def _model_and_data(args):
 
 
 def cmd_dump_logits(args, values: dict, rc: RunConfig) -> int:
+    try:  # a usage error, found before any file is read
+        teacher_id = _check_teacher_id(_require(args.teacher_id, "--teacher-id"))
+    except FormatError as exc:
+        raise UsageError(str(exc)) from None
     model, dataset = _model_and_data(args)
-    teacher_id = _require(args.teacher_id, "--teacher-id")
     out = _require(values.get("out"), "--out")
     write_logit_dump(str(out), teacher_id, forward(model, dataset.features))
     print(f"dumped {dataset.n}x{model.n_classes} logits for {teacher_id} -> {out}")
@@ -184,7 +188,7 @@ def cmd_assemble(args, values: dict, rc: RunConfig) -> int:
     write_targets(f"{out}.targets.txt", rc.distill.strategy, rc.distill.tau, targets.targets[0])
     paths = [f"{out}.targets.txt"]
     if targets.weights is not None:
-        write_weights(f"{out}.weights.txt", rc.distill.strategy, targets.weights.normalized)
+        write_weights(f"{out}.weights.txt", rc.distill.strategy, targets.weights)
         paths.append(f"{out}.weights.txt")
     print("wrote " + " and ".join(paths))
     return 0

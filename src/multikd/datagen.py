@@ -24,6 +24,7 @@ from .preprocess import (
     DARK_FACTOR_DEFAULT,
     GAMMA_DEFAULT,
     QUANT_LEVELS_DEFAULT,
+    _check_darken,
     darken,
     gamma_correct,
 )
@@ -72,6 +73,7 @@ class DataParams:
             raise ValidationError(f"noise must be nonnegative and finite, got {self.noise}")
         if not (np.isfinite(self.gamma) and self.gamma > 0.0):
             raise ValidationError(f"gamma must be positive and finite, got {self.gamma}")
+        _check_darken(self.dark_factor, self.quant_levels)
 
 
 @dataclass

@@ -1,10 +1,11 @@
 """Assembly of several teachers' logits into one soft target.
 
-The pipeline is: build a reference distribution per sample (one-hot
-ground truth, or the preferred distribution that keeps mass h on the
-true class and spreads the rest), score every teacher against it by
-inverse cross-entropy, normalize the scores across teachers, and take
-the weighted convex combination of the softened teacher distributions.
+GTD and PKD are one computation in `build_targets`: build a reference
+row per sample that keeps mass h on the true class and spreads the rest
+evenly (PKD's preferred distribution; GTD is h = 1, the one-hot ground
+truth), score every teacher against it by inverse cross-entropy,
+normalize the scores across teachers, and take the weighted convex
+combination of the softened teacher distributions.
 
 Everything happens offline on stored logits; no teacher model is ever
 needed once its logits are dumped, so the number of teachers only
@@ -21,8 +22,6 @@ import numpy as np
 from . import config as cfg
 from .errors import ValidationError
 from .numerics import EPS, cross_entropy_rows, entropy_rows, running_mean, softmax_t
-
-WEIGHT_ROW_SUM_TOL = 1e-6
 
 
 def validate_labels(labels, n_classes: int) -> np.ndarray:
@@ -81,58 +80,17 @@ class TeacherBank:
 
 
 @dataclass
-class EnsembleWeights:
-    """Per-sample teacher scores, raw and normalized to the simplex."""
-
-    raw: np.ndarray
-    normalized: np.ndarray
-
-    def __post_init__(self):
-        self.raw = np.asarray(self.raw, dtype=np.float64)
-        self.normalized = np.asarray(self.normalized, dtype=np.float64)
-        if self.raw.shape != self.normalized.shape or self.raw.ndim != 2:
-            raise ValidationError("raw and normalized must be equal-shape N x K matrices")
-        if (self.raw <= 0.0).any():
-            raise ValidationError("raw weights must be strictly positive")
-
-    @classmethod
-    def from_raw(cls, raw: np.ndarray) -> "EnsembleWeights":
-        raw = np.asarray(raw, dtype=np.float64)
-        return cls(raw=raw, normalized=raw / raw.sum(axis=1, keepdims=True))
-
-
-@dataclass
-class PkdParams:
-    """True-class mass h for the preferred reference over n_classes.
-
-    h must exceed the uniform share 1/C, so single-class problems are
-    rejected (there is no off-class mass to place).
-    """
-
-    h: float
-    n_classes: int
-
-    def __post_init__(self):
-        if self.n_classes < 2:
-            raise ValidationError("preferred distribution needs at least 2 classes")
-        if not (1.0 / self.n_classes) < self.h <= 1.0:
-            raise ValidationError(
-                f"h must be in (1/{self.n_classes}, 1], got {self.h}"
-            )
-
-
-@dataclass
 class TargetSet:
     """Soft targets for one strategy: none for NONE, else one N x C matrix.
 
-    GTD and PKD also keep the teacher weights around for inspection.
+    GTD and PKD also keep their N x K teacher weights for inspection.
     AVG1 carries its per-row entropy gap H(mean) - mean_k H(t_k), as its
     loss mean_k KL(t_k || p) is KL(mean || p) + gap. No gap is a zero gap.
     """
 
     strategy: str
     targets: list[np.ndarray] = field(default_factory=list)
-    weights: EnsembleWeights | None = None
+    weights: np.ndarray | None = None
     gap: np.ndarray | None = None
 
     def __post_init__(self):
@@ -155,62 +113,29 @@ def _inverse_ce(refs: np.ndarray, dists: np.ndarray) -> np.ndarray:
     return 1.0 / np.maximum(cross_entropy_rows(refs, dists), EPS)
 
 
-def _reference_rows(labels: np.ndarray, n_classes: int, mode: str, params: PkdParams | None) -> np.ndarray:
-    """One reference row per label: one-hot (GTD) or the preferred distribution (PKD)."""
+def _reference_rows(labels: np.ndarray, n_classes: int, h: float) -> np.ndarray:
+    """One reference row per label: mass h on it, (1 - h) / (C - 1) on every other class.
+
+    The spread is written only for h < 1, so GTD's h = 1 row is exactly
+    one-hot, also at C = 1.
+    """
     refs = np.zeros((labels.size, n_classes), dtype=np.float64)
-    if mode == cfg.GTD:
-        refs[np.arange(labels.size), labels] = 1.0
-    elif mode == cfg.PKD:
-        if params is None:
-            raise ValidationError("PKD weighting requires PkdParams")
-        if params.n_classes != n_classes:
-            raise ValidationError(
-                f"PkdParams for {params.n_classes} classes used with C={n_classes}"
-            )
-        refs[:] = (1.0 - params.h) / (n_classes - 1)
-        refs[np.arange(labels.size), labels] = params.h
-    else:
-        raise ValidationError(f"weighting mode must be GTD or PKD, got {mode!r}")
+    if h < 1.0:
+        refs[:] = (1.0 - h) / (n_classes - 1)
+    refs[np.arange(labels.size), labels] = h
     return refs
 
 
-def compute_weights(
-    bank: TeacherBank,
-    labels,
-    mode: str,
-    params: PkdParams | None = None,
-    weight_tau: float = 1.0,
-) -> EnsembleWeights:
-    """Score each teacher per sample against the reference distribution.
-
-    Teacher logits are softened at weight_tau, scored by inverse
-    cross-entropy to the mode's reference (one-hot for GTD, preferred
-    distribution for PKD), then normalized across teachers so every
-    sample's weights form a convex combination.
-    """
+def _teacher_scores(bank: TeacherBank, labels, h: float, weight_tau: float) -> np.ndarray:
+    """N x K raw scores: each teacher, softened at weight_tau, by inverse CE to its reference row."""
     labels = validate_labels(labels, bank.c)
     if labels.size != bank.n:
         raise ValidationError(f"labels ({labels.size}) misaligned with bank rows ({bank.n})")
-    refs = _reference_rows(labels, bank.c, mode, params)
+    refs = _reference_rows(labels, bank.c, h)
     raw = np.empty((bank.n, bank.k), dtype=np.float64)
     for k, logits in enumerate(bank.teachers):
         raw[:, k] = _inverse_ce(refs, softmax_t(logits, weight_tau))
-    return EnsembleWeights.from_raw(raw)
-
-
-def assemble(bank: TeacherBank, weights: EnsembleWeights, assembly_tau: float) -> np.ndarray:
-    """Weighted convex combination of softened teacher distributions."""
-    if weights.normalized.shape != (bank.n, bank.k):
-        raise ValidationError(
-            f"weights shape {weights.normalized.shape} misaligned with bank ({bank.n}, {bank.k})"
-        )
-    row_sums = weights.normalized.sum(axis=1)
-    if np.max(np.abs(row_sums - 1.0)) > WEIGHT_ROW_SUM_TOL:
-        raise ValidationError("weights are not normalized (row sums deviate from 1)")
-    out = np.zeros((bank.n, bank.c), dtype=np.float64)
-    for k, logits in enumerate(bank.teachers):
-        out += weights.normalized[:, k : k + 1] * softmax_t(logits, assembly_tau)
-    return out
+    return raw
 
 
 def build_targets(bank: TeacherBank, labels, config: cfg.DistillConfig) -> TargetSet:
@@ -223,7 +148,8 @@ def build_targets(bank: TeacherBank, labels, config: cfg.DistillConfig) -> Targe
     softened once, and its entropy row rides along as an extra column
     of the running mean, so the mean target and the mean entropy have
     the bits of two separate running means.
-    GTD/PKD: reference-weighted convex assembly.
+    GTD/PKD: reference-weighted convex assembly, GTD at h = 1. PKD
+    needs h in (1/C, 1]; GTD ignores config.h.
     Every result holds one N x C matrix, whatever K is.
     """
     strategy, tau = config.strategy, config.tau
@@ -241,7 +167,17 @@ def build_targets(bank: TeacherBank, labels, config: cfg.DistillConfig) -> Targe
         target = np.ascontiguousarray(means[:, :-1])
         return TargetSet(strategy, [target], gap=entropy_rows(target) - means[:, -1])
     if strategy in (cfg.GTD, cfg.PKD):
-        params = PkdParams(h=config.h, n_classes=bank.c) if strategy == cfg.PKD else None
-        weights = compute_weights(bank, labels, strategy, params, config.weight_tau)
-        return TargetSet(strategy, [assemble(bank, weights, tau)], weights)
+        h = 1.0
+        if strategy == cfg.PKD:
+            h = config.h
+            if bank.c < 2:
+                raise ValidationError("preferred distribution needs at least 2 classes")
+            if not (1.0 / bank.c) < h <= 1.0:
+                raise ValidationError(f"h must be in (1/{bank.c}, 1], got {h}")
+        raw = _teacher_scores(bank, labels, h, config.weight_tau)
+        weights = raw / raw.sum(axis=1, keepdims=True)
+        target = np.zeros((bank.n, bank.c), dtype=np.float64)
+        for k, logits in enumerate(bank.teachers):
+            target += weights[:, k : k + 1] * softmax_t(logits, tau)
+        return TargetSet(strategy, [target], weights)
     raise ValidationError(f"build_targets cannot handle strategy {strategy!r}")

@@ -28,6 +28,17 @@ def _check_unit_interval(values, name: str) -> np.ndarray:
     return arr
 
 
+def _check_darken(factor: float, quant_levels: int) -> tuple[float, int]:
+    """`factor` in (0, 1] and `quant_levels` >= 2, as the float and int darkening uses."""
+    factor = float(factor)
+    if not (0.0 < factor <= 1.0):
+        raise ValidationError(f"darken factor must be in (0, 1], got {factor}")
+    levels = int(quant_levels)
+    if levels < 2:
+        raise ValidationError(f"quant_levels must be >= 2, got {levels}")
+    return factor, levels
+
+
 def gamma_correct(values, gamma: float = GAMMA_DEFAULT) -> np.ndarray:
     """Elementwise x -> x**(1/gamma) on [0, 1] intensities."""
     arr = _check_unit_interval(values, "intensities")
@@ -48,11 +59,6 @@ def darken(
     half-to-even so the result is platform-reproducible.
     """
     arr = _check_unit_interval(values, "intensities")
-    factor = float(factor)
-    if not (0.0 < factor <= 1.0):
-        raise ValidationError(f"darken factor must be in (0, 1], got {factor}")
-    levels = int(quant_levels)
-    if levels < 2:
-        raise ValidationError(f"quant_levels must be >= 2, got {levels}")
+    factor, levels = _check_darken(factor, quant_levels)
     scale = float(levels - 1)
     return np.rint(arr * factor * scale) / scale

@@ -6,7 +6,8 @@ defaults; everything is seeded, so the numbers (and pass/fail) are
 bit-reproducible, and the report bytes are pinned against a golden
 file written by `multikd ablate --seeds 1,2,3,4,5`. Losses and
 logit gradients come from the reference math of _oracles.py; the
-one-hot criterion runs _inverse_ce, the scorer of compute_weights.
+one-hot criterion runs _inverse_ce, the row kernel of the GTD/PKD
+scorer _teacher_scores.
 """
 
 import filecmp
@@ -21,13 +22,11 @@ import multikd as mk
 from multikd.cli import main as cli_main
 from multikd.datagen import DataParams, gen_dataset
 from multikd.ensemble import (
-    PkdParams,
     TargetSet,
     TeacherBank,
     _inverse_ce,
     _reference_rows,
     build_targets,
-    compute_weights,
 )
 from multikd.formats import load_dataset, load_logits, write_dataset, write_logit_dump
 from multikd.harness import RunConfig, cost_probe, report_machine_text, run_ablation
@@ -65,11 +64,10 @@ def test_criterion_1_weight_simplex():
         bank = TeacherBank([rng.normal(size=(n, c)) * 4.0 for _ in range(k)],
                            [f"t{j}" for j in range(k)])
         labels = rng.integers(c, size=n)
-        mode = mk.PKD if i % 2 == 0 else mk.GTD
-        params = PkdParams(0.99, c) if mode == mk.PKD else None
-        w = compute_weights(bank, labels, mode, params)
-        worst_sum = max(worst_sum, float(np.max(np.abs(w.normalized.sum(axis=1) - 1.0))))
-        ok = ((w.normalized > 0.0) & (w.normalized <= 1.0)).all()
+        config = mk.DistillConfig(strategy=mk.PKD if i % 2 == 0 else mk.GTD, h=0.99)
+        w = build_targets(bank, labels, config).weights
+        worst_sum = max(worst_sum, float(np.max(np.abs(w.sum(axis=1) - 1.0))))
+        ok = ((w > 0.0) & (w <= 1.0)).all()
         if not (ok and worst_sum <= 1e-9):
             break
     elapsed = time.perf_counter() - started
@@ -110,7 +108,7 @@ def test_criterion_3_onehot_kl_ce_equivalence():
         rest = rng.random(c - 1) + 1e-9
         rest = rest / rest.sum() * (1.0 - true_prob)
         row = np.insert(rest, label, true_prob)
-        ref = _reference_rows(np.array([label]), c, mk.GTD, None)[0]
+        ref = _reference_rows(np.array([label]), c, 1.0)[0]
         a = 1.0 / max(kl_rows(ref, row), EPS)
         b = _inverse_ce(ref, row)
         worst = max(worst, abs(a - b) / max(abs(a), abs(b)))

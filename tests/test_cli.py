@@ -1,19 +1,25 @@
 """End-to-end CLI flows and exit codes."""
 
+import io
 import shutil
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multikd import DistillConfig
 from multikd.cli import build_parser, main
 from multikd.ensemble import TeacherBank, build_targets
+from multikd.datagen import Dataset
 from multikd.formats import (
     fmt_float,
     load_dataset,
     load_logits,
     load_model,
     load_targets,
+    write_dataset,
     write_logit_dump,
     write_model,
 )
@@ -209,11 +215,92 @@ def test_every_subcommand_rejects_an_unreadable_config(command, tmp_path, capsys
     assert capsys.readouterr().err.startswith("error: cannot read")
 
 
+BAD_RUN_KEYS = [
+    (["--lr", "nan"], "lr must be positive and finite, got nan"),
+    (["--dark-factor", "2"], "darken factor must be in (0, 1], got 2.0"),
+    (["--dark-factor", "nan"], "darken factor must be in (0, 1], got nan"),
+    (["--quant-levels", "1"], "quant_levels must be >= 2, got 1"),
+]
+
+
 @pytest.mark.parametrize("command", SUBCOMMANDS)
 def test_every_subcommand_rejects_a_bad_run_key(command, capsys):
-    # checked before any work, also where the subcommand does not use the key
-    assert run_cli(command, "--lr", "nan") == 1
-    assert capsys.readouterr().err == "error: lr must be positive and finite, got nan\n"
+    # checked before any work, also where the subcommand does not use the key:
+    # nothing reaches stdout, so `ablate` prints no table
+    for flags, message in BAD_RUN_KEYS:
+        assert run_cli(command, *flags) == 1, flags
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+# A valid config; the fuzz below mutates its lines.
+CONFIG_LINES = [
+    "# a tiny run", "seed = 3", "strategy = GTD", "tau = 2.5", "h = 0.9", "weight_tau = 1.5",
+    "lr = 0.05", "epochs = 2", "n_train = 50", "classes = 4", "dim = 8", "noise = 0.1",
+    "dark_factor = 0.5", "quant_levels = 16", "gamma = 2.0", "out = x",
+]
+FUZZ_VALUES = ["nan", "inf", "-inf", "-1", "1e309", "0", "", "\u0661\u0662", "\u0663.\u0665", "1_0",
+               "0x10", "PKD", "GTD,GTD"]
+
+
+@st.composite
+def fuzzed_configs(draw):
+    """CONFIG_LINES as bytes, with lines dropped, repeated, cut short or re-valued, or not UTF-8."""
+    lines = [line.encode() for line in CONFIG_LINES]
+    for _ in range(draw(st.integers(1, 4))):
+        if not lines:
+            break
+        op = draw(st.sampled_from(["drop", "repeat", "truncate", "value", "bytes"]))
+        i = draw(st.integers(0, len(lines) - 1))
+        if op == "drop":
+            del lines[i]
+        elif op == "repeat":
+            lines.insert(i, lines[i])
+        elif op == "truncate":
+            lines[i] = lines[i][: draw(st.integers(0, len(lines[i])))]
+        elif op == "value":
+            lines[i] = lines[i].partition(b"=")[0] + b"= " + draw(st.sampled_from(FUZZ_VALUES)).encode()
+        else:
+            cut = draw(st.integers(0, len(lines[i])))
+            lines[i] = lines[i][:cut] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])) + lines[i][cut:]
+    return b"\n".join(lines) + b"\n"
+
+
+@pytest.fixture(scope="module")
+def tiny_model_and_data(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    write_model(str(d / "m.model"), init_student(2, 3, 4, SplitMix64(1)))
+    write_dataset(str(d / "d.txt"), Dataset(np.array([[0.1, 0.9], [0.5, 0.5]]), [3, 0], 4, "A", "test"))
+    return d
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(fuzzed_configs())
+def test_fuzzed_config_file_exits_with_one_error_line(tiny_model_and_data, raw):
+    # evaluate neither trains nor generates data, so no fuzzed size starts heavy work
+    d = tiny_model_and_data
+    path = d / "run.cfg"
+    path.write_bytes(raw)
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(["evaluate", "--config", str(path), "--model", str(d / "m.model"),
+                     "--data", str(d / "d.txt")])
+    assert code in (0, 1, 2)
+    if code != 0:
+        text = err.getvalue()
+        assert text.startswith("error: ") and text.endswith("\n") and text.count("\n") == 1, text
+    if code == 2:
+        assert str(path) in err.getvalue()
+
+
+@pytest.mark.parametrize("teacher_id", ["a b", ""])
+def test_dump_logits_bad_teacher_id_is_a_usage_error_before_any_file(teacher_id, tmp_path, capsys):
+    out = tmp_path / "t.logits"
+    assert run_cli("dump-logits", "--teacher-id", teacher_id, "--model", str(tmp_path / "missing.model"),
+                   "--data", str(tmp_path / "missing.txt"), "--out", str(out)) == 1
+    assert capsys.readouterr().err == (
+        f"error: teacher id must be non-empty without whitespace, got {teacher_id!r}\n"
+    )
+    assert not out.exists()
 
 
 def test_dump_logits_empty_dataset_exit_2(tmp_path, capsys):

@@ -1,9 +1,11 @@
 """Reference distributions, teacher weighting, and target assembly.
 
 References and similarities are checked on the row kernels that
-compute_weights runs: _reference_rows and _inverse_ce. The inverse-KL
-similarity is the reference 1 / max(kl_rows, 1e-12) of _oracles.py,
-which equals _inverse_ce bit for bit on one-hot references.
+build_targets runs for GTD and PKD: _reference_rows and _inverse_ce.
+Raw teacher scores come from its scorer _teacher_scores, normalized
+weights from build_targets(...).weights. The inverse-KL similarity is
+the reference 1 / max(kl_rows, 1e-12) of _oracles.py, which equals
+_inverse_ce bit for bit on one-hot references.
 """
 
 import math
@@ -12,15 +14,8 @@ import numpy as np
 import pytest
 
 import multikd as mk
-from multikd import (
-    EnsembleWeights,
-    PkdParams,
-    TeacherBank,
-    assemble,
-    build_targets,
-    compute_weights,
-)
-from multikd.ensemble import _inverse_ce, _reference_rows
+from multikd import DistillConfig, TeacherBank, build_targets
+from multikd.ensemble import _inverse_ce, _reference_rows, _teacher_scores
 from multikd.errors import ValidationError
 from multikd.numerics import EPS, softmax_t
 
@@ -35,11 +30,15 @@ def random_bank(n=6, c=5, k=3, scale=3.0):
 
 
 def gtd_row(label, n_classes):
-    return _reference_rows(np.array([label]), n_classes, mk.GTD, None)[0]
+    return _reference_rows(np.array([label]), n_classes, 1.0)[0]
 
 
-def pkd_row(label, params):
-    return _reference_rows(np.array([label]), params.n_classes, mk.PKD, params)[0]
+def pkd_row(label, n_classes, h):
+    return _reference_rows(np.array([label]), n_classes, h)[0]
+
+
+def weights_of(bank, labels, strategy, **knobs):
+    return build_targets(bank, labels, DistillConfig(strategy=strategy, **knobs)).weights
 
 
 def similarity_kl(reference, teacher_dist):
@@ -58,17 +57,18 @@ class TestReferences:
         assert np.array_equal(gtd_row(0, 1), [1.0])
 
     def test_gtd_equals_pkd_at_h_one(self):
-        for c in (2, 5, 11):
+        # h = 1 writes no off-class spread: the row is the one-hot row, bit for bit
+        for c in (1, 2, 5, 11):
             for label in (0, c - 1):
-                assert np.array_equal(gtd_row(label, c), pkd_row(label, PkdParams(1.0, c)))
+                assert gtd_row(label, c).tobytes() == np.eye(c)[label].tobytes()
 
     def test_gtd_label_out_of_range(self):
         bank = random_bank(n=1, c=4, k=2)
         with pytest.raises(ValidationError):
-            compute_weights(bank, [4], mk.GTD)
+            build_targets(bank, [4], DistillConfig(strategy=mk.GTD))
 
     def test_pkd_values(self):
-        row = pkd_row(3, PkdParams(0.99, 11))
+        row = pkd_row(3, 11, 0.99)
         assert row[3] == 0.99
         off = np.delete(row, 3)
         assert np.allclose(off, 0.001, atol=1e-15)
@@ -76,21 +76,22 @@ class TestReferences:
     def test_pkd_sums_to_one(self):
         for c in (2, 7, 30):
             for h in (1.0 / c + 1e-6, 0.5 + 0.5 / c, 0.99, 1.0):
-                row = pkd_row(1, PkdParams(h, c))
+                row = pkd_row(1, c, h)
                 assert row.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_pkd_rejects_h_at_or_below_uniform(self):
-        with pytest.raises(ValidationError):
-            PkdParams(1.0 / 3.0, 3)
-        with pytest.raises(ValidationError):
-            PkdParams(0.2, 3)
+        bank = random_bank(n=2, c=3, k=2)
+        for h in (1.0 / 3.0, 0.2):
+            with pytest.raises(ValidationError, match=rf"^h must be in \(1/3, 1\], got {h}$"):
+                weights_of(bank, [0, 1], mk.PKD, h=h)
 
     def test_pkd_rejects_single_class(self):
-        # off-class mass is undefined at C=1, whatever h is
-        with pytest.raises(ValidationError):
-            PkdParams(0.9, 1)
-        with pytest.raises(ValidationError):
-            PkdParams(1.0, 1)
+        # off-class mass is undefined at C=1, whatever h is; GTD ignores h
+        bank = random_bank(n=2, c=1, k=2)
+        for h in (0.9, 1.0):
+            with pytest.raises(ValidationError, match="^preferred distribution needs at least 2 classes$"):
+                weights_of(bank, [0, 0], mk.PKD, h=h)
+            assert np.array_equal(weights_of(bank, [0, 0], mk.GTD, h=h), np.full((2, 2), 0.5))
 
 
 class TestSimilarities:
@@ -103,7 +104,7 @@ class TestSimilarities:
         assert similarity_kl(row, row) == pytest.approx(1e12)
 
     def test_kl_derived_oracle(self):
-        ref = pkd_row(0, PkdParams(0.9, 3))
+        ref = pkd_row(0, 3, 0.9)
         teacher = [0.8, 0.1, 0.1]
         frozen = 27.25537251233703  # 1 / dec_kl
         assert 1.0 / dec_kl(ref, teacher) == pytest.approx(frozen, rel=1e-15)
@@ -120,7 +121,7 @@ class TestSimilarities:
         assert similarity_ce(uniform, uniform) == pytest.approx(1.0 / math.log(c), rel=1e-12)
 
     def test_ce_derived_oracle(self):
-        ref = pkd_row(0, PkdParams(0.9, 3))
+        ref = pkd_row(0, 3, 0.9)
         teacher = [0.8, 0.1, 0.1]
         frozen = 2.3197135693801558  # 1 / dec_cross_entropy = 1 / (-0.9 ln 0.8 - 0.1 ln 0.1)
         assert 1.0 / dec_cross_entropy(ref, teacher) == pytest.approx(frozen, rel=1e-15)
@@ -137,33 +138,36 @@ class TestSimilarities:
 
 
 class TestComputeWeights:
+    """Raw scores from the scorer; normalized weights as build_targets keeps them."""
+
     def test_identical_teachers_uniform_weights(self):
         n, c, k = 5, 4, 3
         base = RNG.normal(size=(n, c))
         bank = TeacherBank([base.copy() for _ in range(k)], [f"t{i}" for i in range(k)])
         labels = RNG.integers(c, size=n)
-        for mode, params in ((mk.GTD, None), (mk.PKD, PkdParams(0.9, c))):
-            w = compute_weights(bank, labels, mode, params)
-            assert np.allclose(w.normalized, 1.0 / k, atol=1e-12)
+        for strategy in (mk.GTD, mk.PKD):
+            w = weights_of(bank, labels, strategy, h=0.9)
+            assert np.allclose(w, 1.0 / k, atol=1e-12)
 
     def test_single_teacher_weight_one(self):
         bank = random_bank(k=1)
         labels = RNG.integers(bank.c, size=bank.n)
-        w = compute_weights(bank, labels, mk.GTD)
-        assert np.array_equal(w.normalized, np.ones((bank.n, 1)))
+        w = weights_of(bank, labels, mk.GTD)
+        assert np.array_equal(w, np.ones((bank.n, 1)))
 
     def test_two_teacher_oracle(self):
         # teacher 1 fixed distribution [0.8,0.1,0.1], teacher 2 uniform; PKD(h=0.9)
         logit1 = np.log(np.array([[0.8, 0.1, 0.1]]))
         logit2 = np.zeros((1, 3))
         bank = TeacherBank([logit1, logit2], ["a", "b"])
-        w = compute_weights(bank, [0], mk.PKD, PkdParams(0.9, 3), weight_tau=1.0)
+        raw = _teacher_scores(bank, [0], 0.9, 1.0)
+        w = weights_of(bank, [0], mk.PKD, h=0.9, weight_tau=1.0)
         s1 = 2.3197135693801558  # frozen: 1/CE(pkd ref, [0.8,0.1,0.1])
         s2 = 1.0 / math.log(3.0)
-        assert w.raw[0, 0] == pytest.approx(s1, rel=1e-12)
-        assert w.raw[0, 1] == pytest.approx(s2, rel=1e-12)
-        assert w.normalized[0, 0] == pytest.approx(s1 / (s1 + s2), rel=1e-12)
-        assert w.normalized[0, 1] == pytest.approx(s2 / (s1 + s2), rel=1e-12)
+        assert raw[0, 0] == pytest.approx(s1, rel=1e-12)
+        assert raw[0, 1] == pytest.approx(s2, rel=1e-12)
+        assert w[0, 0] == pytest.approx(s1 / (s1 + s2), rel=1e-12)
+        assert w[0, 1] == pytest.approx(s2 / (s1 + s2), rel=1e-12)
 
     def test_simplex_invariant(self):
         for _ in range(50):
@@ -171,83 +175,76 @@ class TestComputeWeights:
                 n=int(RNG.integers(1, 7)), c=int(RNG.integers(2, 9)), k=int(RNG.integers(1, 6))
             )
             labels = RNG.integers(bank.c, size=bank.n)
-            mode = mk.PKD if RNG.random() < 0.5 else mk.GTD
-            params = PkdParams(0.95, bank.c) if mode == mk.PKD else None
-            w = compute_weights(bank, labels, mode, params)
-            sums = w.normalized.sum(axis=1)
+            strategy = mk.PKD if RNG.random() < 0.5 else mk.GTD
+            w = weights_of(bank, labels, strategy, h=0.95)
+            sums = w.sum(axis=1)
             assert np.max(np.abs(sums - 1.0)) < 1e-9
-            assert ((w.normalized > 0.0) & (w.normalized <= 1.0)).all()
+            assert ((w > 0.0) & (w <= 1.0)).all()
 
     def test_monotonicity_lower_ce_higher_weight(self):
         bank = random_bank(n=40, c=6, k=4)
         labels = RNG.integers(bank.c, size=bank.n)
-        params = PkdParams(0.9, bank.c)
-        w = compute_weights(bank, labels, mk.PKD, params)
-        refs = np.array([pkd_row(y, params) for y in labels])
+        w = weights_of(bank, labels, mk.PKD, h=0.9)
+        refs = np.array([pkd_row(y, bank.c, 0.9) for y in labels])
         ces = np.stack(
             [-(refs * np.log(softmax_t(t, 1.0))).sum(axis=1) for t in bank.teachers], axis=1
         )
         for n in range(bank.n):
             order_ce = np.argsort(ces[n])
-            order_w = np.argsort(-w.normalized[n])
+            order_w = np.argsort(-w[n])
             assert np.array_equal(order_ce, order_w)
-
-    def test_scale_invariance_of_normalization(self):
-        raw = RNG.random((10, 4)) + 0.1
-        a = EnsembleWeights.from_raw(raw)
-        b = EnsembleWeights.from_raw(raw * 837.25)
-        assert np.max(np.abs(a.normalized - b.normalized)) < 1e-12
 
     def test_pkd_converges_to_gtd_as_h_to_one(self):
         bank = random_bank(n=30, c=8, k=3)
         labels = RNG.integers(bank.c, size=bank.n)
-        gtd = compute_weights(bank, labels, mk.GTD)
-        pkd = compute_weights(bank, labels, mk.PKD, PkdParams(1.0 - 1e-9, bank.c))
-        assert np.max(np.abs(gtd.normalized - pkd.normalized)) < 1e-6
+        gtd = weights_of(bank, labels, mk.GTD)
+        pkd = weights_of(bank, labels, mk.PKD, h=1.0 - 1e-9)
+        assert np.max(np.abs(gtd - pkd)) < 1e-6
 
     def test_misaligned_labels_rejected(self):
         bank = random_bank(n=4)
         with pytest.raises(ValidationError):
-            compute_weights(bank, [0, 1], mk.GTD)
+            build_targets(bank, [0, 1], DistillConfig(strategy=mk.GTD))
 
 
 class TestAssemble:
+    """The GTD/PKD target: the weighted sum of the teachers softened at tau."""
+
     def test_identical_rows_fixed_point(self):
         n, c = 4, 5
         base = RNG.normal(size=(n, c))
         bank = TeacherBank([base.copy(), base.copy()], ["a", "b"])
-        weights = EnsembleWeights.from_raw(RNG.random((n, 2)) + 0.2)
-        out = assemble(bank, weights, assembly_tau=2.0)
-        assert np.allclose(out, softmax_t(base, 2.0), atol=1e-12)
+        labels = RNG.integers(c, size=n)
+        for strategy in (mk.GTD, mk.PKD):
+            config = DistillConfig(strategy=strategy, tau=2.0)
+            out = build_targets(bank, labels, config).targets[0]
+            assert np.allclose(out, softmax_t(base, 2.0), atol=1e-12)
 
     def test_degenerate_weights_pick_one_teacher(self):
-        bank = random_bank(n=3, c=4, k=3)
-        raw = np.full((3, 3), 1e-9)
-        raw[:, 1] = 1.0
-        weights = EnsembleWeights.from_raw(raw)
-        out = assemble(bank, weights, assembly_tau=1.5)
-        assert np.max(np.abs(out - softmax_t(bank.teachers[1], 1.5))) < 1e-6
+        # teacher 1 puts all its mass on the label, so its floored CE scores 1e12
+        labels = np.array([0, 3, 1])
+        sure = np.zeros((3, 4))
+        sure[np.arange(3), labels] = 60.0
+        others = [RNG.normal(size=(3, 4)) * 3.0 for _ in range(2)]
+        bank = TeacherBank([others[0], sure, others[1]], ["a", "b", "c"])
+        out = build_targets(bank, labels, DistillConfig(strategy=mk.GTD, tau=1.5)).targets[0]
+        assert np.max(np.abs(out - softmax_t(sure, 1.5))) < 1e-6
 
     def test_midpoint(self):
-        q1 = np.log(np.array([[0.8, 0.2]]))
-        q2 = np.log(np.array([[0.2, 0.8]]))
+        # both teachers give the label 0.6 and mirror the rest: equal scores, half weight each
+        q1 = np.log(np.array([[0.6, 0.3, 0.1]]))
+        q2 = np.log(np.array([[0.6, 0.1, 0.3]]))
         bank = TeacherBank([q1, q2], ["a", "b"])
-        weights = EnsembleWeights(np.ones((1, 2)), np.array([[0.5, 0.5]]))
-        out = assemble(bank, weights, assembly_tau=1.0)
-        assert np.allclose(out, [[0.5, 0.5]], atol=1e-12)
+        for strategy in (mk.GTD, mk.PKD):
+            out = build_targets(bank, [0], DistillConfig(strategy=strategy, tau=1.0, h=0.9))
+            assert np.allclose(out.weights, [[0.5, 0.5]], atol=1e-12)
+            assert np.allclose(out.targets[0], [[0.6, 0.2, 0.2]], atol=1e-12)
 
     def test_rows_are_distributions(self):
         bank = random_bank(n=50, c=7, k=4, scale=8.0)
         labels = RNG.integers(bank.c, size=bank.n)
-        w = compute_weights(bank, labels, mk.PKD, PkdParams(0.99, bank.c))
-        out = assemble(bank, w, assembly_tau=4.0)
-        validate_prob_row(out)
-
-    def test_unnormalized_weights_rejected(self):
-        bank = random_bank(n=2, c=3, k=2)
-        bad = EnsembleWeights(np.ones((2, 2)), np.full((2, 2), 0.7))
-        with pytest.raises(ValidationError):
-            assemble(bank, bad, 1.0)
+        config = DistillConfig(strategy=mk.PKD, h=0.99, tau=4.0)
+        validate_prob_row(build_targets(bank, labels, config).targets[0])
 
 
 class TestBuildTargets:
@@ -298,4 +295,17 @@ class TestBuildTargets:
         labels = RNG.integers(bank.c, size=bank.n)
         out = build_targets(bank, labels, mk.DistillConfig(strategy=mk.PKD))
         assert out.weights is not None
-        assert out.weights.normalized.shape == (bank.n, 2)
+        assert out.weights.shape == (bank.n, 2)
+
+    def test_gtd_is_pkd_at_h_one_bit_for_bit(self):
+        for _ in range(50):
+            bank = random_bank(
+                n=int(RNG.integers(1, 9)), c=int(RNG.integers(2, 12)), k=int(RNG.integers(1, 6)),
+                scale=float(RNG.uniform(0.1, 20.0)),
+            )
+            labels = RNG.integers(bank.c, size=bank.n)
+            knobs = dict(tau=float(RNG.uniform(0.5, 8.0)), weight_tau=float(RNG.uniform(0.5, 4.0)))
+            gtd = build_targets(bank, labels, DistillConfig(strategy=mk.GTD, h=0.7, **knobs))
+            pkd = build_targets(bank, labels, DistillConfig(strategy=mk.PKD, h=1.0, **knobs))
+            assert gtd.targets[0].tobytes() == pkd.targets[0].tobytes()
+            assert gtd.weights.tobytes() == pkd.weights.tobytes()

@@ -1,8 +1,9 @@
 """The paper's invariants over random shapes, temperatures and references.
 
 Teacher weights lie strictly inside the simplex; with one teacher every
-strategy's target is KD_SINGLE's; compute_weights scores every teacher
-row with the bits of its row kernel _inverse_ce, and on one-hot
+strategy's target is KD_SINGLE's; the GTD/PKD scorer _teacher_scores
+scores every teacher row with the bits of its row kernel _inverse_ce,
+and on one-hot
 references that inverse CE has the bits of the inverse KL (kl_rows of
 _oracles.py); AVG1 and AVG2 give the student the same gradient, by the
 reference loss_gradient;
@@ -21,16 +22,17 @@ from hypothesis import strategies as st
 import multikd as mk
 from multikd import ensemble
 from multikd.ensemble import (
-    WEIGHT_ROW_SUM_TOL,
     TeacherBank,
     _inverse_ce,
     _reference_rows,
+    _teacher_scores,
     build_targets,
-    compute_weights,
 )
 from multikd.numerics import EPS, softmax_t
 
 from _oracles import avg1_loss, ce_loss, kl_rows, loss_gradient, reference_avg1_targets, total_loss
+
+WEIGHT_ROW_SUM_TOL = 1e-6
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
 
@@ -54,11 +56,12 @@ def test_weights_strictly_positive_rows_sum_to_one(bank_labels, mode, h_share, w
     bank, labels = bank_labels
     # h strictly between the uniform share 1/C and 1
     h = 1.0 / bank.c + (1.0 - 1.0 / bank.c) * max(h_share, 1e-3)
-    params = mk.PkdParams(h=h, n_classes=bank.c) if mode == mk.PKD else None
-    weights = compute_weights(bank, labels, mode, params, weight_tau)
-    assert weights.normalized.shape == (bank.n, bank.k)
-    assert (weights.raw > 0.0).all() and (weights.normalized > 0.0).all()
-    assert np.max(np.abs(weights.normalized.sum(axis=1) - 1.0)) <= WEIGHT_ROW_SUM_TOL
+    raw = _teacher_scores(bank, labels, h if mode == mk.PKD else 1.0, weight_tau)
+    config = mk.DistillConfig(strategy=mode, h=h, weight_tau=weight_tau)
+    weights = build_targets(bank, labels, config).weights
+    assert weights.shape == (bank.n, bank.k)
+    assert (raw > 0.0).all() and (weights > 0.0).all()
+    assert np.max(np.abs(weights.sum(axis=1) - 1.0)) <= WEIGHT_ROW_SUM_TOL
 
 
 @SETTINGS
@@ -66,10 +69,10 @@ def test_weights_strictly_positive_rows_sum_to_one(bank_labels, mode, h_share, w
 def test_raw_weights_are_similarity_ce_of_each_teacher_row(bank_labels, mode, h_share, weight_tau):
     bank, labels = bank_labels
     h = 1.0 / bank.c + (1.0 - 1.0 / bank.c) * max(h_share, 1e-3)
-    params = mk.PkdParams(h=h, n_classes=bank.c) if mode == mk.PKD else None
-    raw = compute_weights(bank, labels, mode, params, weight_tau).raw
+    h = h if mode == mk.PKD else 1.0
+    raw = _teacher_scores(bank, labels, h, weight_tau)
     for n, label in enumerate(labels):
-        reference = _reference_rows(np.array([label]), bank.c, mode, params)[0]
+        reference = _reference_rows(np.array([label]), bank.c, h)[0]
         for k, logits in enumerate(bank.teachers):
             want = _inverse_ce(reference, softmax_t(logits[n], weight_tau))
             assert raw[n, k].tobytes() == np.float64(want).tobytes(), (n, k)
@@ -89,7 +92,7 @@ def test_single_teacher_every_strategy_is_kd_single(bank_labels, tau, weight_tau
 @SETTINGS
 @given(st.integers(2, 12), st.integers(0, 11), st.integers(0, 2**32 - 1), st.floats(0.1, 60.0))
 def test_onehot_similarity_ce_equals_kl(c, label, seed, scale):
-    reference = _reference_rows(np.array([label % c]), c, mk.GTD, None)[0]
+    reference = _reference_rows(np.array([label % c]), c, 1.0)[0]
     teacher = softmax_t(np.random.default_rng(seed).normal(size=c) * scale)
     assert _inverse_ce(reference, teacher) == 1.0 / max(kl_rows(reference, teacher), EPS)
 
