@@ -5,7 +5,9 @@ evaluate, ablate, cost-probe. A `--config` file supplies `key = value`
 defaults; explicit flags win. `main` binds every run once, before any
 subcommand does work: it reads `--config`, merges the flags over it and
 builds the `RunConfig`, so each subcommand rejects an unreadable config
-and a bad run-key value, also one it does not use. Exit codes: 0
+and a bad run-key value, also one it does not use. Every subcommand but
+`gen-data`, which creates its directory, also refuses an `--out` in a
+missing directory before it starts work. Exit codes: 0
 success, 1 usage error, 2 malformed input file, 3 numerical failure.
 `ablate` exits with the code of its first failed cell in report order.
 """
@@ -13,6 +15,7 @@ success, 1 usage error, 2 malformed input file, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import config as cfg
@@ -109,6 +112,13 @@ def _merged(args) -> dict:
         if value is not None:
             values[row.key] = value
     return values
+
+
+def _check_out_directory(out) -> None:
+    """Refuse an --out path or prefix whose directory does not exist."""
+    directory = os.path.dirname(str(out))
+    if directory and not os.path.isdir(directory):
+        raise UsageError(f"no directory {directory} for --out")
 
 
 def _run_config(values: dict) -> RunConfig:
@@ -229,9 +239,9 @@ def cmd_ablate(args, values: dict, rc: RunConfig) -> int:
         with write_atomically(f"{out}.tsv") as fh:
             fh.write(report_machine_text(report))
     sys.stdout.write(table)
-    for tag, seed, message in report.failures:
-        print(f"error: {tag} seed {seed}: {message}", file=sys.stderr)
-    return _exit_code_for(report.errors[0]) if report.failures else 0
+    for tag, seed, exc in report.failures:
+        print(f"error: {tag} seed {seed}: {exc}", file=sys.stderr)
+    return _exit_code_for(report.failures[0][2]) if report.failures else 0
 
 
 def cmd_cost_probe(args, values: dict, rc: RunConfig) -> int:
@@ -279,7 +289,10 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         values = _merged(args)
         _, handler = _COMMANDS[args.command]
-        return handler(args, values, _run_config(values))
+        rc = _run_config(values)
+        if values.get("out") and args.command != "gen-data":
+            _check_out_directory(values["out"])
+        return handler(args, values, rc)
     except (MultiKdError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code_for(exc)

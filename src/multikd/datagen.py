@@ -76,6 +76,19 @@ class DataParams:
         _check_darken(self.dark_factor, self.quant_levels)
 
 
+def validate_labels(labels, n_classes: int) -> np.ndarray:
+    arr = np.asarray(labels)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValidationError("labels must be a non-empty 1-D vector")
+    if not np.issubdtype(arr.dtype, np.integer):
+        if not np.all(arr == np.floor(arr)):
+            raise ValidationError("labels must be integers")
+        arr = arr.astype(np.int64)
+    if (arr < 0).any() or (arr >= n_classes).any():
+        raise ValidationError(f"labels must lie in [0, {n_classes})")
+    return arr.astype(np.int64)
+
+
 @dataclass
 class Dataset:
     features: np.ndarray
@@ -86,7 +99,9 @@ class Dataset:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
+        # an empty view, which validate_labels refuses, is kept for the writers to refuse
+        self.labels = validate_labels(labels, self.n_classes) if labels.size else labels.astype(np.int64)
         if self.features.ndim != 2 or self.features.shape[0] != self.labels.size:
             raise ValidationError("features and labels misaligned")
         if self.modality not in MODALITIES:

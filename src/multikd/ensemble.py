@@ -20,21 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import config as cfg
+from .datagen import validate_labels
 from .errors import ValidationError
 from .numerics import EPS, cross_entropy_rows, entropy_rows, running_mean, softmax_t
-
-
-def validate_labels(labels, n_classes: int) -> np.ndarray:
-    arr = np.asarray(labels)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValidationError("labels must be a non-empty 1-D vector")
-    if not np.issubdtype(arr.dtype, np.integer):
-        if not np.all(arr == np.floor(arr)):
-            raise ValidationError("labels must be integers")
-        arr = arr.astype(np.int64)
-    if (arr < 0).any() or (arr >= n_classes).any():
-        raise ValidationError(f"labels must lie in [0, {n_classes})")
-    return arr.astype(np.int64)
 
 
 @dataclass

@@ -40,9 +40,7 @@ from .trainer import StudentModel
 @dataclass
 class LogitDump:
     teacher_id: str
-    n: int
-    c: int
-    rows: np.ndarray
+    rows: np.ndarray  # n x c
 
 
 def fmt_float(x: float) -> str:
@@ -263,9 +261,8 @@ def load_logits(path: str) -> LogitDump:
         path, "logits", {"n": int, "c": int, "teacher": str},
         "empty dump rejected (n and c must be positive)",
     )
-    n, c = header["n"], header["c"]
-    rows, _ = _parse_rows(*_body(lines, n, path), c, path)
-    return LogitDump(teacher_id=_check_teacher_id(header["teacher"], f"{path}:1: "), n=n, c=c, rows=rows)
+    rows, _ = _parse_rows(*_body(lines, header["n"], path), header["c"], path)
+    return LogitDump(teacher_id=_check_teacher_id(header["teacher"], f"{path}:1: "), rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +316,10 @@ def load_model(path: str) -> StudentModel:
 
 
 def write_targets(path: str, strategy: str, tau: float, matrix) -> None:
+    if strategy not in STRATEGIES:
+        raise FormatError(f"targets file rejects unknown strategy {strategy!r}")
+    if not np.isfinite(tau):
+        raise FormatError(f"targets file rejects non-finite tau {tau!r}")
     header = {"strategy": strategy, "tau": fmt_float(tau)}
     _write_matrix(path, "targets", header, matrix, dims=("n", "c"))
 

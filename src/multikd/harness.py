@@ -78,8 +78,7 @@ class PipelineRow:
 @dataclass
 class AblationReport:
     rows: list[PipelineRow]
-    failures: list[tuple[str, int, str]] = field(default_factory=list)
-    errors: list[Exception] = field(default_factory=list)  # the exception behind each failure
+    failures: list[tuple[str, int, Exception]] = field(default_factory=list)
 
     def mean_top1(self, strategy: str) -> float:
         vals = [r.top1 for r in self.rows if r.strategy == strategy]
@@ -150,9 +149,10 @@ def bind_teacher_dumps(paths: list[str], data: Dataset, caches: dict | None = No
     def bank() -> TeacherBank:
         dumps = [_cached(caches, ("dump", path), lambda: load_logits(path)) for path in paths]
         for dump in dumps:
-            if dump.n != data.n or dump.c != data.n_classes:
+            if dump.rows.shape != (data.n, data.n_classes):
+                n, c = dump.rows.shape
                 raise ValidationError(
-                    f"teacher dump {dump.teacher_id!r} is {dump.n}x{dump.c}, "
+                    f"teacher dump {dump.teacher_id!r} is {n}x{c}, "
                     f"training data needs {data.n}x{data.n_classes}"
                 )
         return TeacherBank([d.rows for d in dumps], [d.teacher_id for d in dumps])
@@ -269,8 +269,7 @@ def run_ablation(
         try:
             report.rows.append(run_pipeline(rc, timing=timing, caches=caches))
         except Exception as exc:  # cell isolation: report partial results
-            report.failures.append((tag, seed, str(exc)))
-            report.errors.append(exc)
+            report.failures.append((tag, seed, exc))
     report.rows.sort(key=lambda r: (_strategy_rank(r.strategy), r.tau, r.seed))
     return report
 
@@ -291,8 +290,8 @@ def report_machine_text(report: AblationReport) -> str:
                 [r.strategy, fmt_float(r.tau), str(r.seed), fmt_float(r.top1), _fmt_seconds(r.epoch_seconds)]
             )
         )
-    for tag, seed, message in report.failures:
-        lines.append("\t".join([tag, "-", str(seed), "FAILED", message.replace("\t", " ")]))
+    for tag, seed, exc in report.failures:
+        lines.append("\t".join([tag, "-", str(seed), "FAILED", str(exc).replace("\t", " ")]))
     return "\n".join(lines) + "\n"
 
 

@@ -13,6 +13,8 @@ cross-entropy alone (alpha does not apply; this is the baseline).
 Training runs one step kernel, _step, that computes the forward pass,
 p1 and p_tau once each, the loss from those two, the logit gradient and
 the update; parameter_gradients runs the same kernel without the update.
+AVG1's entropy term is folded into its log-target before training, so
+every strategy hands the kernel the same rows.
 The plain loss and gradient formulas the kernel is tested against live
 in tests/_oracles.py. train() validates its inputs once at entry and
 gathers each epoch's rows once, so a step builds no per-batch objects.
@@ -34,7 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config as cfg
-from .ensemble import TargetSet, validate_labels
+from .datagen import validate_labels
+from .ensemble import TargetSet
 from .errors import NumericalError, ValidationError
 from .numerics import EPS, log_or_zero, softmax_rows
 from .rng import SplitMix64, _uniforms
@@ -95,7 +98,6 @@ class StudentModel:
 
 @dataclass
 class TrainResult:
-    model: StudentModel
     loss_trace: list[float]
     epoch_seconds: list[float]
 
@@ -122,15 +124,13 @@ def _forward_cached(model: StudentModel, features: np.ndarray):
 
 
 def forward(model: StudentModel, features) -> np.ndarray:
-    """Student logits for a B x D feature matrix (or a single row)."""
+    """Student logits for a B x D feature matrix."""
     arr = np.asarray(features, dtype=np.float64)
-    squeeze = arr.ndim == 1
-    if squeeze:
-        arr = arr[None, :]
+    if arr.ndim != 2:
+        raise ValidationError(f"features must be a B x D matrix, got shape {arr.shape}")
     if arr.shape[1] != model.d_in:
         raise ValidationError(f"features have {arr.shape[1]} dims, model expects {model.d_in}")
-    logits = _forward_cached(model, arr)[0]
-    return logits[0] if squeeze else logits
+    return _forward_cached(model, arr)[0]
 
 
 def _rows(model: StudentModel, features, labels, target_set: TargetSet, config: cfg.DistillConfig) -> list:
@@ -139,14 +139,15 @@ def _rows(model: StudentModel, features, labels, target_set: TargetSet, config: 
     Every check the step kernel relies on runs here, once: the config,
     the strategy tag, feature and label shapes, and the target shapes.
     The result is [features, onehot] for NONE, plus [target, log_target]
-    for a distillation strategy, plus [gap] if the target set has one
-    (AVG1); row n of each is sample n. onehot is a boolean N x C label
-    mask. log_target is log_or_zero(target), so a zero target entry adds
-    nothing to the KL term.
+    for a distillation strategy; row n of each is sample n. onehot is a
+    boolean N x C label mask. log_target is log_or_zero(target), so a
+    zero target entry adds nothing to the KL term.
 
-    Adding AVG1's gap to KL(mean||p), rather than computing mean_k sum
-    t_k log t_k - sum mean log p, keeps a small loss free of
-    cancellation between two large sums.
+    AVG1's per-row entropy gap is added once, here, to its row of
+    log_target: a target row sums to 1, so the kernel's KL(mean||p) then
+    carries the gap, which is constant in the logits and moves no
+    gradient. This keeps a small loss free of the cancellation between
+    mean_k sum t_k log t_k and sum mean log p.
     """
     config.validate()
     if target_set.strategy != config.strategy:
@@ -166,17 +167,16 @@ def _rows(model: StudentModel, features, labels, target_set: TargetSet, config: 
         raise ValidationError(
             f"target matrix {target.shape} misaligned with data ({n}, {model.n_classes})"
         )
-    rows = [features, onehot, target, log_or_zero(target)]
+    log_target = log_or_zero(target)
     if target_set.gap is not None:
         gap = np.asarray(target_set.gap, dtype=np.float64)
         if gap.shape != (n,):
             raise ValidationError(f"entropy gap {gap.shape} misaligned with data ({n},)")
-        rows.append(gap)
-    return rows
+        log_target += gap[:, None]
+    return [features, onehot, target, log_target]
 
 
-def _step(model, grads, config, features, onehot, target=None, log_target=None, gap=None,
-          update=True):
+def _step(model, grads, config, features, onehot, target=None, log_target=None, update=True):
     """The student step on one batch of rows, as returned by _rows.
 
     Forward pass, p1 and p_tau once each, the loss from them, the logit
@@ -185,11 +185,10 @@ def _step(model, grads, config, features, onehot, target=None, log_target=None, 
     exactly 0), then, if update, the SGD update of model.data. The
     arithmetic is that of total_loss and loss_gradient, followed by the
     w2, b2, w1, b1 updates, so parameters match that plain sequence bit
-    for bit; the loss adds the gap per row (see _rows), so it may differ
-    from total_loss in the last bits. Every finiteness check is one
-    reduction with no Python frame of its own.
-    Returns the pre-step loss and the (w1, b1, w2, b2) gradients, views
-    into grads.data.
+    for bit; AVG1's loss carries its entropy term in log_target (see
+    _rows), so it may differ from total_loss in the last bits. Every
+    finiteness check is one reduction with no Python frame of its own.
+    Returns the pre-step loss.
     """
     n = features.shape[0]
     logits, hidden, pre = _forward_cached(model, features)
@@ -202,8 +201,6 @@ def _step(model, grads, config, features, onehot, target=None, log_target=None, 
         alpha, tau = config.alpha, config.tau
         p_tau = softmax_rows(logits / tau)
         kl = np.add.reduce(target * (log_target - np.log(np.maximum(p_tau, EPS))), axis=1)
-        if gap is not None:
-            kl += gap
         kd = tau * tau * float(np.add.reduce(kl) / n)
         loss = alpha * loss + (1.0 - alpha) * kd
         g_logits = alpha * g_logits + (1.0 - alpha) * tau * (p_tau - target) / n
@@ -222,14 +219,15 @@ def _step(model, grads, config, features, onehot, target=None, log_target=None, 
         data -= config.lr * grads.data
         if not _all(np.isfinite(model.weights), None):
             raise NumericalError("non-finite parameters after update; training aborted")
-    return loss, (grads.w1, grads.b1, grads.w2, grads.b2)
+    return loss
 
 
 def parameter_gradients(model: StudentModel, features, labels, target_set: TargetSet,
                         config: cfg.DistillConfig):
     """Analytic (w1, b1, w2, b2) gradients of the loss on these rows, model unchanged."""
-    rows = _rows(model, features, labels, target_set, config)
-    return _step(model, model.copy(), config, *rows, update=False)[1]
+    grads = model.copy()
+    _step(model, grads, config, *_rows(model, features, labels, target_set, config), update=False)
+    return grads.w1, grads.b1, grads.w2, grads.b2
 
 
 def train(
@@ -270,10 +268,10 @@ def train(
         step_losses = []
         for lo in range(0, n, size):
             batch = [column[lo : lo + size] for column in shuffled]
-            step_losses.append(_step(model, grads, config, *batch)[0])
+            step_losses.append(_step(model, grads, config, *batch))
         trace.append(float(np.mean(step_losses)))
         times.append(time.perf_counter() - started)
-    return TrainResult(model, trace, times)
+    return TrainResult(trace, times)
 
 
 def evaluate(model: StudentModel, features, labels) -> float:

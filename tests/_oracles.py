@@ -32,8 +32,8 @@ from decimal import Decimal, getcontext
 import numpy as np
 
 from multikd import config as cfg
-from multikd.datagen import CENTER_HI, CENTER_LO
-from multikd.ensemble import TargetSet, validate_labels
+from multikd.datagen import CENTER_HI, CENTER_LO, validate_labels
+from multikd.ensemble import TargetSet
 from multikd.errors import FormatError, ValidationError
 from multikd.numerics import EPS, entropy_rows, log_or_zero, running_mean, softmax_t, validate_logit_row
 from multikd.rng import SplitMix64, derive_seed

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import multikd.harness as harness
 from multikd import DistillConfig
 from multikd.cli import build_parser, main
 from multikd.ensemble import TeacherBank, build_targets
@@ -71,7 +72,7 @@ def test_teacher_dump_assemble_flow(tmp_path, data_dir, capsys):
 
     model = load_model(str(model_a))
     dump = load_logits(str(dump_a))
-    assert dump.n == 120 and dump.c == model.n_classes
+    assert dump.rows.shape == (120, model.n_classes)
 
     prefix = tmp_path / "assembled"
     assert run_cli("assemble", "--labels-from", str(data_dir / "train_A.txt"),
@@ -432,6 +433,26 @@ def test_ablate_refuses_an_out_of_range_seed_before_any_cell(capsys):
     assert run_cli("ablate", "--seeds", "1,-1", *TINY) == 1
     captured = capsys.readouterr()
     assert captured.err == "error: seed must fit in 64 unsigned bits\n" and captured.out == ""
+
+
+@pytest.mark.parametrize("command", [name for name in SUBCOMMANDS if name != "gen-data"])
+def test_out_in_a_missing_directory_is_refused_before_any_work(command, tmp_path, monkeypatch, capsys):
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(harness, "train", no_training)
+    monkeypatch.setattr(harness, "train_plain", no_training)
+    missing = tmp_path / "missing"
+    flags = ["--seeds", "1", "--strategies", "NONE,PKD"] if command == "ablate" else []
+    assert run_cli(command, *flags, "--out", str(missing / "r")) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: no directory {missing} for --out\n" and captured.out == ""
+
+
+def test_gen_data_creates_its_out_directory(tmp_path, capsys):
+    out = tmp_path / "missing" / "data"
+    assert run_cli("gen-data", "--out", str(out), "--n-train", "4", "--n-test", "4") == 0
+    assert len(list(out.iterdir())) == 6
 
 
 def test_ablate_diverging_cell_exit_3(capsys):

@@ -37,7 +37,7 @@ class TestLogitDump:
         write_logit_dump(path, "teacher-A", rows)
         loaded = load_logits(path)
         assert loaded.teacher_id == "teacher-A"
-        assert loaded.n == 17 and loaded.c == 5
+        assert loaded.rows.shape == (17, 5)
         assert np.array_equal(loaded.rows, rows)
 
     def test_empty_matrix_rejected(self, tmp_path):
@@ -284,18 +284,22 @@ class TestAtomicWriters:
         ("dataset", Dataset(np.zeros((0, 2)), [], 2, "A", "train")),
         ("model", StudentModel([[np.inf]], [0.0], [[1.0]], [0.0])),
         ("model", StudentModel(np.zeros((1, 0)), [0.0], [[1.0]], [0.0])),
+        ("targets of strategy FOO", [[1.0]]),
+        ("targets at tau nan", [[1.0]]),
     ])
     def test_writer_refuses_what_the_loader_rejects(self, tmp_path, writer, matrix):
         write = {
             "logits": lambda path: write_logit_dump(path, "t", matrix),
             "targets": lambda path: write_targets(path, "PKD", 2.0, matrix),
+            "targets of strategy FOO": lambda path: write_targets(path, "FOO", 2.0, matrix),
+            "targets at tau nan": lambda path: write_targets(path, "PKD", float("nan"), matrix),
             "weights": lambda path: write_weights(path, "PKD", matrix),
             "dataset": lambda path: write_dataset(path, matrix),
             "model": lambda path: write_model(path, matrix),
         }[writer]
         path = tmp_path / "out.txt"
         path.write_text("old contents\n")
-        with pytest.raises(FormatError, match="needs non-empty 2-D matrices|rejects non-finite"):
+        with pytest.raises(FormatError, match="needs non-empty 2-D matrices|rejects non-finite|rejects unknown"):
             write(path)
         assert path.read_text() == "old contents\n"
         assert os.listdir(tmp_path) == ["out.txt"]

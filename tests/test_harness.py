@@ -186,7 +186,8 @@ class TestAblationReadsInputsOnce:
         assert str(lone.value) == expected
         report = run_ablation(dumped, DUMP_STRATEGIES, [1, 2])
         assert report.rows == []
-        assert report.failures == [(tag, seed, expected) for tag in DUMP_STRATEGIES for seed in (1, 2)]
+        assert [(tag, seed, str(exc)) for tag, seed, exc in report.failures] == [
+            (tag, seed, expected) for tag in DUMP_STRATEGIES for seed in (1, 2)]
 
 
 class TestBindTeacherDumpsOnce:

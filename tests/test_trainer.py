@@ -210,6 +210,25 @@ class TestAvg1Avg2Identity:
             assert kd1 - kd2 == pytest.approx(gap_expected, abs=1e-9)
             assert kd1 - kd2 >= -1e-10
 
+    def test_training_on_avg1_and_avg2_targets_moves_identical_bits(self):
+        # 23 rows in batches of 4: the last batch of every epoch holds 3
+        rng = np.random.default_rng(6100)
+        n, d, c, k = 23, 5, 4, 3
+        features = rng.random((n, d))
+        labels = rng.integers(c, size=n)
+        bank = TeacherBank([rng.normal(size=(n, c)) * 3.0 for _ in range(k)],
+                           [f"t{i}" for i in range(k)])
+        runs = {}
+        for strategy in (mk.AVG1, mk.AVG2):
+            config = DistillConfig(strategy=strategy, tau=3.0, alpha=0.4, lr=0.2, batch_size=4,
+                                   epochs=3, seed=17)
+            model = init_student(d, 6, c, SplitMix64(17))
+            trace = train(model, features, labels, build_targets(bank, labels, config), config).loss_trace
+            runs[strategy] = model.data.tobytes(), trace
+        assert runs[mk.AVG1][0] == runs[mk.AVG2][0]
+        for avg1, avg2 in zip(runs[mk.AVG1][1], runs[mk.AVG2][1], strict=True):
+            assert avg1 >= avg2 - 1e-12 * abs(avg2)
+
 
 class TestForward:
     def test_zero_model_zero_logits(self):
@@ -395,7 +414,7 @@ class TestTrainAndEvaluate:
         acc = evaluate(model, features, labels)
         hits = 0
         for i in range(80):
-            logits = forward(model, features[i])
+            logits = forward(model, features[i : i + 1])[0]
             best = 0
             for c in range(1, 3):
                 if logits[c] > logits[best]:
