@@ -5,11 +5,12 @@ evaluate, ablate, cost-probe. A `--config` file supplies `key = value`
 defaults; explicit flags win. `main` binds every run once, before any
 subcommand does work: it reads `--config`, merges the flags over it and
 builds the `RunConfig`, so each subcommand rejects an unreadable config
-and a bad run-key value, also one it does not use. Every subcommand but
-`gen-data`, which creates its directory, also refuses an `--out` in a
-missing directory before it starts work. Exit codes: 0
-success, 1 usage error, 2 malformed input file, 3 numerical failure.
-`ablate` exits with the code of its first failed cell in report order.
+and a bad run-key value, also one it does not use. Then, still before
+any work, every subcommand refuses an `--out` that names no file or
+(but for `gen-data`, which creates it) lies in a missing directory, and
+a missing required flag. Exit codes: 0 success, 1 usage error, 2
+malformed input file, 3 numerical failure. `ablate` exits with the
+code of its first failed cell in report order.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import sys
 
 from . import config as cfg
 from .datagen import DataParams
-from .ensemble import build_targets
+from .ensemble import _check_teacher_count, build_targets
 from .errors import FormatError, MultiKdError, NumericalError, ValidationError
 from .formats import (
     _check_teacher_id,
@@ -96,29 +97,34 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _require(value, flag: str):
-    if value is None:
-        raise UsageError(f"missing required flag {flag}")
-    return value
-
-
 def _merged(args) -> dict:
-    """Config-file values overridden by explicit flags."""
+    """Config-file values overridden by every flag given."""
     values: dict = {}
     if args.config:
         values.update(parse_config_file(args.config))
-    for row in cfg.RUN_KEYS:
-        value = getattr(args, row.key, None)
-        if value is not None:
-            values[row.key] = value
+    values.update((key, value) for key, value in vars(args).items() if value is not None)
     return values
 
 
-def _check_out_directory(out) -> None:
-    """Refuse an --out path or prefix whose directory does not exist."""
-    directory = os.path.dirname(str(out))
-    if directory and not os.path.isdir(directory):
-        raise UsageError(f"no directory {directory} for --out")
+# A subcommand requires its own flags that are not run keys (argparse parses
+# only the running one's, and sets a switch either way), and --out if it writes.
+_NOT_INPUTS = {"command", "config", *(row.key for row in cfg.RUN_KEYS)}
+_WRITERS = ("gen-data", "train-teacher", "dump-logits", "assemble")
+
+
+def _check_inputs(args, values: dict) -> None:
+    """Refuse a bad --out, then a missing input; `gen-data` creates its --out directory."""
+    out = values.get("out")
+    if out is not None:
+        directory, name = ("", out) if args.command == "gen-data" else os.path.split(out)
+        if not name:
+            raise UsageError(f"--out {out!r} names no file")
+        if directory and not os.path.isdir(directory):
+            raise UsageError(f"no directory {directory} for --out")
+    inputs = [key for key in vars(args) if key not in _NOT_INPUTS]
+    for key in (inputs + ["out"] if args.command in _WRITERS else inputs):
+        if key not in values:
+            raise UsageError(f"missing required flag --{key.replace('_', '-')}")
 
 
 def _run_config(values: dict) -> RunConfig:
@@ -145,56 +151,53 @@ def _run_config(values: dict) -> RunConfig:
     )
 
 
-def cmd_gen_data(args, values: dict, rc: RunConfig) -> int:
-    out = _require(values.get("out"), "--out")
-    data = generate_data(rc)
-    written = write_all_views(str(out), data)
-    print(f"wrote {len(written)} dataset files to {out}")
+def cmd_gen_data(values: dict, rc: RunConfig) -> int:
+    written = write_all_views(values["out"], generate_data(rc))
+    print(f"wrote {len(written)} dataset files to {values['out']}")
     return 0
 
 
-def cmd_train_teacher(args, values: dict, rc: RunConfig) -> int:
-    dataset = load_dataset(_require(args.data, "--data"))
+def cmd_train_teacher(values: dict, rc: RunConfig) -> int:
+    dataset = load_dataset(values["data"])
     model = train_plain(dataset, rc.distill, rc.seed)
-    out = _require(values.get("out"), "--out")
-    write_model(str(out), model)
+    write_model(values["out"], model)
     acc = evaluate(model, dataset.features, dataset.labels)
-    print(f"trained on {dataset.n} samples; train top-1 {acc:.4f}; model -> {out}")
+    print(f"trained on {dataset.n} samples; train top-1 {acc:.4f}; model -> {values['out']}")
     return 0
 
 
-def _model_and_data(args):
+def _model_and_data(values: dict):
     """--model and --data, loaded and checked to agree on the class count."""
-    model = load_model(_require(args.model, "--model"))
-    dataset = load_dataset(_require(args.data, "--data"))
+    model = load_model(values["model"])
+    dataset = load_dataset(values["data"])
     if dataset.n_classes != model.n_classes:
         raise ValidationError(f"dataset has {dataset.n_classes} classes, model has {model.n_classes}")
     return model, dataset
 
 
-def cmd_dump_logits(args, values: dict, rc: RunConfig) -> int:
+def cmd_dump_logits(values: dict, rc: RunConfig) -> int:
     try:  # a usage error, found before any file is read
-        teacher_id = _check_teacher_id(_require(args.teacher_id, "--teacher-id"))
+        teacher_id = _check_teacher_id(values["teacher_id"])
     except FormatError as exc:
         raise UsageError(str(exc)) from None
-    model, dataset = _model_and_data(args)
-    out = _require(values.get("out"), "--out")
-    write_logit_dump(str(out), teacher_id, forward(model, dataset.features))
-    print(f"dumped {dataset.n}x{model.n_classes} logits for {teacher_id} -> {out}")
+    model, dataset = _model_and_data(values)
+    write_logit_dump(values["out"], teacher_id, forward(model, dataset.features))
+    print(f"dumped {dataset.n}x{model.n_classes} logits for {teacher_id} -> {values['out']}")
     return 0
 
 
-def cmd_assemble(args, values: dict, rc: RunConfig) -> int:
+def cmd_assemble(values: dict, rc: RunConfig) -> int:
     if rc.distill.strategy == cfg.NONE:
         raise UsageError("strategy NONE has no targets to assemble")
     if rc.distill.strategy == cfg.AVG1:
         raise UsageError("assemble cannot write AVG1: a targets file cannot carry its entropy gap")
     if not rc.teacher_paths:
         raise UsageError("assemble needs at least one --teacher dump")
-    dataset = load_dataset(_require(args.labels_from, "--labels-from"))
+    _check_teacher_count(rc.distill.strategy, len(rc.teacher_paths))
+    dataset = load_dataset(values["labels_from"])
     bank = bind_teacher_dumps(rc.teacher_paths, dataset)
     targets = build_targets(bank, dataset.labels, rc.distill)
-    out = _require(values.get("out"), "--out")
+    out = values["out"]
     write_targets(f"{out}.targets.txt", rc.distill.strategy, rc.distill.tau, targets.targets[0])
     paths = [f"{out}.targets.txt"]
     if targets.weights is not None:
@@ -204,7 +207,7 @@ def cmd_assemble(args, values: dict, rc: RunConfig) -> int:
     return 0
 
 
-def cmd_distill(args, values: dict, rc: RunConfig) -> int:
+def cmd_distill(values: dict, rc: RunConfig) -> int:
     row = run_pipeline(rc)
     out = values.get("out")
     if out:
@@ -215,14 +218,14 @@ def cmd_distill(args, values: dict, rc: RunConfig) -> int:
     return 0
 
 
-def cmd_evaluate(args, values: dict, rc: RunConfig) -> int:
-    model, dataset = _model_and_data(args)
+def cmd_evaluate(values: dict, rc: RunConfig) -> int:
+    model, dataset = _model_and_data(values)
     acc = evaluate(model, dataset.features, dataset.labels)
     print(f"top-1 {acc:.4f} on {dataset.n} samples ({dataset.split}/{dataset.modality})")
     return 0
 
 
-def cmd_ablate(args, values: dict, rc: RunConfig) -> int:
+def cmd_ablate(values: dict, rc: RunConfig) -> int:
     raw_seeds = values.get("seeds", "1,2,3,4,5")
     try:
         seeds = [int(tok) for tok in str(raw_seeds).split(",") if tok.strip() != ""]
@@ -230,7 +233,7 @@ def cmd_ablate(args, values: dict, rc: RunConfig) -> int:
         raise UsageError(f"bad value for seeds: {raw_seeds!r}") from None
     raw_strategies = values.get("strategies") or ",".join(cfg.STRATEGIES)
     strategies = [tok.strip() for tok in str(raw_strategies).split(",") if tok.strip()]
-    report = run_ablation(rc, strategies, seeds, timing=bool(args.timing))
+    report = run_ablation(rc, strategies, seeds, timing=values["timing"])
     table = report_table_text(report)
     out = values.get("out")
     if out:
@@ -244,7 +247,7 @@ def cmd_ablate(args, values: dict, rc: RunConfig) -> int:
     return _exit_code_for(report.failures[0][2]) if report.failures else 0
 
 
-def cmd_cost_probe(args, values: dict, rc: RunConfig) -> int:
+def cmd_cost_probe(values: dict, rc: RunConfig) -> int:
     probe = cost_probe(rc, epochs=rc.distill.epochs if "epochs" in values else 5)
     text = cost_probe_text(probe)
     out = values.get("out")
@@ -290,9 +293,8 @@ def main(argv: list[str] | None = None) -> int:
         values = _merged(args)
         _, handler = _COMMANDS[args.command]
         rc = _run_config(values)
-        if values.get("out") and args.command != "gen-data":
-            _check_out_directory(values["out"])
-        return handler(args, values, rc)
+        _check_inputs(args, values)
+        return handler(values, rc)
     except (MultiKdError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code_for(exc)

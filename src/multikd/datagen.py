@@ -25,6 +25,7 @@ from .preprocess import (
     GAMMA_DEFAULT,
     QUANT_LEVELS_DEFAULT,
     _check_darken,
+    _check_gamma,
     darken,
     gamma_correct,
 )
@@ -71,8 +72,7 @@ class DataParams:
             raise ValidationError("split sizes must be positive")
         if not (np.isfinite(self.noise) and self.noise >= 0.0):
             raise ValidationError(f"noise must be nonnegative and finite, got {self.noise}")
-        if not (np.isfinite(self.gamma) and self.gamma > 0.0):
-            raise ValidationError(f"gamma must be positive and finite, got {self.gamma}")
+        _check_gamma(self.gamma)
         _check_darken(self.dark_factor, self.quant_levels)
 
 

@@ -126,6 +126,12 @@ def _teacher_scores(bank: TeacherBank, labels, h: float, weight_tau: float) -> n
     return raw
 
 
+def _check_teacher_count(strategy: str, k: int) -> None:
+    """Refuse KD_SINGLE with other than one teacher; `k` is the count given."""
+    if strategy == cfg.KD_SINGLE and k != 1:
+        raise ValidationError(f"KD_SINGLE requires exactly one teacher, got {k}")
+
+
 def build_targets(bank: TeacherBank, labels, config: cfg.DistillConfig) -> TargetSet:
     """Dispatch one strategy tag to its target construction.
 
@@ -141,8 +147,7 @@ def build_targets(bank: TeacherBank, labels, config: cfg.DistillConfig) -> Targe
     Every result holds one N x C matrix, whatever K is.
     """
     strategy, tau = config.strategy, config.tau
-    if strategy == cfg.KD_SINGLE and bank.k != 1:
-        raise ValidationError(f"KD_SINGLE requires exactly one teacher, got {bank.k}")
+    _check_teacher_count(strategy, bank.k)
     if strategy in (cfg.KD_SINGLE, cfg.AVG2):
         return TargetSet(strategy, [running_mean(softmax_t(t, tau) for t in bank.teachers)])
     if strategy == cfg.AVG1:

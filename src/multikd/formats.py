@@ -148,7 +148,10 @@ def write_atomically(path):
     try:
         with fh:
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:  # name the caller's file, not the temporary one
+            raise OSError(exc.errno, exc.strerror, path) from None
     except BaseException:
         with contextlib.suppress(OSError):
             os.remove(tmp)

@@ -39,13 +39,19 @@ def _check_darken(factor: float, quant_levels: int) -> tuple[float, int]:
     return factor, levels
 
 
+def _check_gamma(gamma: float) -> float:
+    """`gamma` positive and finite, as the float gamma correction uses."""
+    gamma = float(gamma)
+    # isfinite rejects NaN, which compares false with everything
+    if not (np.isfinite(gamma) and gamma > 0.0):
+        raise ValidationError(f"gamma must be positive and finite, got {gamma}")
+    return gamma
+
+
 def gamma_correct(values, gamma: float = GAMMA_DEFAULT) -> np.ndarray:
     """Elementwise x -> x**(1/gamma) on [0, 1] intensities."""
     arr = _check_unit_interval(values, "intensities")
-    gamma = float(gamma)
-    if not np.isfinite(gamma) or gamma <= 0.0:
-        raise ValidationError(f"gamma must be a positive real, got {gamma}")
-    return np.power(arr, 1.0 / gamma)
+    return np.power(arr, 1.0 / _check_gamma(gamma))
 
 
 def darken(

@@ -1,6 +1,7 @@
 """End-to-end CLI flows and exit codes."""
 
 import io
+import os
 import shutil
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import multikd.cli as cli
 import multikd.harness as harness
 from multikd import DistillConfig
 from multikd.cli import build_parser, main
@@ -453,6 +455,75 @@ def test_gen_data_creates_its_out_directory(tmp_path, capsys):
     out = tmp_path / "missing" / "data"
     assert run_cli("gen-data", "--out", str(out), "--n-train", "4", "--n-test", "4") == 0
     assert len(list(out.iterdir())) == 6
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Spies that fail the test if a run trains or reads a model or dataset file."""
+    for module, name in [(harness, "train"), (harness, "train_plain"), (cli, "load_dataset"),
+                         (cli, "load_model")]:
+        def spy(*args, name=name, **kwargs):
+            raise AssertionError(f"{name} called")
+
+        monkeypatch.setattr(module, name, spy)
+
+
+# Each subcommand's required inputs, --out included, in parser order.
+REQUIRED = {
+    "gen-data": ["--out"],
+    "train-teacher": ["--data", "--out"],
+    "dump-logits": ["--data", "--teacher-id", "--model", "--out"],
+    "assemble": ["--labels-from", "--out"],
+    "distill": [],
+    "evaluate": ["--data", "--model"],
+    "ablate": [],
+    "cost-probe": [],
+}
+
+
+def test_required_inputs_cover_every_subcommand():
+    assert sorted(REQUIRED) == sorted(SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command in SUBCOMMANDS for flag in REQUIRED.get(command, [])
+])
+def test_missing_required_input_is_refused_before_any_work(command, flag, tmp_path, no_work, capsys):
+    given = {"--out": tmp_path / "out", "--data": tmp_path / "d.txt", "--model": tmp_path / "m.model",
+             "--teacher-id": "t", "--labels-from": tmp_path / "d.txt"}
+    argv = [str(arg) for other in REQUIRED[command] if other != flag for arg in (other, given[other])]
+    if command == "assemble":
+        argv += ["--teacher", str(tmp_path / "a.logits")]
+    assert run_cli(command, *argv) == 1
+    assert capsys.readouterr() == ("", f"error: missing required flag {flag}\n")
+
+
+def test_writer_takes_its_out_from_the_config(tmp_path, data_dir, capsys):
+    model = tmp_path / "t.model"
+    config = tmp_path / "run.cfg"
+    config.write_text(f"out = {model}\nepochs = 2\n")
+    assert run_cli("train-teacher", "--config", str(config), "--data", str(data_dir / "train_A.txt")) == 0
+    assert capsys.readouterr().out.endswith(f"model -> {model}\n")
+    assert load_model(str(model)).n_classes == 4
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_out_that_names_no_file_is_refused_before_any_work(command, tmp_path, no_work, capsys):
+    # gen-data's --out is a directory, so only an empty one names nothing
+    outs = [""] if command == "gen-data" else ["", str(tmp_path) + os.sep]
+    for out in outs:
+        assert run_cli(command, f"--out={out}") == 1
+        assert capsys.readouterr() == ("", f"error: --out {out!r} names no file\n")
+    assert os.listdir(tmp_path) == []
+
+
+def test_assemble_refuses_kd_single_of_two_before_any_file(tmp_path, data_dir, no_work, capsys):
+    dump = str(tmp_path / "a.logits")
+    write_logit_dump(dump, "a", np.random.default_rng(6).normal(size=(120, 4)))
+    assert run_cli("assemble", "--labels-from", str(data_dir / "train_A.txt"), "--teacher", dump,
+                   "--teacher", str(tmp_path / "nope.logits"), "--strategy", "KD_SINGLE",
+                   "--out", str(tmp_path / "refused")) == 1
+    assert capsys.readouterr().err == "error: KD_SINGLE requires exactly one teacher, got 2\n"
 
 
 def test_ablate_diverging_cell_exit_3(capsys):

@@ -316,6 +316,17 @@ class TestAtomicWriters:
         assert sorted(os.listdir(tmp_path)) == ["dir.txt"]
 
     @pytest.mark.parametrize("writer", WRITERS)
+    def test_directory_target_named_in_error(self, tmp_path, writer):
+        # open succeeds on the temporary file; the final move onto a directory fails
+        target = tmp_path / "dir.txt"
+        target.mkdir()
+        with pytest.raises(OSError) as info:
+            WRITERS[writer](target)
+        exc = info.value
+        assert str(exc) == f"[Errno {exc.errno}] {exc.strerror}: '{target}'"
+        assert os.listdir(tmp_path) == ["dir.txt"] and os.listdir(target) == []
+
+    @pytest.mark.parametrize("writer", WRITERS)
     def test_write_replaces_old_file(self, tmp_path, writer):
         WRITERS[writer](tmp_path / "fresh.txt")
         path = tmp_path / "out.txt"

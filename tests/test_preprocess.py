@@ -42,6 +42,12 @@ class TestGammaCorrect:
         with pytest.raises(ValidationError):
             gamma_correct([0.5], 0.0)
 
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_gamma_not_positive_and_finite(self, gamma):
+        with pytest.raises(ValidationError) as info:
+            gamma_correct([0.5], gamma)
+        assert str(info.value) == f"gamma must be positive and finite, got {gamma}"
+
 
 class TestDarken:
     def test_near_identity_with_fine_quantization(self):

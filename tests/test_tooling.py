@@ -48,6 +48,7 @@ def test_workload_matches_pins(workload):
     (["dump-logits", "--teacher-id", "a b", "--model", "missing.model", "--data", "missing.txt",
       "--out", "x"], 1),
     (["evaluate", "--dark-factor", "2", "--model", "missing.model", "--data", "missing.txt"], 1),
+    (["train-teacher", "--data", "missing.txt"], 1),
 ])
 def test_module_entry_point_exit_code(tmp_path, argv, code):
     path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
