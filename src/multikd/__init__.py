@@ -29,7 +29,6 @@ from .harness import (
     run_ablation,
     run_pipeline,
 )
-from .numerics import softmax_t
 from .preprocess import darken, gamma_correct
 from .rng import SplitMix64, derive_seed
 from .trainer import StudentModel, evaluate, forward, init_student, train

@@ -7,10 +7,11 @@ subcommand does work: it reads `--config`, merges the flags over it and
 builds the `RunConfig`, so each subcommand rejects an unreadable config
 and a bad run-key value, also one it does not use. Then, still before
 any work, every subcommand refuses an `--out` that names no file or
-(but for `gen-data`, which creates it) lies in a missing directory, and
-a missing required flag. Exit codes: 0 success, 1 usage error, 2
-malformed input file, 3 numerical failure. `ablate` exits with the
-code of its first failed cell in report order.
+(but for `gen-data`, which creates it) lies in a missing directory, a
+single-file `--out` that names a directory, and a missing required
+flag. Exit codes: 0 success, 1 usage error, 2 malformed input file, 3
+numerical failure. `ablate` exits with the code of its first failed
+cell in report order.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ def build_parser() -> _Parser:
 def _merged(args) -> dict:
     """Config-file values overridden by every flag given."""
     values: dict = {}
-    if args.config:
+    if args.config is not None:
         values.update(parse_config_file(args.config))
     values.update((key, value) for key, value in vars(args).items() if value is not None)
     return values
@@ -110,6 +111,8 @@ def _merged(args) -> dict:
 # only the running one's, and sets a switch either way), and --out if it writes.
 _NOT_INPUTS = {"command", "config", *(row.key for row in cfg.RUN_KEYS)}
 _WRITERS = ("gen-data", "train-teacher", "dump-logits", "assemble")
+# Subcommands whose --out is one file; `ablate` and `assemble` take a prefix.
+_FILE_WRITERS = ("train-teacher", "dump-logits", "distill", "cost-probe")
 
 
 def _check_inputs(args, values: dict) -> None:
@@ -121,6 +124,8 @@ def _check_inputs(args, values: dict) -> None:
             raise UsageError(f"--out {out!r} names no file")
         if directory and not os.path.isdir(directory):
             raise UsageError(f"no directory {directory} for --out")
+        if args.command in _FILE_WRITERS and os.path.isdir(out):
+            raise UsageError(f"--out {out!r} is a directory")
     inputs = [key for key in vars(args) if key not in _NOT_INPUTS]
     for key in (inputs + ["out"] if args.command in _WRITERS else inputs):
         if key not in values:

@@ -11,6 +11,9 @@ Everything happens offline on stored logits; no teacher model is ever
 needed once its logits are dumped, so the number of teachers only
 affects this one-shot assembly, never the training loop. Every strategy,
 AVG1 included, yields one N x C target matrix: O(N*C) memory at any K.
+TeacherBank checks the logits once, as it is built, and build_targets
+checks the config once, at entry; teachers are then softened with the
+unchecked numerics.softmax_rows.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 from . import config as cfg
 from .datagen import validate_labels
 from .errors import ValidationError
-from .numerics import EPS, cross_entropy_rows, entropy_rows, running_mean, softmax_t
+from .numerics import EPS, cross_entropy_rows, entropy_rows, running_mean, softmax_rows
 
 
 @dataclass
@@ -122,7 +125,7 @@ def _teacher_scores(bank: TeacherBank, labels, h: float, weight_tau: float) -> n
     refs = _reference_rows(labels, bank.c, h)
     raw = np.empty((bank.n, bank.k), dtype=np.float64)
     for k, logits in enumerate(bank.teachers):
-        raw[:, k] = _inverse_ce(refs, softmax_t(logits, weight_tau))
+        raw[:, k] = _inverse_ce(refs, softmax_rows(logits / weight_tau))
     return raw
 
 
@@ -144,16 +147,18 @@ def build_targets(bank: TeacherBank, labels, config: cfg.DistillConfig) -> Targe
     the bits of two separate running means.
     GTD/PKD: reference-weighted convex assembly, GTD at h = 1. PKD
     needs h in (1/C, 1]; GTD ignores config.h.
-    Every result holds one N x C matrix, whatever K is.
+    Every result holds one N x C matrix, whatever K is. The config is
+    validated here, so one changed after construction is refused.
     """
+    config.validate()
     strategy, tau = config.strategy, config.tau
     _check_teacher_count(strategy, bank.k)
     if strategy in (cfg.KD_SINGLE, cfg.AVG2):
-        return TargetSet(strategy, [running_mean(softmax_t(t, tau) for t in bank.teachers)])
+        return TargetSet(strategy, [running_mean(softmax_rows(t / tau) for t in bank.teachers)])
     if strategy == cfg.AVG1:
 
         def with_entropy(logits):
-            p = softmax_t(logits, tau)
+            p = softmax_rows(logits / tau)
             return np.column_stack((p, entropy_rows(p)))
 
         means = running_mean(map(with_entropy, bank.teachers))
@@ -171,6 +176,6 @@ def build_targets(bank: TeacherBank, labels, config: cfg.DistillConfig) -> Targe
         weights = raw / raw.sum(axis=1, keepdims=True)
         target = np.zeros((bank.n, bank.c), dtype=np.float64)
         for k, logits in enumerate(bank.teachers):
-            target += weights[:, k : k + 1] * softmax_t(logits, tau)
+            target += weights[:, k : k + 1] * softmax_rows(logits / tau)
         return TargetSet(strategy, [target], weights)
     raise ValidationError(f"build_targets cannot handle strategy {strategy!r}")

@@ -4,9 +4,11 @@ Every routine here is a pure function of float64 arrays. Distributions
 are rows. A probability floor EPS is applied only to arguments of log,
 so the 0*log(0) = 0 convention survives while log(0) never occurs.
 
-softmax_t checks its logits and temperature, then calls softmax_rows,
-which the training step also calls directly. The other row functions
-take checked arrays, 1-D or row-wise 2-D, and check nothing. Reductions
+The row functions take checked arrays, 1-D or row-wise 2-D, and check
+nothing: TeacherBank checks the logits and DistillConfig the
+temperatures. softmax_rows is the one softmax: assembly calls it on a
+bank matrix divided by a temperature, the training step on its scaled
+logits. Reductions
 use numpy's fixed evaluation order, so results are bit-reproducible for
 a fixed input order. The scalar references these kernels are tested
 against (KL, probability-row checks) live in tests/_oracles.py.
@@ -21,34 +23,12 @@ from .errors import ValidationError
 EPS = 1e-12
 
 
-def validate_logit_row(values, name: str = "logits") -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 0:
-        raise ValidationError(f"{name} must be non-empty")
-    if not np.isfinite(arr).all():
-        raise ValidationError(f"{name} must be finite (no NaN/Inf)")
-    return arr
-
-
-def validate_tau(tau: float) -> float:
-    tau = float(tau)
-    if not np.isfinite(tau) or tau <= 0.0:
-        raise ValidationError(f"temperature must be a positive real, got {tau}")
-    return tau
-
-
-def softmax_t(logits, tau: float = 1.0) -> np.ndarray:
-    """Temperature-softened softmax, stabilized by max subtraction.
-
-    Works on a single row or row-wise on a matrix. Output rows sum to 1
-    within 1e-12 and are invariant to adding a constant to the logits.
-    """
-    tau = validate_tau(tau)
-    return softmax_rows(validate_logit_row(logits) / tau)
-
-
 def softmax_rows(scaled: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of already-scaled, pre-validated logits (no checks)."""
+    """Row-wise softmax of already-scaled, pre-validated logits (no checks).
+
+    Stabilized by max subtraction: output rows sum to 1 within 1e-12 and
+    are invariant to adding a constant to the logits.
+    """
     e = np.exp(scaled - np.maximum.reduce(scaled, axis=-1, keepdims=True))
     return e / np.add.reduce(e, axis=-1, keepdims=True)
 

@@ -3,6 +3,8 @@
 The dec_* routines re-evaluate the exact float64 inputs with 50-digit
 decimal arithmetic and plain term-by-term summation, sharing no code
 with the implementation under test.
+soften is the temperature softmax the references use, softmax_rows of
+the logits over tau, as assembly computes it from a checked bank.
 kl_rows, validate_prob_row and the losses ce_loss, kd_loss, avg1_loss,
 total_loss with its logit gradient loss_gradient are the plain formulas
 of the distillation objective. The program runs none of them: its step
@@ -35,7 +37,7 @@ from multikd import config as cfg
 from multikd.datagen import CENTER_HI, CENTER_LO, validate_labels
 from multikd.ensemble import TargetSet
 from multikd.errors import FormatError, ValidationError
-from multikd.numerics import EPS, entropy_rows, log_or_zero, running_mean, softmax_t, validate_logit_row
+from multikd.numerics import EPS, entropy_rows, log_or_zero, running_mean, softmax_rows
 from multikd.rng import SplitMix64, derive_seed
 
 getcontext().prec = 50
@@ -78,9 +80,18 @@ def dec_entropy(p):
 PROB_SUM_TOL = 1e-9
 
 
+def soften(logits, tau=1.0) -> np.ndarray:
+    """Row-wise softmax of logits at temperature tau: softmax_rows(logits / tau)."""
+    return softmax_rows(np.asarray(logits, dtype=np.float64) / tau)
+
+
 def validate_prob_row(values, name: str = "probs") -> np.ndarray:
-    """Check nonnegativity and unit sum (within 1e-9) of a distribution row."""
-    arr = validate_logit_row(values, name)
+    """Check a distribution row: non-empty, finite, nonnegative, unit sum within 1e-9."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.size == 0:
+        raise ValidationError(f"{name} must be non-empty")
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{name} must be finite (no NaN/Inf)")
     if (arr < 0.0).any():
         raise ValidationError(f"{name} has negative entries")
     sums = arr.sum(axis=-1)
@@ -112,7 +123,7 @@ def kd_loss(student_logits, target, tau: float) -> float:
     target = np.asarray(target, dtype=np.float64)
     if logits.shape != target.shape:
         raise ValidationError(f"dimension mismatch: logits {logits.shape} vs target {target.shape}")
-    student = softmax_t(logits, tau)
+    student = soften(logits, tau)
     return float(tau * tau * np.mean(kl_rows(target, student)))
 
 
@@ -126,7 +137,7 @@ def avg1_loss(student_logits, targets, tau: float) -> float:
 def total_loss(student_logits, labels, target_set, config) -> float:
     """alpha * CE + (1 - alpha) * KD; a gap adds tau^2 * its mean to KD (AVG1)."""
     logits = np.asarray(student_logits, dtype=np.float64)
-    ce = ce_loss(softmax_t(logits, 1.0), labels)
+    ce = ce_loss(soften(logits, 1.0), labels)
     if config.strategy == cfg.NONE:
         return ce
     kd = kd_loss(logits, target_set.targets[0], config.tau)
@@ -146,13 +157,13 @@ def loss_gradient(student_logits, labels, target_set, config) -> np.ndarray:
     logits = np.asarray(student_logits, dtype=np.float64)
     labels = validate_labels(labels, logits.shape[1])
     n = logits.shape[0]
-    p1 = softmax_t(logits, 1.0)
+    p1 = soften(logits, 1.0)
     ce_grad = p1.copy()
     ce_grad[np.arange(n), labels] -= 1.0
     ce_grad /= n
     if config.strategy == cfg.NONE:
         return ce_grad
-    p_tau = softmax_t(logits, config.tau)
+    p_tau = soften(logits, config.tau)
     kd_grad = (1.0 - config.alpha) * config.tau * (p_tau - target_set.targets[0]) / n
     return config.alpha * ce_grad + kd_grad
 
@@ -313,8 +324,8 @@ def reference_init_student(d_in, hidden_dim, n_classes, prng):
 
 def reference_avg1_targets(bank, tau):
     """AVG1's mean target and entropy gap, softening every teacher twice."""
-    target = running_mean(softmax_t(t, tau) for t in bank.teachers)
-    per_teacher = running_mean(entropy_rows(softmax_t(t, tau)) for t in bank.teachers)
+    target = running_mean(soften(t, tau) for t in bank.teachers)
+    per_teacher = running_mean(entropy_rows(soften(t, tau)) for t in bank.teachers)
     return target, entropy_rows(target) - per_teacher
 
 

@@ -30,11 +30,11 @@ from multikd.ensemble import (
 )
 from multikd.formats import load_dataset, load_logits, write_dataset, write_logit_dump
 from multikd.harness import RunConfig, cost_probe, report_machine_text, run_ablation
-from multikd.numerics import EPS, entropy_rows, softmax_t
+from multikd.numerics import EPS, entropy_rows
 from multikd.rng import SplitMix64
 from multikd.trainer import forward, init_student, parameter_gradients
 
-from _oracles import avg1_loss, fd_gradient, kd_loss, kl_rows, loss_gradient, rel_err, total_loss
+from _oracles import avg1_loss, fd_gradient, kd_loss, kl_rows, loss_gradient, rel_err, soften, total_loss
 
 GOLDEN_ABLATION = Path(__file__).parent / "golden" / "ablation_default.tsv"
 
@@ -135,7 +135,7 @@ def test_criterion_4_avg1_avg2_identity():
         g1 = loss_gradient(logits, labels, t1, cfg1)
         g2 = loss_gradient(logits, labels, t2, cfg2)
         worst_grad = max(worst_grad, float(np.max(np.abs(g1 - g2))))
-        softened = [softmax_t(t, tau) for t in bank.teachers]
+        softened = [soften(t, tau) for t in bank.teachers]
         gap = avg1_loss(logits, softened, tau) - kd_loss(logits, t2.targets[0], tau)
         mean_h = entropy_rows(np.mean(softened, axis=0))
         teach_h = np.mean([entropy_rows(t) for t in softened], axis=0)

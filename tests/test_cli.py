@@ -214,8 +214,9 @@ def test_bad_seeds_named_as_run_key(source, tmp_path, capsys):
 
 @pytest.mark.parametrize("command", SUBCOMMANDS)
 def test_every_subcommand_rejects_an_unreadable_config(command, tmp_path, capsys):
-    assert run_cli(command, "--config", str(tmp_path / "nope.cfg")) == 2
-    assert capsys.readouterr().err.startswith("error: cannot read")
+    for path in [str(tmp_path / "nope.cfg"), ""]:
+        assert run_cli(command, "--config", path) == 2, path
+        assert capsys.readouterr().err.startswith(f"error: cannot read {path}")
 
 
 BAD_RUN_KEYS = [
@@ -515,6 +516,24 @@ def test_out_that_names_no_file_is_refused_before_any_work(command, tmp_path, no
         assert run_cli(command, f"--out={out}") == 1
         assert capsys.readouterr() == ("", f"error: --out {out!r} names no file\n")
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("command", ["train-teacher", "dump-logits", "distill", "cost-probe"])
+def test_out_that_names_a_directory_is_refused_before_any_work(command, tmp_path, no_work, capsys):
+    # each of these writes --out as one file, so an existing directory cannot be it
+    given = {"--data": tmp_path / "d.txt", "--model": tmp_path / "m.model", "--teacher-id": "t"}
+    argv = [str(arg) for flag in REQUIRED[command] if flag != "--out" for arg in (flag, given[flag])]
+    for out in [str(tmp_path), "."]:
+        assert run_cli(command, *argv, "--out", out) == 1
+        assert capsys.readouterr() == ("", f"error: --out {out!r} is a directory\n")
+    assert os.listdir(tmp_path) == []
+
+
+def test_ablate_prefix_beside_a_directory_of_its_name_still_runs(tmp_path, capsys):
+    (tmp_path / "results").mkdir()
+    out = str(tmp_path / "results")
+    assert run_cli("ablate", "--seeds", "1", "--strategies", "NONE", *SMALL, "--out", out) == 0
+    assert os.path.isfile(out + ".txt") and os.path.isfile(out + ".tsv")
 
 
 def test_assemble_refuses_kd_single_of_two_before_any_file(tmp_path, data_dir, no_work, capsys):

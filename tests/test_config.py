@@ -5,7 +5,7 @@ import pytest
 
 import multikd as mk
 import multikd.harness as harness
-from multikd import DistillConfig, TargetSet, init_student, train
+from multikd import DistillConfig, TargetSet, TeacherBank, build_targets, init_student, train
 from multikd.cli import main
 from multikd.datagen import DataParams
 from multikd.errors import ValidationError
@@ -49,6 +49,20 @@ def test_train_validates_a_config_mutated_after_construction():
     model = init_student(2, 2, 2, SplitMix64(0))
     with pytest.raises(ValidationError, match="lr must be positive"):
         train(model, np.zeros((3, 2)), [0, 1, 0], TargetSet(mk.NONE), config)
+
+
+@pytest.mark.parametrize("strategy", [s for s in mk.STRATEGIES if s != mk.NONE])
+@pytest.mark.parametrize("key, value, message", [
+    ("tau", 0, "tau must be positive and finite, got 0"),
+    ("alpha", 2, "alpha must be in [0, 1], got 2"),
+])
+def test_build_targets_validates_a_config_mutated_after_construction(strategy, key, value, message):
+    config = DistillConfig(strategy=strategy)
+    setattr(config, key, value)
+    bank = TeacherBank([np.zeros((3, 2))], ["a"])
+    with pytest.raises(ValidationError) as info:
+        build_targets(bank, [0, 1, 0], config)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("flag", ["--lr", "--tau", "--weight-tau", "--gamma"])

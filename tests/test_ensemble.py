@@ -17,9 +17,9 @@ import multikd as mk
 from multikd import DistillConfig, TeacherBank, build_targets
 from multikd.ensemble import _inverse_ce, _reference_rows, _teacher_scores
 from multikd.errors import ValidationError
-from multikd.numerics import EPS, softmax_t
+from multikd.numerics import EPS
 
-from _oracles import dec_cross_entropy, dec_kl, kl_rows, validate_prob_row
+from _oracles import dec_cross_entropy, dec_kl, kl_rows, soften, validate_prob_row
 
 RNG = np.random.default_rng(31337)
 
@@ -47,6 +47,39 @@ def similarity_kl(reference, teacher_dist):
 
 def similarity_ce(reference, teacher_dist):
     return float(_inverse_ce(np.asarray(reference), np.asarray(teacher_dist)))
+
+
+class TestTeacherBank:
+    """The bank's refusals: the only check on teacher logits before they are softened."""
+
+    def test_rejects_no_teachers(self):
+        with pytest.raises(ValidationError) as info:
+            TeacherBank([], [])
+        assert str(info.value) == "a teacher bank needs at least one teacher"
+
+    def test_rejects_ids_and_teachers_of_different_lengths(self):
+        with pytest.raises(ValidationError) as info:
+            TeacherBank([np.zeros((2, 3))], ["a", "b"])
+        assert str(info.value) == "teacher_ids must match teachers in length"
+
+    @pytest.mark.parametrize("logits", [np.zeros(3), np.zeros((2, 3, 1)), np.zeros((0, 3)), np.zeros((2, 0))])
+    def test_rejects_a_matrix_not_2d_or_empty(self, logits):
+        with pytest.raises(ValidationError) as info:
+            TeacherBank([np.zeros((2, 3)), logits], ["a", "b"])
+        assert str(info.value) == "teacher 'b': logits must be a non-empty N x C matrix"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_entry(self, bad):
+        logits = np.zeros((2, 3))
+        logits[1, 2] = bad
+        with pytest.raises(ValidationError) as info:
+            TeacherBank([logits], ["a"])
+        assert str(info.value) == "teacher 'a': logits must be finite"
+
+    def test_rejects_shapes_that_disagree(self):
+        with pytest.raises(ValidationError) as info:
+            TeacherBank([np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((3, 2))], ["a", "b", "c"])
+        assert str(info.value) == "teacher 'c': shape (3, 2) disagrees with (2, 3)"
 
 
 class TestReferences:
@@ -187,7 +220,7 @@ class TestComputeWeights:
         w = weights_of(bank, labels, mk.PKD, h=0.9)
         refs = np.array([pkd_row(y, bank.c, 0.9) for y in labels])
         ces = np.stack(
-            [-(refs * np.log(softmax_t(t, 1.0))).sum(axis=1) for t in bank.teachers], axis=1
+            [-(refs * np.log(soften(t, 1.0))).sum(axis=1) for t in bank.teachers], axis=1
         )
         for n in range(bank.n):
             order_ce = np.argsort(ces[n])
@@ -218,7 +251,7 @@ class TestAssemble:
         for strategy in (mk.GTD, mk.PKD):
             config = DistillConfig(strategy=strategy, tau=2.0)
             out = build_targets(bank, labels, config).targets[0]
-            assert np.allclose(out, softmax_t(base, 2.0), atol=1e-12)
+            assert np.allclose(out, soften(base, 2.0), atol=1e-12)
 
     def test_degenerate_weights_pick_one_teacher(self):
         # teacher 1 puts all its mass on the label, so its floored CE scores 1e12
@@ -228,7 +261,7 @@ class TestAssemble:
         others = [RNG.normal(size=(3, 4)) * 3.0 for _ in range(2)]
         bank = TeacherBank([others[0], sure, others[1]], ["a", "b", "c"])
         out = build_targets(bank, labels, DistillConfig(strategy=mk.GTD, tau=1.5)).targets[0]
-        assert np.max(np.abs(out - softmax_t(sure, 1.5))) < 1e-6
+        assert np.max(np.abs(out - soften(sure, 1.5))) < 1e-6
 
     def test_midpoint(self):
         # both teachers give the label 0.6 and mirror the rest: equal scores, half weight each
@@ -262,7 +295,7 @@ class TestBuildTargets:
         base = RNG.normal(size=(n, c))
         bank = TeacherBank([base.copy(), base.copy()], ["a", "b"])
         labels = RNG.integers(c, size=n)
-        ref = softmax_t(base, 4.0)
+        ref = soften(base, 4.0)
         for tag in (mk.AVG1, mk.AVG2, mk.GTD, mk.PKD):
             for mat in build_targets(bank, labels, mk.DistillConfig(strategy=tag)).targets:
                 assert np.max(np.abs(mat - ref)) < 1e-12
@@ -272,7 +305,7 @@ class TestBuildTargets:
         labels = RNG.integers(bank.c, size=bank.n)
         config = mk.DistillConfig(strategy=mk.AVG2, tau=2.5)
         out = build_targets(bank, labels, config).targets[0]
-        mean = sum(softmax_t(t, 2.5) for t in bank.teachers) / 3.0
+        mean = sum(soften(t, 2.5) for t in bank.teachers) / 3.0
         assert np.max(np.abs(out - mean)) < 1e-12
 
     def test_avg1_targets_do_not_grow_with_teachers(self):

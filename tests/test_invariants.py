@@ -28,9 +28,9 @@ from multikd.ensemble import (
     _teacher_scores,
     build_targets,
 )
-from multikd.numerics import EPS, softmax_t
+from multikd.numerics import EPS, softmax_rows
 
-from _oracles import avg1_loss, ce_loss, kl_rows, loss_gradient, reference_avg1_targets, total_loss
+from _oracles import avg1_loss, ce_loss, kl_rows, loss_gradient, reference_avg1_targets, soften, total_loss
 
 WEIGHT_ROW_SUM_TOL = 1e-6
 
@@ -74,7 +74,7 @@ def test_raw_weights_are_similarity_ce_of_each_teacher_row(bank_labels, mode, h_
     for n, label in enumerate(labels):
         reference = _reference_rows(np.array([label]), bank.c, h)[0]
         for k, logits in enumerate(bank.teachers):
-            want = _inverse_ce(reference, softmax_t(logits[n], weight_tau))
+            want = _inverse_ce(reference, soften(logits[n], weight_tau))
             assert raw[n, k].tobytes() == np.float64(want).tobytes(), (n, k)
 
 
@@ -93,7 +93,7 @@ def test_single_teacher_every_strategy_is_kd_single(bank_labels, tau, weight_tau
 @given(st.integers(2, 12), st.integers(0, 11), st.integers(0, 2**32 - 1), st.floats(0.1, 60.0))
 def test_onehot_similarity_ce_equals_kl(c, label, seed, scale):
     reference = _reference_rows(np.array([label % c]), c, 1.0)[0]
-    teacher = softmax_t(np.random.default_rng(seed).normal(size=c) * scale)
+    teacher = soften(np.random.default_rng(seed).normal(size=c) * scale)
     assert _inverse_ce(reference, teacher) == 1.0 / max(kl_rows(reference, teacher), EPS)
 
 
@@ -116,8 +116,8 @@ def test_avg1_total_loss_is_the_mean_of_per_teacher_losses(bank_labels, tau, alp
     logits = np.random.default_rng(seed).normal(size=(bank.n, bank.c)) * 3.0
     config = mk.DistillConfig(strategy=mk.AVG1, tau=tau, alpha=alpha)
     got = total_loss(logits, labels, build_targets(bank, labels, config), config)
-    softened = [softmax_t(t, tau) for t in bank.teachers]
-    want = alpha * ce_loss(softmax_t(logits), labels) + (1 - alpha) * avg1_loss(logits, softened, tau)
+    softened = [soften(t, tau) for t in bank.teachers]
+    want = alpha * ce_loss(soften(logits), labels) + (1 - alpha) * avg1_loss(logits, softened, tau)
     assert abs(got - want) <= 1e-12 * abs(want)
 
 
@@ -126,14 +126,14 @@ def test_avg1_total_loss_is_the_mean_of_per_teacher_losses(bank_labels, tau, alp
 def test_avg2_target_is_np_mean_of_softened_teachers(bank_labels, tau):
     bank, labels = bank_labels
     target = build_targets(bank, labels, mk.DistillConfig(strategy=mk.AVG2, tau=tau)).targets[0]
-    assert np.array_equal(target, np.mean([softmax_t(t, tau) for t in bank.teachers], axis=0))
+    assert np.array_equal(target, np.mean([soften(t, tau) for t in bank.teachers], axis=0))
 
 
 @SETTINGS
 @given(banks(max_k=40), taus)
 def test_avg1_softens_each_teacher_once_with_the_two_pass_bits(bank_labels, tau):
     bank, labels = bank_labels
-    with mock.patch.object(ensemble, "softmax_t", wraps=softmax_t) as counted:
+    with mock.patch.object(ensemble, "softmax_rows", wraps=softmax_rows) as counted:
         got = build_targets(bank, labels, mk.DistillConfig(strategy=mk.AVG1, tau=tau))
     assert counted.call_count == bank.k
     target, gap = reference_avg1_targets(bank, tau)

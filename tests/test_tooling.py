@@ -49,6 +49,8 @@ def test_workload_matches_pins(workload):
       "--out", "x"], 1),
     (["evaluate", "--dark-factor", "2", "--model", "missing.model", "--data", "missing.txt"], 1),
     (["train-teacher", "--data", "missing.txt"], 1),
+    (["evaluate", "--config", ""], 2),
+    (["train-teacher", "--data", "missing.txt", "--out", "."], 1),
 ])
 def test_module_entry_point_exit_code(tmp_path, argv, code):
     path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])

@@ -23,11 +23,11 @@ from multikd import (
 )
 from multikd.errors import NumericalError, ValidationError
 from multikd.ensemble import TeacherBank, build_targets
-from multikd.numerics import entropy_rows, softmax_t
+from multikd.numerics import entropy_rows
 from multikd.rng import SplitMix64
 from multikd.trainer import parameter_gradients
 
-from _oracles import avg1_loss, ce_loss, fd_gradient, kd_loss, loss_gradient, rel_err, total_loss
+from _oracles import avg1_loss, ce_loss, fd_gradient, kd_loss, loss_gradient, rel_err, soften, total_loss
 
 RNG = np.random.default_rng(777)
 
@@ -68,7 +68,7 @@ class TestCeLoss:
 class TestKdLoss:
     def test_zero_when_student_matches(self):
         logits = RNG.normal(size=(6, 5))
-        target = softmax_t(logits, 3.0)
+        target = soften(logits, 3.0)
         assert kd_loss(logits, target, 3.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_tau_squared_prefactor(self):
@@ -86,20 +86,20 @@ class TestKdLoss:
 class TestAvg1Loss:
     def test_single_target_equals_kd(self):
         logits = RNG.normal(size=(4, 3))
-        target = softmax_t(RNG.normal(size=(4, 3)), 2.0)
+        target = soften(RNG.normal(size=(4, 3)), 2.0)
         assert avg1_loss(logits, [target], 2.0) == kd_loss(logits, target, 2.0)
 
     def test_identical_targets_equal_kd(self):
         logits = RNG.normal(size=(4, 3))
-        target = softmax_t(RNG.normal(size=(4, 3)), 2.0)
+        target = soften(RNG.normal(size=(4, 3)), 2.0)
         assert avg1_loss(logits, [target, target.copy()], 2.0) == pytest.approx(
             kd_loss(logits, target, 2.0), rel=1e-14
         )
 
     def test_mean_of_two(self):
         logits = RNG.normal(size=(5, 4))
-        t1 = softmax_t(RNG.normal(size=(5, 4)), 2.0)
-        t2 = softmax_t(RNG.normal(size=(5, 4)), 2.0)
+        t1 = soften(RNG.normal(size=(5, 4)), 2.0)
+        t2 = soften(RNG.normal(size=(5, 4)), 2.0)
         expected = 0.5 * (kd_loss(logits, t1, 2.0) + kd_loss(logits, t2, 2.0))
         assert avg1_loss(logits, [t1, t2], 2.0) == pytest.approx(expected, rel=1e-14)
 
@@ -114,7 +114,7 @@ class TestTotalLoss:
         logits = RNG.normal(size=(6, 4))
         config = DistillConfig(strategy=mk.PKD, alpha=1.0)
         assert total_loss(logits, labels, targets, config) == pytest.approx(
-            ce_loss(softmax_t(logits, 1.0), labels), rel=1e-12
+            ce_loss(soften(logits, 1.0), labels), rel=1e-12
         )
 
     def test_alpha_zero_matching_student_is_zero(self):
@@ -140,7 +140,7 @@ class TestTotalLoss:
         for alpha in (0.0, 0.3, 1.0):
             config = DistillConfig(strategy=mk.NONE, alpha=alpha)
             assert total_loss(logits, labels, TargetSet(mk.NONE), config) == pytest.approx(
-                ce_loss(softmax_t(logits, 1.0), labels), rel=1e-14
+                ce_loss(soften(logits, 1.0), labels), rel=1e-14
             )
 
     def test_strategy_mismatch_rejected(self):
@@ -201,7 +201,7 @@ class TestAvg1Avg2Identity:
             g2 = loss_gradient(logits, labels, t2, cfg2)
             assert np.max(np.abs(g1 - g2)) < 1e-10
 
-            softened = [softmax_t(t, tau) for t in bank.teachers]
+            softened = [soften(t, tau) for t in bank.teachers]
             kd1 = avg1_loss(logits, softened, tau)
             kd2 = kd_loss(logits, t2.targets[0], tau)
             mean_target = np.mean(softened, axis=0)
@@ -390,8 +390,8 @@ class TestTrainAndEvaluate:
         res_none = train(model_a, features, labels, TargetSet(mk.NONE), config_none)
         res_pkd = train(model_b, features, labels, targets_pkd, config_pkd)
         assert all(np.isfinite(res_none.loss_trace)) and all(np.isfinite(res_pkd.loss_trace))
-        ce_none = ce_loss(softmax_t(forward(model_a, features), 1.0), labels)
-        ce_pkd = ce_loss(softmax_t(forward(model_b, features), 1.0), labels)
+        ce_none = ce_loss(soften(forward(model_a, features), 1.0), labels)
+        ce_pkd = ce_loss(soften(forward(model_b, features), 1.0), labels)
         assert ce_none <= ce_pkd
 
     def test_evaluate_constant_model_on_balanced_set(self):
