@@ -119,6 +119,8 @@ def _check_inputs(args, values: dict) -> None:
     """Refuse a bad --out, then a missing input; `gen-data` creates its --out directory."""
     out = values.get("out")
     if out is not None:
+        if "\0" in out:
+            raise UsageError(f"--out {out!r} holds a NUL byte")
         directory, name = ("", out) if args.command == "gen-data" else os.path.split(out)
         if not name:
             raise UsageError(f"--out {out!r} names no file")
@@ -145,7 +147,6 @@ def _run_config(values: dict) -> RunConfig:
     try:
         distill = cfg.DistillConfig(**fields[cfg.DistillConfig])
         data = DataParams(**fields[DataParams])
-        data.validate()
     except ValidationError as exc:
         raise UsageError(str(exc)) from None
     return RunConfig(

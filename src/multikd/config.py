@@ -1,4 +1,7 @@
-"""Strategy tags and the hyperparameter bundle shared by all modules."""
+"""Strategy tags and the hyperparameter bundle shared by all modules.
+
+DistillConfig, like DataParams, is checked once, as built, and frozen after.
+"""
 
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ STRATEGIES = (NONE, KD_SINGLE, AVG1, AVG2, GTD, PKD)
 TAU_DESK_DEFAULT = 4.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class DistillConfig:
     """Every scalar knob of a distillation run.
 
@@ -53,9 +56,6 @@ class DistillConfig:
     hidden_dim: int = 32
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
         if self.strategy not in STRATEGIES:
             raise ValidationError(
                 f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}"

@@ -52,7 +52,7 @@ CENTER_HI = 0.8
 _BLOCK_ROWS = 256
 
 
-@dataclass
+@dataclass(frozen=True)
 class DataParams:
     n_train: int = 2000
     n_test: int = 1000
@@ -63,7 +63,7 @@ class DataParams:
     quant_levels: int = QUANT_LEVELS_DEFAULT
     gamma: float = GAMMA_DEFAULT
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.n_classes < 2:
             raise ValidationError("need at least 2 classes")
         if self.dim < 2 or self.dim % 2 != 0:
@@ -178,8 +178,6 @@ def gen_dataset(seed: int, params: DataParams | None = None) -> SyntheticData:
     then dim/2 Box-Muller pairs, which pins the bit layout of the data.
     """
     params = params or DataParams()
-    params.validate()
-
     centers = CENTER_LO + (CENTER_HI - CENTER_LO) * _uniforms(
         SplitMix64(derive_seed(seed, 0))._block(params.n_classes * params.dim)
     ).reshape(params.n_classes, params.dim)

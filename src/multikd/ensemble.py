@@ -11,9 +11,9 @@ Everything happens offline on stored logits; no teacher model is ever
 needed once its logits are dumped, so the number of teachers only
 affects this one-shot assembly, never the training loop. Every strategy,
 AVG1 included, yields one N x C target matrix: O(N*C) memory at any K.
-TeacherBank checks the logits once, as it is built, and build_targets
-checks the config once, at entry; teachers are then softened with the
-unchecked numerics.softmax_rows.
+TeacherBank and DistillConfig are checked once, as they are built, and
+frozen after, so build_targets checks neither again: it softens the
+teachers with the unchecked numerics.softmax_rows.
 """
 
 from __future__ import annotations
@@ -28,34 +28,39 @@ from .errors import ValidationError
 from .numerics import EPS, cross_entropy_rows, entropy_rows, running_mean, softmax_rows
 
 
-@dataclass
+@dataclass(frozen=True)
 class TeacherBank:
-    """Aligned logit matrices from K teachers; row n is sample n everywhere."""
+    """Aligned logit matrices from K teachers; row n is sample n everywhere.
 
-    teachers: list[np.ndarray]
-    teacher_ids: list[str]
+    Checked once, as built, and frozen after: `teachers` holds read-only
+    views, not copies, of the float64 arrays given; `teacher_ids` is a tuple.
+    """
+
+    teachers: tuple[np.ndarray, ...]
+    teacher_ids: tuple[str, ...]
 
     def __post_init__(self):
+        ids, views = tuple(self.teacher_ids), []
         if len(self.teachers) == 0:
             raise ValidationError("a teacher bank needs at least one teacher")
-        if len(self.teacher_ids) != len(self.teachers):
+        if len(ids) != len(self.teachers):
             raise ValidationError("teacher_ids must match teachers in length")
-        mats = []
-        shape = None
-        for ident, mat in zip(self.teacher_ids, self.teachers):
-            arr = np.asarray(mat, dtype=np.float64)
-            if arr.ndim != 2 or arr.size == 0:
+        for i, (ident, mat) in enumerate(zip(ids, self.teachers)):
+            if ident in ids[:i]:
+                raise ValidationError(f"teacher id {ident!r} is given twice")
+            view = np.asarray(mat, dtype=np.float64).view()
+            view.flags.writeable = False
+            if view.ndim != 2 or view.size == 0:
                 raise ValidationError(f"teacher {ident!r}: logits must be a non-empty N x C matrix")
-            if not np.isfinite(arr).all():
+            if not np.isfinite(view).all():
                 raise ValidationError(f"teacher {ident!r}: logits must be finite")
-            if shape is None:
-                shape = arr.shape
-            elif arr.shape != shape:
+            if views and view.shape != views[0].shape:
                 raise ValidationError(
-                    f"teacher {ident!r}: shape {arr.shape} disagrees with {shape}"
+                    f"teacher {ident!r}: shape {view.shape} disagrees with {views[0].shape}"
                 )
-            mats.append(arr)
-        self.teachers = mats
+            views.append(view)
+        object.__setattr__(self, "teachers", tuple(views))
+        object.__setattr__(self, "teacher_ids", ids)
 
     @property
     def k(self) -> int:
@@ -147,10 +152,8 @@ def build_targets(bank: TeacherBank, labels, config: cfg.DistillConfig) -> Targe
     the bits of two separate running means.
     GTD/PKD: reference-weighted convex assembly, GTD at h = 1. PKD
     needs h in (1/C, 1]; GTD ignores config.h.
-    Every result holds one N x C matrix, whatever K is. The config is
-    validated here, so one changed after construction is refused.
+    Every result holds one N x C matrix, whatever K is.
     """
-    config.validate()
     strategy, tau = config.strategy, config.tau
     _check_teacher_count(strategy, bank.k)
     if strategy in (cfg.KD_SINGLE, cfg.AVG2):

@@ -163,8 +163,8 @@ def _read_lines(path: str) -> list[str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from None
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, or bytes not UTF-8
+        raise FormatError(f"cannot read {str(path)!r}: {exc}") from None
 
 
 def _parse_number(raw: str, key: str, read: type, path: str):

@@ -6,12 +6,13 @@ so the 0*log(0) = 0 convention survives while log(0) never occurs.
 
 The row functions take checked arrays, 1-D or row-wise 2-D, and check
 nothing: TeacherBank checks the logits and DistillConfig the
-temperatures. softmax_rows is the one softmax: assembly calls it on a
-bank matrix divided by a temperature, the training step on its scaled
-logits. Reductions
-use numpy's fixed evaluation order, so results are bit-reproducible for
-a fixed input order. The scalar references these kernels are tested
-against (KL, probability-row checks) live in tests/_oracles.py.
+temperatures, each once, as built, and both are frozen after.
+softmax_rows is the one softmax: assembly calls it on a bank matrix
+divided by a temperature, the training step on its scaled logits.
+Reductions use numpy's fixed evaluation order, so results are
+bit-reproducible for a fixed input order. The scalar references these
+kernels are tested against (KL, probability-row checks) live in
+tests/_oracles.py.
 """
 
 from __future__ import annotations

@@ -136,8 +136,8 @@ def forward(model: StudentModel, features) -> np.ndarray:
 def _rows(model: StudentModel, features, labels, target_set: TargetSet, config: cfg.DistillConfig) -> list:
     """Validate one training call and return its per-row step inputs.
 
-    Every check the step kernel relies on runs here, once: the config,
-    the strategy tag, feature and label shapes, and the target shapes.
+    Every check the step kernel relies on runs here, once: the strategy
+    tag, feature and label shapes, and the target shapes.
     The result is [features, onehot] for NONE, plus [target, log_target]
     for a distillation strategy; row n of each is sample n. onehot is a
     boolean N x C label mask. log_target is log_or_zero(target), so a
@@ -149,7 +149,6 @@ def _rows(model: StudentModel, features, labels, target_set: TargetSet, config: 
     gradient. This keeps a small loss free of the cancellation between
     mean_k sum t_k log t_k and sum mean log p.
     """
-    config.validate()
     if target_set.strategy != config.strategy:
         raise ValidationError(f"target set built for {target_set.strategy}, config says {config.strategy}")
     features = np.asarray(features, dtype=np.float64)

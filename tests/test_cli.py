@@ -7,7 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import multikd.cli as cli
@@ -216,7 +216,7 @@ def test_bad_seeds_named_as_run_key(source, tmp_path, capsys):
 def test_every_subcommand_rejects_an_unreadable_config(command, tmp_path, capsys):
     for path in [str(tmp_path / "nope.cfg"), ""]:
         assert run_cli(command, "--config", path) == 2, path
-        assert capsys.readouterr().err.startswith(f"error: cannot read {path}")
+        assert capsys.readouterr().err.startswith(f"error: cannot read {path!r}")
 
 
 BAD_RUN_KEYS = [
@@ -294,6 +294,60 @@ def test_fuzzed_config_file_exits_with_one_error_line(tiny_model_and_data, raw):
         assert text.startswith("error: ") and text.endswith("\n") and text.count("\n") == 1, text
     if code == 2:
         assert str(path) in err.getvalue()
+
+
+# The flags of `evaluate` a fuzzed value goes to: every run key, --model and --data.
+EVALUATE_FLAGS = [
+    action.option_strings[0]
+    for action in next(a for a in build_parser()._actions if a.dest == "command").choices["evaluate"]._actions
+    if action.dest not in ("help", "config")
+]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(flag=st.sampled_from(EVALUATE_FLAGS), value=st.text())
+@example(flag="--model", value="a\0b")
+@example(flag="--data", value="x\0y")
+@example(flag="--out", value="a\0b")
+@example(flag="--data", value="-d.txt")
+@example(flag="--tau", value="nan")
+@example(flag="--lr", value="inf")
+@example(flag="--seed", value="1" * 30)
+@example(flag="--epochs", value="1" * 30)
+def test_fuzzed_flag_value_exits_with_one_error_line(tiny_model_and_data, flag, value):
+    d = tiny_model_and_data
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(["evaluate", "--model", str(d / "m.model"), "--data", str(d / "d.txt"), flag, value])
+    assert code in (0, 1, 2)
+    if code != 0:
+        text = err.getvalue()
+        assert text.startswith("error: ") and text.endswith("\n") and text.count("\n") == 1, text
+
+
+# `evaluate --model` and `--data` are among the fuzzed flags' examples above.
+@pytest.mark.parametrize("argv, code", [
+    (["evaluate", "--config", "n\0.cfg"], 2),
+    (["train-teacher", "--data", "x\0y", "--out", "t.model"], 2),
+    (["assemble", "--strategy", "AVG2", "--labels-from", "d.txt", "--teacher", "t\0.logits",
+      "--out", "inspect"], 2),
+    (["distill", "--data-dir", "v\0w"], 2),
+    (["gen-data", "--out", "a\0b"], 1),
+    (["distill", "--out", "a\0b"], 1),
+])
+def test_a_path_holding_a_nul_byte_ends_in_one_error_line(argv, code, tiny_model_and_data, monkeypatch,
+                                                          capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.chdir(tiny_model_and_data)
+    for name in ("gen_dataset", "train", "train_plain"):
+        monkeypatch.setattr(harness, name, no_work)
+    assert run_cli(*argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    if code == 1:
+        assert err == "error: --out 'a\\x00b' holds a NUL byte\n"
 
 
 @pytest.mark.parametrize("teacher_id", ["a b", ""])
@@ -587,6 +641,29 @@ def test_kd_single_binds_only_the_first_dump(tmp_path, data_dir, two_dumps, caps
     assert capsys.readouterr().out == alone
     assert run_cli("distill", "--strategy", "PKD", *files, "--teacher", bad, *SMALL) == 2
     capsys.readouterr()
+
+
+def test_a_dump_given_twice_is_refused(tmp_path, data_dir, two_dumps, monkeypatch, capsys):
+    twice = ["--data-dir", str(data_dir), "--teacher", two_dumps[0], "--teacher", two_dumps[0]]
+    message = "teacher id 't0' is given twice"
+    prefix = tmp_path / "report"
+    assert run_cli("ablate", "--seeds", "5", *twice, "--out", str(prefix), *SMALL) == 1
+    assert capsys.readouterr().err == "".join(
+        f"error: {tag} seed 5: stage 'teachers': {message}\n" for tag in ("AVG1", "AVG2", "GTD", "PKD")
+    )
+    rows = [line.split("\t") for line in (tmp_path / "report.tsv").read_text().splitlines()[1:]]
+    assert [row[0] for row in rows if row[3] != "FAILED"] == ["NONE", "KD_SINGLE"]
+    assert run_cli("assemble", "--labels-from", str(data_dir / "train_A.txt"), "--strategy", "AVG2",
+                   "--out", str(tmp_path / "inspect"), *twice[2:]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.glob("inspect*"))
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(harness, "train", no_training)
+    assert run_cli("distill", "--strategy", "PKD", *twice, *SMALL) == 1
+    assert capsys.readouterr().err == f"error: stage 'teachers': {message}\n"
 
 
 @pytest.fixture

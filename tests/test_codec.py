@@ -127,7 +127,7 @@ def test_c_parse_rejects_what_the_line_parse_rejects(tmp_path, loader, header, r
 def test_bytes_that_are_not_utf8_name_the_file(tmp_path, loader):
     path = tmp_path / "f.txt"
     path.write_bytes(LOGITS_HEADER.encode() + b"0.5 \xff\n")
-    assert _message(loader, path).startswith(f"cannot read {path}: 'utf-8' codec can't decode")
+    assert _message(loader, path).startswith(f"cannot read {str(path)!r}: 'utf-8' codec can't decode")
 
 
 def test_dataset_features_are_their_own_contiguous_matrix(tmp_path):

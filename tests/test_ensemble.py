@@ -81,6 +81,11 @@ class TestTeacherBank:
             TeacherBank([np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((3, 2))], ["a", "b", "c"])
         assert str(info.value) == "teacher 'c': shape (3, 2) disagrees with (2, 3)"
 
+    def test_rejects_a_repeated_teacher_id(self):
+        with pytest.raises(ValidationError) as info:
+            TeacherBank([np.zeros((2, 3))] * 3, ["a", "b", "a"])
+        assert str(info.value) == "teacher id 'a' is given twice"
+
 
 class TestReferences:
     def test_gtd_onehot(self):

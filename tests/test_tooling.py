@@ -60,3 +60,14 @@ def test_module_entry_point_exit_code(tmp_path, argv, code):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == code, done.stderr[-2000:]
+
+
+def test_module_entry_point_refuses_a_nul_out_from_the_config_in_one_line(tmp_path):
+    (tmp_path / "c.cfg").write_text("out = a\0b\n")
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-m", "multikd", "gen-data", "--config", "c.cfg"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (1, "error: --out 'a\\x00b' holds a NUL byte\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg"]
