@@ -2,16 +2,18 @@
 
 Subcommands: gen-data, train-teacher, dump-logits, assemble, distill,
 evaluate, ablate, cost-probe. A `--config` file supplies `key = value`
-defaults; explicit flags win. `main` binds every run once, before any
-subcommand does work: it reads `--config`, merges the flags over it and
-builds the `RunConfig`, so each subcommand rejects an unreadable config
-and a bad run-key value, also one it does not use. Then, still before
-any work, every subcommand refuses an `--out` that names no file or
-(but for `gen-data`, which creates it) lies in a missing directory, a
+defaults; explicit flags win. A flag's value is text, as a config
+line's is, and both are converted alike, with one message for a bad
+value. `main` binds every run once, before any subcommand does work: it
+reads `--config`, merges the flags over it and builds the `RunConfig`,
+so each subcommand rejects an unreadable config and a bad run-key
+value, also one it does not use. Then, still before any work, every
+subcommand refuses an `--out` that names no file or (but for
+`gen-data`, which creates it) lies in a missing directory, a
 single-file `--out` that names a directory, and a missing required
-flag. Exit codes: 0 success, 1 usage error, 2 malformed input file, 3
-numerical failure. `ablate` exits with the code of its first failed
-cell in report order.
+flag. Exit codes: 0 success, 1 usage error (a `ValidationError`), 2
+malformed input file, 3 numerical failure. `ablate` exits with the
+code of its first failed cell in report order.
 """
 
 from __future__ import annotations
@@ -51,13 +53,9 @@ from .harness import (
 from .trainer import evaluate, forward
 
 
-class UsageError(MultiKdError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit code 1 instead of argparse's 2
-        raise UsageError(message)
+        raise ValidationError(message)
 
 
 # Run keys that only `ablate` takes as flags; the config file takes them too.
@@ -68,11 +66,9 @@ def _add_run_keys(sub: argparse.ArgumentParser, ablate_only: bool) -> None:
     for row in cfg.RUN_KEYS:
         if (row.key in _ABLATE_KEYS) != ablate_only:
             continue
-        flag = "--" + row.key.replace("_", "-")
-        if row.repeat:
-            sub.add_argument(flag, action="append", help=row.help)
-        else:
-            sub.add_argument(flag, type=None if row.kind is str else row.kind, help=row.help)
+        # text, as a config line is: `_run_config` converts both alike
+        sub.add_argument("--" + row.key.replace("_", "-"), action="append" if row.repeat else "store",
+                         help=row.help)
 
 
 def build_parser() -> _Parser:
@@ -120,38 +116,34 @@ def _check_inputs(args, values: dict) -> None:
     out = values.get("out")
     if out is not None:
         if "\0" in out:
-            raise UsageError(f"--out {out!r} holds a NUL byte")
+            raise ValidationError(f"--out {out!r} holds a NUL byte")
         directory, name = ("", out) if args.command == "gen-data" else os.path.split(out)
         if not name:
-            raise UsageError(f"--out {out!r} names no file")
+            raise ValidationError(f"--out {out!r} names no file")
         if directory and not os.path.isdir(directory):
-            raise UsageError(f"no directory {directory} for --out")
+            raise ValidationError(f"no directory {directory!r} for --out")
         if args.command in _FILE_WRITERS and os.path.isdir(out):
-            raise UsageError(f"--out {out!r} is a directory")
+            raise ValidationError(f"--out {out!r} is a directory")
     inputs = [key for key in vars(args) if key not in _NOT_INPUTS]
     for key in (inputs + ["out"] if args.command in _WRITERS else inputs):
         if key not in values:
-            raise UsageError(f"missing required flag --{key.replace('_', '-')}")
+            raise ValidationError(f"missing required flag --{key.replace('_', '-')}")
 
 
 def _run_config(values: dict) -> RunConfig:
-    """The run `values` describe; a run key they lack keeps its field default."""
+    """The run `values` describe, each run key's text converted here, from a
+    flag or a config line alike; a run key they lack keeps its field default."""
     fields: dict = {cfg.DistillConfig: {}, DataParams: {}}
     for row in cfg.RUN_KEYS:
         if row.owner is not None and row.key in values:
             raw = values[row.key]
             try:
                 fields[row.owner][row.field] = row.kind(raw)
-            except (TypeError, ValueError):
-                raise UsageError(f"bad value for {row.key}: {raw!r}") from None
-    try:
-        distill = cfg.DistillConfig(**fields[cfg.DistillConfig])
-        data = DataParams(**fields[DataParams])
-    except ValidationError as exc:
-        raise UsageError(str(exc)) from None
+            except ValueError:
+                raise ValidationError(f"bad value for {row.key}: {raw!r}") from None
     return RunConfig(
-        distill=distill,
-        data=data,
+        distill=cfg.DistillConfig(**fields[cfg.DistillConfig]),
+        data=DataParams(**fields[DataParams]),
         teacher_paths=list(values.get("teacher", [])),
         data_dir=values.get("data_dir"),
     )
@@ -185,7 +177,7 @@ def cmd_dump_logits(values: dict, rc: RunConfig) -> int:
     try:  # a usage error, found before any file is read
         teacher_id = _check_teacher_id(values["teacher_id"])
     except FormatError as exc:
-        raise UsageError(str(exc)) from None
+        raise ValidationError(str(exc)) from None
     model, dataset = _model_and_data(values)
     write_logit_dump(values["out"], teacher_id, forward(model, dataset.features))
     print(f"dumped {dataset.n}x{model.n_classes} logits for {teacher_id} -> {values['out']}")
@@ -194,11 +186,11 @@ def cmd_dump_logits(values: dict, rc: RunConfig) -> int:
 
 def cmd_assemble(values: dict, rc: RunConfig) -> int:
     if rc.distill.strategy == cfg.NONE:
-        raise UsageError("strategy NONE has no targets to assemble")
+        raise ValidationError("strategy NONE has no targets to assemble")
     if rc.distill.strategy == cfg.AVG1:
-        raise UsageError("assemble cannot write AVG1: a targets file cannot carry its entropy gap")
+        raise ValidationError("assemble cannot write AVG1: a targets file cannot carry its entropy gap")
     if not rc.teacher_paths:
-        raise UsageError("assemble needs at least one --teacher dump")
+        raise ValidationError("assemble needs at least one --teacher dump")
     _check_teacher_count(rc.distill.strategy, len(rc.teacher_paths))
     dataset = load_dataset(values["labels_from"])
     bank = bind_teacher_dumps(rc.teacher_paths, dataset)
@@ -217,7 +209,7 @@ def cmd_distill(values: dict, rc: RunConfig) -> int:
     row = run_pipeline(rc)
     out = values.get("out")
     if out:
-        write_model(str(out), row.model)
+        write_model(out, row.model)
     for teacher_id, acc in sorted(row.teacher_test_acc.items()):
         print(f"{teacher_id} test top-1 {acc:.4f}")
     print(f"strategy {row.strategy} tau {row.tau} seed {row.seed} test top-1 {row.top1:.4f}")
@@ -234,11 +226,11 @@ def cmd_evaluate(values: dict, rc: RunConfig) -> int:
 def cmd_ablate(values: dict, rc: RunConfig) -> int:
     raw_seeds = values.get("seeds", "1,2,3,4,5")
     try:
-        seeds = [int(tok) for tok in str(raw_seeds).split(",") if tok.strip() != ""]
+        seeds = [int(tok) for tok in raw_seeds.split(",") if tok.strip() != ""]
     except ValueError:
-        raise UsageError(f"bad value for seeds: {raw_seeds!r}") from None
-    raw_strategies = values.get("strategies") or ",".join(cfg.STRATEGIES)
-    strategies = [tok.strip() for tok in str(raw_strategies).split(",") if tok.strip()]
+        raise ValidationError(f"bad value for seeds: {raw_seeds!r}") from None
+    raw_strategies = values.get("strategies", ",".join(cfg.STRATEGIES))
+    strategies = [tok.strip() for tok in raw_strategies.split(",") if tok.strip()]
     report = run_ablation(rc, strategies, seeds, timing=values["timing"])
     table = report_table_text(report)
     out = values.get("out")
@@ -258,7 +250,7 @@ def cmd_cost_probe(values: dict, rc: RunConfig) -> int:
     text = cost_probe_text(probe)
     out = values.get("out")
     if out:
-        with write_atomically(str(out)) as fh:
+        with write_atomically(out) as fh:
             fh.write(text)
     sys.stdout.write(text)
     return 0
@@ -286,7 +278,7 @@ def _exit_code_for(exc: Exception) -> int:
             return 3
         if isinstance(current, (FormatError, OSError)):
             return 2
-        if isinstance(current, (UsageError, ValidationError)):
+        if isinstance(current, ValidationError):
             return 1
         current = current.__cause__
     return 1

@@ -270,7 +270,7 @@ def run_ablation(
             report.rows.append(run_pipeline(rc, timing=timing, caches=caches))
         except Exception as exc:  # cell isolation: report partial results
             report.failures.append((tag, seed, exc))
-    report.rows.sort(key=lambda r: (_strategy_rank(r.strategy), r.tau, r.seed))
+    report.rows.sort(key=lambda r: (_strategy_rank(r.strategy), r.seed))
     return report
 
 
@@ -296,19 +296,20 @@ def report_machine_text(report: AblationReport) -> str:
 
 
 def report_table_text(report: AblationReport) -> str:
-    """Aligned per-strategy summary: mean top-1 plus the per-seed values."""
-    groups: dict[tuple[str, float], list[PipelineRow]] = {}
+    """Aligned per-strategy summary, in report order: mean top-1 plus the per-seed values.
+
+    A run has one tau: its cells change only the strategy and the seed.
+    """
+    groups: dict[str, list[PipelineRow]] = {}
     for r in report.rows:
-        groups.setdefault((r.strategy, r.tau), []).append(r)
+        groups.setdefault(r.strategy, []).append(r)
     header = ["strategy", "tau", "mean_top1", "per_seed_top1", "epoch_seconds"]
     body = []
-    for (tag, tau), rows in sorted(groups.items(), key=lambda kv: (_strategy_rank(kv[0][0]), kv[0][1])):
-        mean = float(np.mean([r.top1 for r in rows]))
+    for tag, rows in groups.items():
         per_seed = ",".join(f"{r.seed}:{r.top1:.4f}" for r in rows)
         secs = [r.epoch_seconds for r in rows if r.epoch_seconds is not None]
-        body.append(
-            [tag, fmt_float(tau), f"{mean:.4f}", per_seed, _fmt_seconds(float(np.mean(secs)) if secs else None)]
-        )
+        body.append([tag, fmt_float(rows[0].tau), f"{report.mean_top1(tag):.4f}", per_seed,
+                     _fmt_seconds(float(np.mean(secs)) if secs else None)])
     for tag, seed, _ in report.failures:
         body.append([tag, "-", "FAILED", f"seed {seed}", "-"])
     widths = [max(len(row[i]) for row in [header] + body) for i in range(len(header))]

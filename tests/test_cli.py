@@ -14,6 +14,7 @@ import multikd.cli as cli
 import multikd.harness as harness
 from multikd import DistillConfig
 from multikd.cli import build_parser, main
+from multikd.config import RUN_KEYS
 from multikd.ensemble import TeacherBank, build_targets
 from multikd.datagen import Dataset
 from multikd.formats import (
@@ -210,6 +211,15 @@ def test_bad_seeds_named_as_run_key(source, tmp_path, capsys):
         argv = ["ablate", "--config", str(config)]
     assert run_cli(*argv) == 1
     assert "error: bad value for seeds: 'a,b'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", [row.key for row in RUN_KEYS if row.kind is not str])
+def test_a_bad_typed_run_key_reads_alike_as_flag_and_config_line(key, tmp_path, no_work, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key} = x\n")
+    for argv in (["--" + key.replace("_", "-"), "x"], ["--config", str(config)]):
+        assert run_cli("distill", *argv) == 1, argv
+        assert capsys.readouterr() == ("", f"error: bad value for {key}: 'x'\n")
 
 
 @pytest.mark.parametrize("command", SUBCOMMANDS)
@@ -486,6 +496,12 @@ def test_ablate_refuses_a_repeated_seed_or_strategy(flags, message, capsys):
     assert captured.err == f"error: {message}\n" and captured.out == ""
 
 
+@pytest.mark.parametrize("flags", [["--strategies", ""], ["--strategies", ","], ["--seeds", ""]])
+def test_ablate_refuses_an_empty_strategy_or_seed_list(flags, no_work, capsys):
+    assert run_cli("ablate", *flags, *TINY) == 1
+    assert capsys.readouterr() == ("", "error: need at least one strategy and one seed\n")
+
+
 def test_ablate_refuses_an_out_of_range_seed_before_any_cell(capsys):
     assert run_cli("ablate", "--seeds", "1,-1", *TINY) == 1
     captured = capsys.readouterr()
@@ -503,7 +519,13 @@ def test_out_in_a_missing_directory_is_refused_before_any_work(command, tmp_path
     flags = ["--seeds", "1", "--strategies", "NONE,PKD"] if command == "ablate" else []
     assert run_cli(command, *flags, "--out", str(missing / "r")) == 1
     captured = capsys.readouterr()
-    assert captured.err == f"error: no directory {missing} for --out\n" and captured.out == ""
+    assert captured.err == f"error: no directory {str(missing)!r} for --out\n" and captured.out == ""
+
+
+def test_a_newline_in_the_missing_out_directory_stays_in_one_error_line(tmp_path, no_work, capsys):
+    missing = str(tmp_path / "a\nb")
+    assert run_cli("evaluate", "--model", "m", "--data", "d", "--out", os.path.join(missing, "c")) == 1
+    assert capsys.readouterr() == ("", f"error: no directory {missing!r} for --out\n")
 
 
 def test_gen_data_creates_its_out_directory(tmp_path, capsys):

@@ -51,6 +51,7 @@ def test_workload_matches_pins(workload):
     (["train-teacher", "--data", "missing.txt"], 1),
     (["evaluate", "--config", ""], 2),
     (["train-teacher", "--data", "missing.txt", "--out", "."], 1),
+    (["distill", "--seed", "x"], 1),
 ])
 def test_module_entry_point_exit_code(tmp_path, argv, code):
     path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
