@@ -9,9 +9,10 @@ reads `--config`, merges the flags over it and builds the `RunConfig`,
 so each subcommand rejects an unreadable config and a bad run-key
 value, also one it does not use. Then, still before any work, every
 subcommand refuses an `--out` that names no file or (but for
-`gen-data`, which creates it) lies in a missing directory, a
-single-file `--out` that names a directory, and a missing required
-flag. Exit codes: 0 success, 1 usage error (a `ValidationError`), 2
+`gen-data`, which creates it) lies in a missing directory, a directory
+at any file it would write at `--out` or at `--out` plus a suffix, a
+`gen-data --out` that is no directory, and a missing required flag.
+Exit codes: 0 success, 1 usage error (a `ValidationError`), 2
 malformed input file, 3 numerical failure. `ablate` exits with the
 code of its first failed cell in report order.
 """
@@ -107,11 +108,13 @@ def _merged(args) -> dict:
 # only the running one's, and sets a switch either way), and --out if it writes.
 _NOT_INPUTS = {"command", "config", *(row.key for row in cfg.RUN_KEYS)}
 _WRITERS = ("gen-data", "train-teacher", "dump-logits", "assemble")
-# Subcommands whose --out is one file; `ablate` and `assemble` take a prefix.
-_FILE_WRITERS = ("train-teacher", "dump-logits", "distill", "cost-probe")
+# The suffix each subcommand appends to --out for each file it writes there;
+# `assemble` also writes <out>.weights.txt for GTD and PKD, which weigh teachers.
+_OUT_SUFFIXES = {"train-teacher": ("",), "dump-logits": ("",), "distill": ("",), "cost-probe": ("",),
+                 "ablate": (".txt", ".tsv"), "assemble": (".targets.txt",)}
 
 
-def _check_inputs(args, values: dict) -> None:
+def _check_inputs(args, values: dict, rc: RunConfig) -> None:
     """Refuse a bad --out, then a missing input; `gen-data` creates its --out directory."""
     out = values.get("out")
     if out is not None:
@@ -122,8 +125,15 @@ def _check_inputs(args, values: dict) -> None:
             raise ValidationError(f"--out {out!r} names no file")
         if directory and not os.path.isdir(directory):
             raise ValidationError(f"no directory {directory!r} for --out")
-        if args.command in _FILE_WRITERS and os.path.isdir(out):
-            raise ValidationError(f"--out {out!r} is a directory")
+        if args.command == "gen-data" and os.path.lexists(out) and not os.path.isdir(out):
+            raise ValidationError(f"--out {out!r} is not a directory")
+        suffixes = _OUT_SUFFIXES.get(args.command, ())
+        if args.command == "assemble" and rc.distill.strategy in (cfg.GTD, cfg.PKD):
+            suffixes += (".weights.txt",)
+        for path in (out + suffix for suffix in suffixes):
+            if os.path.isdir(path):
+                raise ValidationError(f"--out {out!r} is a directory" if path == out
+                                      else f"--out {out!r} writes {path!r}, which is a directory")
     inputs = [key for key in vars(args) if key not in _NOT_INPUTS]
     for key in (inputs + ["out"] if args.command in _WRITERS else inputs):
         if key not in values:
@@ -291,7 +301,7 @@ def main(argv: list[str] | None = None) -> int:
         values = _merged(args)
         _, handler = _COMMANDS[args.command]
         rc = _run_config(values)
-        _check_inputs(args, values)
+        _check_inputs(args, values, rc)
         return handler(values, rc)
     except (MultiKdError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

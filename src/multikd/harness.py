@@ -340,8 +340,6 @@ def assembly_flop_estimate(n: int, k: int, c: int) -> int:
     the weighted sum at assembly temperature (~6C). The count depends
     only on (N, K, C); training epochs never enter.
     """
-    if k == 0:
-        return 0
     per_pair = 4 * c + 3 * c + 6 * c
     return n * k * (per_pair + 2)
 

@@ -10,9 +10,9 @@ probabilities; only the distillation term is temperature-softened and
 carries the tau^2 prefactor. Strategy NONE trains on the plain
 cross-entropy alone (alpha does not apply; this is the baseline).
 
-Training runs one step kernel, _step, that computes the forward pass,
-p1 and p_tau once each, the loss from those two, the logit gradient and
-the update; parameter_gradients runs the same kernel without the update.
+Training runs one step kernel, _step, with one mode: it computes the
+forward pass, p1 and p_tau once each, the loss from those two, the logit
+gradient and the update.
 AVG1's entropy term is folded into its log-target before training, so
 every strategy hands the kernel the same rows.
 The plain loss and gradient formulas the kernel is tested against live
@@ -175,13 +175,13 @@ def _rows(model: StudentModel, features, labels, target_set: TargetSet, config: 
     return [features, onehot, target, log_target]
 
 
-def _step(model, grads, config, features, onehot, target=None, log_target=None, update=True):
+def _step(model, grads, config, features, onehot, target=None, log_target=None):
     """The student step on one batch of rows, as returned by _rows.
 
     Forward pass, p1 and p_tau once each, the loss from them, the logit
     gradient, the parameter gradients pushed through both layers into
     grads, a model of model's layout (relu takes the zero subgradient at
-    exactly 0), then, if update, the SGD update of model.data. The
+    exactly 0), then the SGD update of model.data. The
     arithmetic is that of total_loss and loss_gradient, followed by the
     w2, b2, w1, b1 updates, so parameters match that plain sequence bit
     for bit; AVG1's loss carries its entropy term in log_target (see
@@ -213,20 +213,11 @@ def _step(model, grads, config, features, onehot, target=None, log_target=None, 
     g_hidden = (g_logits @ model.w2) * (pre > 0.0)
     np.matmul(g_hidden.T, features, out=grads.w1)
     np.add.reduce(g_hidden, axis=0, out=grads.b1)
-    if update:
-        data = model.data  # a local name: an augmented attribute assignment would run __setattr__
-        data -= config.lr * grads.data
-        if not _all(np.isfinite(model.weights), None):
-            raise NumericalError("non-finite parameters after update; training aborted")
+    data = model.data  # a local name: an augmented attribute assignment would run __setattr__
+    data -= config.lr * grads.data
+    if not _all(np.isfinite(model.weights), None):
+        raise NumericalError("non-finite parameters after update; training aborted")
     return loss
-
-
-def parameter_gradients(model: StudentModel, features, labels, target_set: TargetSet,
-                        config: cfg.DistillConfig):
-    """Analytic (w1, b1, w2, b2) gradients of the loss on these rows, model unchanged."""
-    grads = model.copy()
-    _step(model, grads, config, *_rows(model, features, labels, target_set, config), update=False)
-    return grads.w1, grads.b1, grads.w2, grads.b2
 
 
 def train(
@@ -275,11 +266,8 @@ def train(
 
 def evaluate(model: StudentModel, features, labels) -> float:
     """Top-1 accuracy; argmax over logits (softmax preserves the argmax)."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[0] == 0:
-        raise ValidationError("evaluate needs a non-empty N x D feature matrix")
+    logits = forward(model, features)
     labels = validate_labels(labels, model.n_classes)
-    if labels.size != features.shape[0]:
+    if labels.size != logits.shape[0]:
         raise ValidationError("features and labels misaligned")
-    preds = np.argmax(forward(model, features), axis=1)
-    return float(np.mean(preds == labels))
+    return float(np.mean(np.argmax(logits, axis=1) == labels))

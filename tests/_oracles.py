@@ -11,7 +11,9 @@ of the distillation objective. The program runs none of them: its step
 kernel computes loss and gradient in one pass and is tested against
 them. reference_train is the student SGD loop written step by step
 from total_loss and loss_gradient, the standard the fused training step
-is held to.
+is held to. step_gradients is the one entry into the program here: the
+(w1, b1, w2, b2) gradients one real step writes, taken on a copy, for
+the tests that hold them to reference_step or finite differences.
 uniform, below and gauss_pair are the scalar draws, one next_u64()
 call at a time (gauss_pair is the Box-Muller transform of two uniform
 draws). reference_permutation is the scalar Fisher-Yates shuffle, one
@@ -39,6 +41,7 @@ from multikd.ensemble import TargetSet
 from multikd.errors import FormatError, ValidationError
 from multikd.numerics import EPS, entropy_rows, log_or_zero, running_mean, softmax_rows
 from multikd.rng import SplitMix64, derive_seed
+from multikd.trainer import _rows, _step
 
 getcontext().prec = 50
 
@@ -244,6 +247,15 @@ def reference_step(model, x, y, targets, config):
     model.w1 -= config.lr * g_w1
     model.b1 -= config.lr * g_b1
     return loss, (g_w1, g_b1, g_w2, g_b2)
+
+
+def step_gradients(model, features, labels, target_set, config):
+    """The (w1, b1, w2, b2) gradients that one training step over all rows,
+    in order, writes into its grads buffer; it steps a copy, so model is
+    left unchanged."""
+    probe, grads = model.copy(), model.copy()
+    _step(probe, grads, config, *_rows(probe, features, labels, target_set, config))
+    return grads.w1, grads.b1, grads.w2, grads.b2
 
 
 def reference_train(model, features, labels, target_set, config, until_nonfinite=False):

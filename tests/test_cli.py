@@ -594,15 +594,60 @@ def test_out_that_names_no_file_is_refused_before_any_work(command, tmp_path, no
     assert os.listdir(tmp_path) == []
 
 
-@pytest.mark.parametrize("command", ["train-teacher", "dump-logits", "distill", "cost-probe"])
-def test_out_that_names_a_directory_is_refused_before_any_work(command, tmp_path, no_work, capsys):
-    # each of these writes --out as one file, so an existing directory cannot be it
-    given = {"--data": tmp_path / "d.txt", "--model": tmp_path / "m.model", "--teacher-id": "t"}
+ONE_SEED = ["--seeds", "1", "--strategies", "NONE"]
+
+
+# Each writer, its flags, and the suffix of one file it writes at --out.
+@pytest.mark.parametrize("command, flags, suffix", [
+    *[pytest.param(command, [], "", id=command)
+      for command in ["train-teacher", "dump-logits", "distill", "cost-probe"]],
+    pytest.param("ablate", ONE_SEED, ".txt", id="ablate-txt"),
+    pytest.param("ablate", ONE_SEED, ".tsv", id="ablate-tsv"),
+    pytest.param("assemble", ["--strategy", "AVG2"], ".targets.txt", id="assemble-AVG2-targets"),
+    *[pytest.param("assemble", ["--strategy", strategy], suffix, id=f"assemble-{strategy}-{suffix[1:-4]}")
+      for strategy in ["GTD", "PKD"] for suffix in [".targets.txt", ".weights.txt"]],
+])
+def test_out_that_names_a_directory_is_refused_before_any_work(command, flags, suffix, tmp_path, no_work,
+                                                                capsys):
+    # no file a subcommand writes at --out, or at --out plus a suffix, can be an existing directory
+    given = {"--data": tmp_path / "d.txt", "--model": tmp_path / "m.model", "--teacher-id": "t",
+             "--labels-from": tmp_path / "d.txt"}
     argv = [str(arg) for flag in REQUIRED[command] if flag != "--out" for arg in (flag, given[flag])]
+    if suffix:
+        out = str(tmp_path / "r")
+        os.mkdir(out + suffix)
+        assert run_cli(command, *argv, *flags, "--out", out) == 1
+        assert capsys.readouterr() == ("", f"error: --out {out!r} writes {out + suffix!r}, which is a directory\n")
+        assert os.listdir(tmp_path) == ["r" + suffix] and os.listdir(out + suffix) == []
+        return
     for out in [str(tmp_path), "."]:
         assert run_cli(command, *argv, "--out", out) == 1
         assert capsys.readouterr() == ("", f"error: --out {out!r} is a directory\n")
     assert os.listdir(tmp_path) == []
+
+
+def test_gen_data_out_that_is_no_directory_is_refused_before_any_work(tmp_path, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(harness, "gen_dataset", no_work)
+    out = tmp_path / "afile"
+    out.write_text("kept\n")
+    assert run_cli("gen-data", "--out", str(out)) == 1
+    assert capsys.readouterr() == ("", f"error: --out {str(out)!r} is not a directory\n")
+    assert out.read_text() == "kept\n"
+
+
+def test_assemble_without_weights_ignores_a_directory_at_the_weights_path(tmp_path, data_dir, capsys):
+    # AVG2 writes no <out>.weights.txt, so a directory there is in no file's way
+    dump = str(tmp_path / "a.logits")
+    write_logit_dump(dump, "a", np.random.default_rng(6).normal(size=(120, 4)))
+    prefix = tmp_path / "inspect"
+    os.mkdir(f"{prefix}.weights.txt")
+    assert run_cli("assemble", "--labels-from", str(data_dir / "train_A.txt"), "--teacher", dump,
+                   "--strategy", "AVG2", "--out", str(prefix)) == 0
+    assert capsys.readouterr() == (f"wrote {prefix}.targets.txt\n", "")
+    assert load_targets(f"{prefix}.targets.txt")[0] == "AVG2"
 
 
 def test_ablate_prefix_beside_a_directory_of_its_name_still_runs(tmp_path, capsys):

