@@ -1,20 +1,20 @@
 """Command line harness.
 
-Subcommands: gen-data, train-teacher, dump-logits, assemble, distill,
-evaluate, ablate, cost-probe. A `--config` file supplies `key = value`
-defaults; explicit flags win. A flag's value is text, as a config
-line's is, and both are converted alike, with one message for a bad
-value. `main` binds every run once, before any subcommand does work: it
-reads `--config`, merges the flags over it and builds the `RunConfig`,
-so each subcommand rejects an unreadable config and a bad run-key
-value, also one it does not use. Then, still before any work, every
-subcommand refuses an `--out` that names no file or (but for
-`gen-data`, which creates it) lies in a missing directory, a directory
-at any file it would write at `--out` or at `--out` plus a suffix, a
-`gen-data --out` that is no directory, and a missing required flag.
-Exit codes: 0 success, 1 usage error (a `ValidationError`), 2
-malformed input file, 3 numerical failure. `ablate` exits with the
-code of its first failed cell in report order.
+Each subcommand is one `_COMMANDS` row: its help, its handler, the
+flags it requires and the files it writes at `--out`. A `--config`
+file supplies `key = value` defaults; explicit flags win. A flag's
+value is text, as a config line's is, and both are converted alike,
+with one message for a bad value. `main` binds every run once, before
+any subcommand does work: it reads `--config`, merges the flags over
+it and builds the `RunConfig`, so each subcommand rejects an
+unreadable config and a bad run-key value, also one it does not use.
+Then, still before any work, every subcommand refuses an `--out` that
+names no file or (but for `gen-data`, which creates it) lies in a
+missing directory, a directory at any file it writes at `--out`, a
+`gen-data --out` that is or lies under a file that is no directory,
+and a missing required flag. Exit codes: 0 success, 1 usage error (a
+`ValidationError`), 2 malformed input file, 3 numerical failure.
+`ablate` exits with the code of its first failed cell in report order.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import Callable, NamedTuple
 
 from . import config as cfg
 from .datagen import DataParams
@@ -61,35 +62,24 @@ class _Parser(argparse.ArgumentParser):
 
 # Run keys that only `ablate` takes as flags; the config file takes them too.
 _ABLATE_KEYS = ("seeds", "strategies")
-
-
-def _add_run_keys(sub: argparse.ArgumentParser, ablate_only: bool) -> None:
-    for row in cfg.RUN_KEYS:
-        if (row.key in _ABLATE_KEYS) != ablate_only:
-            continue
-        # text, as a config line is: `_run_config` converts both alike
-        sub.add_argument("--" + row.key.replace("_", "-"), action="append" if row.repeat else "store",
-                         help=row.help)
+# The help of each flag that is no run key; a subcommand requires those it takes.
+_OWN_FLAGS = {"data": "dataset file", "teacher_id": "identifier stored in the dump header",
+              "model": "model file", "labels_from": "dataset file supplying labels"}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="multikd", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    for name, (help_text, _) in _COMMANDS.items():
-        sub = subs.add_parser(name, help=help_text)
+    for name, command in _COMMANDS.items():
+        sub = subs.add_parser(name, help=command.help)
         sub.add_argument("--config", help="key = value config file")
-        _add_run_keys(sub, ablate_only=False)
-        if name in ("train-teacher", "dump-logits", "evaluate"):
-            sub.add_argument("--data", help="dataset file")
-        if name == "dump-logits":
-            sub.add_argument("--teacher-id", help="identifier stored in the dump header")
-        if name in ("dump-logits", "evaluate"):
-            sub.add_argument("--model", help="model file")
-        if name == "assemble":
-            sub.add_argument("--labels-from", help="dataset file supplying labels")
+        # text, as a config line is: `_run_config` converts both alike
+        flags = [(row.key, row.help, "append" if row.repeat else "store") for row in cfg.RUN_KEYS
+                 if name == "ablate" or row.key not in _ABLATE_KEYS]
+        flags += [(key, _OWN_FLAGS[key], "store") for key in command.requires if key in _OWN_FLAGS]
+        for key, help_text, action in flags:
+            sub.add_argument("--" + key.replace("_", "-"), action=action, help=help_text)
         if name == "ablate":
-            _add_run_keys(sub, ablate_only=True)
             sub.add_argument("--timing", action="store_true",
                              help="record wall-times (report no longer byte-reproducible)")
     return parser
@@ -97,45 +87,42 @@ def build_parser() -> _Parser:
 
 def _merged(args) -> dict:
     """Config-file values overridden by every flag given."""
-    values: dict = {}
-    if args.config is not None:
-        values.update(parse_config_file(args.config))
+    values = {} if args.config is None else parse_config_file(args.config)
     values.update((key, value) for key, value in vars(args).items() if value is not None)
     return values
 
 
-# A subcommand requires its own flags that are not run keys (argparse parses
-# only the running one's, and sets a switch either way), and --out if it writes.
-_NOT_INPUTS = {"command", "config", *(row.key for row in cfg.RUN_KEYS)}
-_WRITERS = ("gen-data", "train-teacher", "dump-logits", "assemble")
-# The suffix each subcommand appends to --out for each file it writes there;
-# `assemble` also writes <out>.weights.txt for GTD and PKD, which weigh teachers.
-_OUT_SUFFIXES = {"train-teacher": ("",), "dump-logits": ("",), "distill": ("",), "cost-probe": ("",),
-                 "ablate": (".txt", ".tsv"), "assemble": (".targets.txt",)}
+def _out_paths(command: str, out: str, rc: RunConfig) -> list[str]:
+    """The files `command` writes at `out`; `assemble` also writes weights for GTD and PKD."""
+    suffixes = _COMMANDS[command].writes
+    if command == "assemble" and rc.distill.strategy in (cfg.GTD, cfg.PKD):
+        suffixes += (".weights.txt",)
+    return [out + suffix for suffix in suffixes]
 
 
-def _check_inputs(args, values: dict, rc: RunConfig) -> None:
+def _check_inputs(command: str, values: dict, rc: RunConfig) -> None:
     """Refuse a bad --out, then a missing input; `gen-data` creates its --out directory."""
     out = values.get("out")
     if out is not None:
         if "\0" in out:
             raise ValidationError(f"--out {out!r} holds a NUL byte")
-        directory, name = ("", out) if args.command == "gen-data" else os.path.split(out)
+        directory, name = ("", out) if command == "gen-data" else os.path.split(out)
         if not name:
             raise ValidationError(f"--out {out!r} names no file")
         if directory and not os.path.isdir(directory):
             raise ValidationError(f"no directory {directory!r} for --out")
-        if args.command == "gen-data" and os.path.lexists(out) and not os.path.isdir(out):
-            raise ValidationError(f"--out {out!r} is not a directory")
-        suffixes = _OUT_SUFFIXES.get(args.command, ())
-        if args.command == "assemble" and rc.distill.strategy in (cfg.GTD, cfg.PKD):
-            suffixes += (".weights.txt",)
-        for path in (out + suffix for suffix in suffixes):
+        if command == "gen-data":  # the nearest path that exists must be a directory
+            found = out
+            while not os.path.lexists(found) and os.path.dirname(found) not in ("", found):
+                found = os.path.dirname(found)
+            if os.path.lexists(found) and not os.path.isdir(found):
+                raise ValidationError(f"--out {out!r} is not a directory" if found == out
+                                      else f"--out {out!r} lies under {found!r}, which is not a directory")
+        for path in _out_paths(command, out, rc):
             if os.path.isdir(path):
                 raise ValidationError(f"--out {out!r} is a directory" if path == out
                                       else f"--out {out!r} writes {path!r}, which is a directory")
-    inputs = [key for key in vars(args) if key not in _NOT_INPUTS]
-    for key in (inputs + ["out"] if args.command in _WRITERS else inputs):
+    for key in _COMMANDS[command].requires:
         if key not in values:
             raise ValidationError(f"missing required flag --{key.replace('_', '-')}")
 
@@ -205,12 +192,10 @@ def cmd_assemble(values: dict, rc: RunConfig) -> int:
     dataset = load_dataset(values["labels_from"])
     bank = bind_teacher_dumps(rc.teacher_paths, dataset)
     targets = build_targets(bank, dataset.labels, rc.distill)
-    out = values["out"]
-    write_targets(f"{out}.targets.txt", rc.distill.strategy, rc.distill.tau, targets.targets[0])
-    paths = [f"{out}.targets.txt"]
+    paths = _out_paths("assemble", values["out"], rc)
+    write_targets(paths[0], rc.distill.strategy, rc.distill.tau, targets.targets[0])
     if targets.weights is not None:
-        write_weights(f"{out}.weights.txt", rc.distill.strategy, targets.weights)
-        paths.append(f"{out}.weights.txt")
+        write_weights(paths[1], rc.distill.strategy, targets.weights)
     print("wrote " + " and ".join(paths))
     return 0
 
@@ -245,10 +230,9 @@ def cmd_ablate(values: dict, rc: RunConfig) -> int:
     table = report_table_text(report)
     out = values.get("out")
     if out:
-        with write_atomically(f"{out}.txt") as fh:
-            fh.write(table)
-        with write_atomically(f"{out}.tsv") as fh:
-            fh.write(report_machine_text(report))
+        for path, text in zip(_out_paths("ablate", out, rc), (table, report_machine_text(report))):
+            with write_atomically(path) as fh:
+                fh.write(text)
     sys.stdout.write(table)
     for tag, seed, exc in report.failures:
         print(f"error: {tag} seed {seed}: {exc}", file=sys.stderr)
@@ -266,16 +250,29 @@ def cmd_cost_probe(values: dict, rc: RunConfig) -> int:
     return 0
 
 
-# Each subcommand's help and handler; `build_parser` and `main` both read it.
+# The one declaration of each subcommand: its help, its handler, the flags it requires
+# (its own in parser order, then `out` if it must write) and the suffix of each file it
+# writes at --out; `gen-data` writes into a directory there instead.
+class _Command(NamedTuple):
+    help: str
+    handler: Callable[[dict, RunConfig], int]
+    requires: tuple[str, ...] = ()
+    writes: tuple[str, ...] = ()
+
+
 _COMMANDS = {
-    "gen-data": ("write the six dataset views to --out directory", cmd_gen_data),
-    "train-teacher": ("train a plain classifier on --data, write --out model", cmd_train_teacher),
-    "dump-logits": ("run --model over --data and write a logit dump", cmd_dump_logits),
-    "assemble": ("write assembled targets (and weights) for inspection", cmd_assemble),
-    "distill": ("full pipeline for one strategy and seed", cmd_distill),
-    "evaluate": ("top-1 accuracy of --model on --data", cmd_evaluate),
-    "ablate": ("strategies x seeds grid; writes <out>.txt and <out>.tsv", cmd_ablate),
-    "cost-probe": ("per-epoch wall-time and assembly-op comparison", cmd_cost_probe),
+    "gen-data": _Command("write the six dataset views to --out directory", cmd_gen_data, ("out",)),
+    "train-teacher": _Command("train a plain classifier on --data, write --out model", cmd_train_teacher,
+                              ("data", "out"), ("",)),
+    "dump-logits": _Command("run --model over --data and write a logit dump", cmd_dump_logits,
+                            ("data", "teacher_id", "model", "out"), ("",)),
+    "assemble": _Command("write assembled targets (and weights) for inspection", cmd_assemble,
+                         ("labels_from", "out"), (".targets.txt",)),
+    "distill": _Command("full pipeline for one strategy and seed", cmd_distill, writes=("",)),
+    "evaluate": _Command("top-1 accuracy of --model on --data", cmd_evaluate, ("data", "model")),
+    "ablate": _Command("strategies x seeds grid; writes <out>.txt and <out>.tsv", cmd_ablate,
+                       writes=(".txt", ".tsv")),
+    "cost-probe": _Command("per-epoch wall-time and assembly-op comparison", cmd_cost_probe, writes=("",)),
 }
 
 
@@ -299,10 +296,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         values = _merged(args)
-        _, handler = _COMMANDS[args.command]
         rc = _run_config(values)
-        _check_inputs(args, values, rc)
-        return handler(values, rc)
+        _check_inputs(args.command, values, rc)
+        return _COMMANDS[args.command].handler(values, rc)
     except (MultiKdError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code_for(exc)

@@ -152,19 +152,23 @@ def build_targets(bank: TeacherBank, labels, config: cfg.DistillConfig) -> Targe
     the bits of two separate running means.
     GTD/PKD: reference-weighted convex assembly, GTD at h = 1. PKD
     needs h in (1/C, 1]; GTD ignores config.h.
-    Every result holds one N x C matrix, whatever K is.
+    Every result holds one N x C matrix, whatever K is. Every sum over
+    teachers runs in ascending teacher-id order, whatever order the bank
+    lists them in, so a set of teachers gives one target, bit for bit;
+    only the weights' columns follow the listed order.
     """
     strategy, tau = config.strategy, config.tau
     _check_teacher_count(strategy, bank.k)
+    order = sorted(range(bank.k), key=bank.teacher_ids.__getitem__)
     if strategy in (cfg.KD_SINGLE, cfg.AVG2):
-        return TargetSet(strategy, [running_mean(softmax_rows(t / tau) for t in bank.teachers)])
+        return TargetSet(strategy, [running_mean(softmax_rows(bank.teachers[k] / tau) for k in order)])
     if strategy == cfg.AVG1:
 
         def with_entropy(logits):
             p = softmax_rows(logits / tau)
             return np.column_stack((p, entropy_rows(p)))
 
-        means = running_mean(map(with_entropy, bank.teachers))
+        means = running_mean(with_entropy(bank.teachers[k]) for k in order)
         target = np.ascontiguousarray(means[:, :-1])
         return TargetSet(strategy, [target], gap=entropy_rows(target) - means[:, -1])
     if strategy in (cfg.GTD, cfg.PKD):
@@ -176,9 +180,9 @@ def build_targets(bank: TeacherBank, labels, config: cfg.DistillConfig) -> Targe
             if not (1.0 / bank.c) < h <= 1.0:
                 raise ValidationError(f"h must be in (1/{bank.c}, 1], got {h}")
         raw = _teacher_scores(bank, labels, h, config.weight_tau)
-        weights = raw / raw.sum(axis=1, keepdims=True)
+        weights = raw / raw[:, order].sum(axis=1, keepdims=True)
         target = np.zeros((bank.n, bank.c), dtype=np.float64)
-        for k, logits in enumerate(bank.teachers):
-            target += weights[:, k : k + 1] * softmax_rows(logits / tau)
+        for k in order:
+            target += weights[:, k : k + 1] * softmax_rows(bank.teachers[k] / tau)
         return TargetSet(strategy, [target], weights)
     raise ValidationError(f"build_targets cannot handle strategy {strategy!r}")

@@ -334,10 +334,15 @@ def reference_init_student(d_in, hidden_dim, n_classes, prng):
             uniform_matrix(n_classes, hidden_dim, 1.0 / np.sqrt(hidden_dim)))
 
 
+def teachers_in_id_order(bank):
+    """The bank's logit matrices in ascending teacher-id order, the order build_targets sums in."""
+    return [bank.teachers[k] for k in sorted(range(bank.k), key=lambda k: bank.teacher_ids[k])]
+
+
 def reference_avg1_targets(bank, tau):
     """AVG1's mean target and entropy gap, softening every teacher twice."""
-    target = running_mean(soften(t, tau) for t in bank.teachers)
-    per_teacher = running_mean(entropy_rows(soften(t, tau)) for t in bank.teachers)
+    target = running_mean(soften(t, tau) for t in teachers_in_id_order(bank))
+    per_teacher = running_mean(entropy_rows(soften(t, tau)) for t in teachers_in_id_order(bank))
     return target, entropy_rows(target) - per_teacher
 
 

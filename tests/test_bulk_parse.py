@@ -1,8 +1,8 @@
 """Matrix bodies parsed in bulk against the line-by-line reference.
 
-The loaders convert a whole body in one numpy call and fall back to a
-line-by-line parse only for a body that call rejects. Values must
-equal, bit for bit, those of the line-by-line parse in
+One `np.loadtxt` call converts a body; only a body it rejects, or
+whose shape, values or labels are faulty, is parsed again line by line.
+Values must equal, bit for bit, those of the line-by-line parse in
 tests/_oracles.py, and each diagnostic must be the same exception with
 the same message, naming the same file line, for a fault on any line
 of the file, deep in a long body too.

@@ -638,6 +638,18 @@ def test_gen_data_out_that_is_no_directory_is_refused_before_any_work(tmp_path, 
     assert out.read_text() == "kept\n"
 
 
+def test_gen_data_out_under_a_file_is_refused_before_any_work(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(harness, "gen_dataset", lambda *args, **kwargs: calls.append(args))
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    out = str(afile / "sub")
+    assert run_cli("gen-data", "--out", out) == 1
+    message = f"error: --out {out!r} lies under {str(afile)!r}, which is not a directory\n"
+    assert capsys.readouterr() == ("", message)
+    assert calls == [] and afile.read_text() == "kept\n"
+
+
 def test_assemble_without_weights_ignores_a_directory_at_the_weights_path(tmp_path, data_dir, capsys):
     # AVG2 writes no <out>.weights.txt, so a directory there is in no file's way
     dump = str(tmp_path / "a.logits")
@@ -655,6 +667,53 @@ def test_ablate_prefix_beside_a_directory_of_its_name_still_runs(tmp_path, capsy
     out = str(tmp_path / "results")
     assert run_cli("ablate", "--seeds", "1", "--strategies", "NONE", *SMALL, "--out", out) == 0
     assert os.path.isfile(out + ".txt") and os.path.isfile(out + ".tsv")
+
+
+# Each subcommand that writes at --out, with the flags of one small run over
+# data_dir's training view (`{data}`), a model (`{model}`) and two dumps.
+WRITER_RUNS = [
+    pytest.param("train-teacher", ["--data", "{data}", "--epochs", "1"], id="train-teacher"),
+    pytest.param("dump-logits", ["--data", "{data}", "--model", "{model}", "--teacher-id", "t"], id="dump-logits"),
+    *[pytest.param("assemble", ["--labels-from", "{data}", "--teacher", "{dump0}", "--teacher", "{dump1}",
+                                "--strategy", strategy], id=f"assemble-{strategy}")
+      for strategy in ["AVG2", "PKD"]],
+    pytest.param("distill", ["--strategy", "NONE", *TINY], id="distill"),
+    pytest.param("ablate", [*ONE_SEED, *TINY], id="ablate"),
+    pytest.param("cost-probe", ["--n-train", "20", "--n-test", "10", "--epochs", "2"], id="cost-probe"),
+]
+
+
+@pytest.mark.parametrize("command, flags", WRITER_RUNS)
+def test_a_writer_writes_exactly_its_out_paths_and_refuses_a_directory_at_each(command, flags, tmp_path,
+                                                                               data_dir, two_dumps, monkeypatch,
+                                                                               capsys):
+    model = str(tmp_path / "m.model")
+    write_model(model, init_student(4, 3, 4, SplitMix64(1)))
+    given = {"{data}": str(data_dir / "train_A.txt"), "{model}": model,
+             "{dump0}": two_dumps[0], "{dump1}": two_dumps[1]}
+    run, out = tmp_path / "run", str(tmp_path / "run" / "r")
+    argv = [command, *(given.get(flag, flag) for flag in flags), "--out", out]
+    values = cli._merged(build_parser().parse_args(argv))
+    paths = cli._out_paths(command, out, cli._run_config(values))
+    run.mkdir()
+    assert run_cli(*argv) == 0
+    capsys.readouterr()
+    assert sorted(os.listdir(run)) == sorted(os.path.basename(path) for path in paths)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for module, name in [(harness, "gen_dataset"), (harness, "train"), (harness, "train_plain"),
+                         (cli, "load_dataset"), (cli, "load_model")]:
+        monkeypatch.setattr(module, name, no_work)
+    for path in paths:
+        shutil.rmtree(run)
+        run.mkdir()
+        os.mkdir(path)
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr() == ("", f"error: --out {out!r} is a directory\n" if path == out
+                                       else f"error: --out {out!r} writes {path!r}, which is a directory\n")
+        assert os.listdir(run) == [os.path.basename(path)]
 
 
 def test_assemble_refuses_kd_single_of_two_before_any_file(tmp_path, data_dir, no_work, capsys):

@@ -9,8 +9,9 @@ _oracles.py); AVG1 and AVG2 give the student the same gradient, by the
 reference loss_gradient;
 AVG1's one-matrix loss is the mean of its K per-teacher losses;
 the AVG2 target, summed one teacher at a time, has the bits of
-np.mean over the stacked softened matrices; and AVG1, softening each
-teacher once, has the bits of the two-pass build.
+np.mean over the stacked softened matrices in teacher-id order; AVG1,
+softening each teacher once, has the bits of the two-pass build; and a
+set of teachers gives one target, bit for bit, in any listed order.
 """
 
 from unittest import mock
@@ -30,7 +31,16 @@ from multikd.ensemble import (
 )
 from multikd.numerics import EPS, softmax_rows
 
-from _oracles import avg1_loss, ce_loss, kl_rows, loss_gradient, reference_avg1_targets, soften, total_loss
+from _oracles import (
+    avg1_loss,
+    ce_loss,
+    kl_rows,
+    loss_gradient,
+    reference_avg1_targets,
+    soften,
+    teachers_in_id_order,
+    total_loss,
+)
 
 WEIGHT_ROW_SUM_TOL = 1e-6
 
@@ -126,7 +136,7 @@ def test_avg1_total_loss_is_the_mean_of_per_teacher_losses(bank_labels, tau, alp
 def test_avg2_target_is_np_mean_of_softened_teachers(bank_labels, tau):
     bank, labels = bank_labels
     target = build_targets(bank, labels, mk.DistillConfig(strategy=mk.AVG2, tau=tau)).targets[0]
-    assert np.array_equal(target, np.mean([soften(t, tau) for t in bank.teachers], axis=0))
+    assert np.array_equal(target, np.mean([soften(t, tau) for t in teachers_in_id_order(bank)], axis=0))
 
 
 @SETTINGS
@@ -140,3 +150,31 @@ def test_avg1_softens_each_teacher_once_with_the_two_pass_bits(bank_labels, tau)
     assert got.targets[0].shape == target.shape and got.gap.shape == gap.shape
     assert got.targets[0].tobytes() == target.tobytes()
     assert got.gap.tobytes() == gap.tobytes()
+
+
+@st.composite
+def permuted_banks(draw):
+    """One bank of 3 to 6 teachers listed twice, in two orders, with the permutation between them."""
+    k = draw(st.integers(3, 6))
+    ids = draw(st.lists(st.text("abt-0123456789", min_size=1, max_size=4), min_size=k, max_size=k, unique=True))
+    perm = draw(st.permutations(range(k)))
+    n, c = draw(st.integers(1, 12)), draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mats = [rng.normal(size=(n, c)) * draw(st.floats(0.1, 20.0)) for _ in range(k)]
+    listed = TeacherBank(mats, ids)
+    permuted = TeacherBank([mats[j] for j in perm], [ids[j] for j in perm])
+    return listed, permuted, list(perm), rng.integers(c, size=n)
+
+
+@SETTINGS
+@given(permuted_banks(), st.sampled_from([mk.AVG1, mk.AVG2, mk.GTD, mk.PKD]), taus, taus, st.floats(0.0, 1.0))
+def test_a_permuted_bank_gives_the_same_targets_bit_for_bit(banks, strategy, tau, weight_tau, h_share):
+    listed, permuted, perm, labels = banks
+    h = 1.0 / listed.c + (1.0 - 1.0 / listed.c) * max(h_share, 1e-3)
+    config = mk.DistillConfig(strategy=strategy, tau=tau, weight_tau=weight_tau, h=h)
+    want, got = build_targets(listed, labels, config), build_targets(permuted, labels, config)
+    assert got.targets[0].tobytes() == want.targets[0].tobytes()
+    if strategy == mk.AVG1:
+        assert got.gap.tobytes() == want.gap.tobytes()
+    if strategy in (mk.GTD, mk.PKD):  # the weights' columns follow the listed order
+        assert got.weights.tobytes() == want.weights[:, perm].tobytes()
