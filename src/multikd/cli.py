@@ -12,9 +12,11 @@ Then, still before any work, every subcommand refuses an `--out` that
 names no file or (but for `gen-data`, which creates it) lies in a
 missing directory, a directory at any file it writes at `--out`, a
 `gen-data --out` that is or lies under a file that is no directory,
-and a missing required flag. Exit codes: 0 success, 1 usage error (a
-`ValidationError`), 2 malformed input file, 3 numerical failure.
-`ablate` exits with the code of its first failed cell in report order.
+and a missing required flag. A failure is one `error:` line and the
+exit code its type declares in `errors.py`: 1 usage, 2 file, 3
+numerical. numpy's warnings are off, as explicit checks refuse every
+overflow. `ablate` lists failed cells in report order and exits with
+the first one's code.
 """
 
 from __future__ import annotations
@@ -24,10 +26,12 @@ import os
 import sys
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from . import config as cfg
 from .datagen import DataParams
 from .ensemble import _check_teacher_count, build_targets
-from .errors import FormatError, MultiKdError, NumericalError, ValidationError
+from .errors import FormatError, MultiKdError, ValidationError
 from .formats import (
     _check_teacher_id,
     load_dataset,
@@ -236,7 +240,7 @@ def cmd_ablate(values: dict, rc: RunConfig) -> int:
     sys.stdout.write(table)
     for tag, seed, exc in report.failures:
         print(f"error: {tag} seed {seed}: {exc}", file=sys.stderr)
-    return _exit_code_for(report.failures[0][2]) if report.failures else 0
+    return report.failures[0][2].exit_code if report.failures else 0
 
 
 def cmd_cost_probe(values: dict, rc: RunConfig) -> int:
@@ -276,21 +280,6 @@ _COMMANDS = {
 }
 
 
-def _exit_code_for(exc: Exception) -> int:
-    seen = set()
-    current: BaseException | None = exc
-    while current is not None and id(current) not in seen:
-        seen.add(id(current))
-        if isinstance(current, NumericalError):
-            return 3
-        if isinstance(current, (FormatError, OSError)):
-            return 2
-        if isinstance(current, ValidationError):
-            return 1
-        current = current.__cause__
-    return 1
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -298,10 +287,11 @@ def main(argv: list[str] | None = None) -> int:
         values = _merged(args)
         rc = _run_config(values)
         _check_inputs(args.command, values, rc)
-        return _COMMANDS[args.command].handler(values, rc)
+        with np.errstate(all="ignore"):  # every overflow is refused by an explicit check
+            return _COMMANDS[args.command].handler(values, rc)
     except (MultiKdError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _exit_code_for(exc)
+        return getattr(exc, "exit_code", FormatError.exit_code)  # an OSError is a file failure
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import config as cfg
 from .datagen import validate_labels
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .numerics import EPS, cross_entropy_rows, entropy_rows, running_mean, softmax_rows
 
 
@@ -97,6 +97,8 @@ class TargetSet:
                 raise ValidationError("strategy NONE carries no targets")
         elif len(self.targets) != 1:
             raise ValidationError(f"strategy {self.strategy} carries exactly one target matrix")
+        elif not np.isfinite(self.targets[0]).all():  # a temperature can overflow finite logits
+            raise NumericalError(f"non-finite {self.strategy} targets; assembly aborted")
 
 
 def _inverse_ce(refs: np.ndarray, dists: np.ndarray) -> np.ndarray:

@@ -78,17 +78,13 @@ class PipelineRow:
 @dataclass
 class AblationReport:
     rows: list[PipelineRow]
-    failures: list[tuple[str, int, Exception]] = field(default_factory=list)
+    failures: list[tuple[str, int, StageError]] = field(default_factory=list)
 
     def mean_top1(self, strategy: str) -> float:
         vals = [r.top1 for r in self.rows if r.strategy == strategy]
         if not vals:
             raise ValidationError(f"no rows for strategy {strategy}")
         return float(np.mean(vals))
-
-
-def _strategy_rank(tag: str) -> int:
-    return cfg.STRATEGIES.index(tag)
 
 
 def _fresh_student(dataset: Dataset, config: cfg.DistillConfig, stage_seed: int):
@@ -107,10 +103,8 @@ def train_plain(dataset: Dataset, config: cfg.DistillConfig, stage_seed: int) ->
 def _stage(name: str, fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
-    except StageError:
-        raise
     except Exception as exc:
-        raise StageError(name, str(exc)) from exc
+        raise StageError(name, exc) from exc
 
 
 def _cached(caches: dict | None, key: tuple, make):
@@ -236,7 +230,8 @@ def run_ablation(
     seeds: list[int],
     timing: bool = False,
 ) -> AblationReport:
-    """Cross-product of strategies and seeds, reported in canonical order.
+    """Cross-product of strategies and seeds, run in report order: that of
+    cfg.STRATEGIES, then ascending seed, which rows and failures follow.
 
     Per-seed data and teacher models are cached across strategies; the
     cache only reuses values that deterministic retraining would
@@ -262,15 +257,14 @@ def run_ablation(
                 raise ValidationError(f"{kind} {value!r} is given twice")
     # every cell's config is built, and so checked, before any cell runs
     cells = [(tag, seed, base.with_strategy_seed(tag, seed))
-             for tag in sorted(strategies, key=_strategy_rank) for seed in seeds]
+             for tag in cfg.STRATEGIES if tag in strategies for seed in sorted(seeds)]
     caches: dict = {}
     report = AblationReport(rows=[])
     for tag, seed, rc in cells:
         try:
             report.rows.append(run_pipeline(rc, timing=timing, caches=caches))
-        except Exception as exc:  # cell isolation: report partial results
+        except StageError as exc:  # cell isolation: report partial results
             report.failures.append((tag, seed, exc))
-    report.rows.sort(key=lambda r: (_strategy_rank(r.strategy), r.seed))
     return report
 
 

@@ -124,13 +124,16 @@ def _forward_cached(model: StudentModel, features: np.ndarray):
 
 
 def forward(model: StudentModel, features) -> np.ndarray:
-    """Student logits for a B x D feature matrix."""
+    """Student logits for a B x D feature matrix; NumericalError if one overflows."""
     arr = np.asarray(features, dtype=np.float64)
     if arr.ndim != 2:
         raise ValidationError(f"features must be a B x D matrix, got shape {arr.shape}")
     if arr.shape[1] != model.d_in:
         raise ValidationError(f"features have {arr.shape[1]} dims, model expects {model.d_in}")
-    return _forward_cached(model, arr)[0]
+    logits = _forward_cached(model, arr)[0]
+    if not _all(np.isfinite(logits), None):
+        raise NumericalError("non-finite model logits")
+    return logits
 
 
 def _rows(model: StudentModel, features, labels, target_set: TargetSet, config: cfg.DistillConfig) -> list:

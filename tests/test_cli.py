@@ -594,38 +594,6 @@ def test_out_that_names_no_file_is_refused_before_any_work(command, tmp_path, no
     assert os.listdir(tmp_path) == []
 
 
-ONE_SEED = ["--seeds", "1", "--strategies", "NONE"]
-
-
-# Each writer, its flags, and the suffix of one file it writes at --out.
-@pytest.mark.parametrize("command, flags, suffix", [
-    *[pytest.param(command, [], "", id=command)
-      for command in ["train-teacher", "dump-logits", "distill", "cost-probe"]],
-    pytest.param("ablate", ONE_SEED, ".txt", id="ablate-txt"),
-    pytest.param("ablate", ONE_SEED, ".tsv", id="ablate-tsv"),
-    pytest.param("assemble", ["--strategy", "AVG2"], ".targets.txt", id="assemble-AVG2-targets"),
-    *[pytest.param("assemble", ["--strategy", strategy], suffix, id=f"assemble-{strategy}-{suffix[1:-4]}")
-      for strategy in ["GTD", "PKD"] for suffix in [".targets.txt", ".weights.txt"]],
-])
-def test_out_that_names_a_directory_is_refused_before_any_work(command, flags, suffix, tmp_path, no_work,
-                                                                capsys):
-    # no file a subcommand writes at --out, or at --out plus a suffix, can be an existing directory
-    given = {"--data": tmp_path / "d.txt", "--model": tmp_path / "m.model", "--teacher-id": "t",
-             "--labels-from": tmp_path / "d.txt"}
-    argv = [str(arg) for flag in REQUIRED[command] if flag != "--out" for arg in (flag, given[flag])]
-    if suffix:
-        out = str(tmp_path / "r")
-        os.mkdir(out + suffix)
-        assert run_cli(command, *argv, *flags, "--out", out) == 1
-        assert capsys.readouterr() == ("", f"error: --out {out!r} writes {out + suffix!r}, which is a directory\n")
-        assert os.listdir(tmp_path) == ["r" + suffix] and os.listdir(out + suffix) == []
-        return
-    for out in [str(tmp_path), "."]:
-        assert run_cli(command, *argv, "--out", out) == 1
-        assert capsys.readouterr() == ("", f"error: --out {out!r} is a directory\n")
-    assert os.listdir(tmp_path) == []
-
-
 def test_gen_data_out_that_is_no_directory_is_refused_before_any_work(tmp_path, monkeypatch, capsys):
     def no_work(*args, **kwargs):
         raise AssertionError("work started")
@@ -667,6 +635,9 @@ def test_ablate_prefix_beside_a_directory_of_its_name_still_runs(tmp_path, capsy
     out = str(tmp_path / "results")
     assert run_cli("ablate", "--seeds", "1", "--strategies", "NONE", *SMALL, "--out", out) == 0
     assert os.path.isfile(out + ".txt") and os.path.isfile(out + ".tsv")
+
+
+ONE_SEED = ["--seeds", "1", "--strategies", "NONE"]
 
 
 # Each subcommand that writes at --out, with the flags of one small run over
@@ -714,6 +685,9 @@ def test_a_writer_writes_exactly_its_out_paths_and_refuses_a_directory_at_each(c
         assert capsys.readouterr() == ("", f"error: --out {out!r} is a directory\n" if path == out
                                        else f"error: --out {out!r} writes {path!r}, which is a directory\n")
         assert os.listdir(run) == [os.path.basename(path)]
+    if out in paths:  # so is the directory a run starts in
+        assert run_cli(*argv[:-1], ".") == 1
+        assert capsys.readouterr() == ("", "error: --out '.' is a directory\n")
 
 
 def test_assemble_refuses_kd_single_of_two_before_any_file(tmp_path, data_dir, no_work, capsys):
@@ -814,4 +788,45 @@ def test_class_count_must_match_the_model(command, tmp_path, model_10_in_11_out,
     extra = ["--teacher-id", "t", "--out", str(out)] if command == "dump-logits" else []
     assert run_cli(command, "--model", model_10_in_11_out, "--data", str(data), *extra) == 1
     assert capsys.readouterr().err == "error: dataset has 3 classes, model has 11\n"
+    assert not out.exists()
+
+
+def test_ablate_failures_come_in_report_order(tmp_path, capsys):
+    prefix = tmp_path / "report"
+    assert run_cli("ablate", "--seeds", "2,1", "--strategies", "PKD,NONE", "--teacher",
+                   str(tmp_path / "nosuch.logits"), "--out", str(prefix), *TINY) == 2
+    out, err = capsys.readouterr()
+    rows = [line.split("\t")[:4] for line in (tmp_path / "report.tsv").read_text().splitlines()[1:]]
+    assert [(row[0], row[2]) for row in rows] == [("NONE", "1"), ("NONE", "2"), ("PKD", "1"), ("PKD", "2")]
+    assert [row[3] for row in rows[2:]] == ["FAILED", "FAILED"]
+    assert [line.split()[:5] for line in out.splitlines()[-2:]] == [
+        ["PKD", "-", "FAILED", "seed", "1"], ["PKD", "-", "FAILED", "seed", "2"]]
+    assert [line.split(":")[1] for line in err.splitlines()] == [" PKD seed 1", " PKD seed 2"]
+
+
+def test_a_temperature_that_overflows_the_teacher_logits_exits_3(tmp_path, data_dir, two_dumps, capsys):
+    # 1e-310 is a positive, finite tau, but logits / tau overflow
+    prefix = tmp_path / "inspect"
+    assert run_cli("assemble", "--labels-from", str(data_dir / "train_A.txt"), "--teacher", two_dumps[0],
+                   "--teacher", two_dumps[1], "--strategy", "PKD", "--tau", "1e-310",
+                   "--out", str(prefix)) == 3
+    assert capsys.readouterr() == ("", "error: non-finite PKD targets; assembly aborted\n")
+    assert sorted(os.listdir(tmp_path)) == ["t0.logits", "t1.logits"]
+    assert run_cli("distill", "--strategy", "AVG2", "--tau", "1e-310", *TINY) == 3
+    assert capsys.readouterr() == (
+        "", "error: stage 'assemble-targets': non-finite AVG2 targets; assembly aborted\n")
+
+
+@pytest.mark.parametrize("command", ["evaluate", "dump-logits"])
+def test_a_model_whose_logits_overflow_exits_3(command, tmp_path, data_dir, capsys):
+    # every hidden unit is 1 and every w2 entry 1.5e307: 16 of them overflow each logit
+    model = init_student(4, 16, 4, SplitMix64(1))
+    model.w1 = np.zeros(model.w1.shape)
+    model.b1 = np.ones(16)
+    model.w2 = np.full(model.w2.shape, 1.5e307)
+    path, out = str(tmp_path / "m.model"), tmp_path / "t.logits"
+    write_model(path, model)
+    extra = ["--teacher-id", "t", "--out", str(out)] if command == "dump-logits" else []
+    assert run_cli(command, "--model", path, "--data", str(data_dir / "test_A.txt"), *extra) == 3
+    assert capsys.readouterr() == ("", "error: non-finite model logits\n")
     assert not out.exists()

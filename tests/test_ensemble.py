@@ -16,7 +16,7 @@ import pytest
 import multikd as mk
 from multikd import DistillConfig, TeacherBank, build_targets
 from multikd.ensemble import _inverse_ce, _reference_rows, _teacher_scores
-from multikd.errors import ValidationError
+from multikd.errors import NumericalError, ValidationError
 from multikd.numerics import EPS
 
 from _oracles import dec_cross_entropy, dec_kl, kl_rows, soften, validate_prob_row
@@ -347,3 +347,16 @@ class TestBuildTargets:
             pkd = build_targets(bank, labels, DistillConfig(strategy=mk.PKD, h=1.0, **knobs))
             assert gtd.targets[0].tobytes() == pkd.targets[0].tobytes()
             assert gtd.weights.tobytes() == pkd.weights.tobytes()
+
+
+# GTD and PKD also soften the teachers at weight_tau, to score them
+@pytest.mark.parametrize("strategy, knob", [
+    *[(strategy, "tau") for strategy in [mk.KD_SINGLE, mk.AVG1, mk.AVG2, mk.GTD, mk.PKD]],
+    *[(strategy, "weight_tau") for strategy in [mk.GTD, mk.PKD]],
+])
+def test_a_temperature_that_overflows_finite_logits_is_a_numerical_error(strategy, knob):
+    # 1e-310 is positive and finite, but logits / 1e-310 overflow to +-inf
+    bank = random_bank(k=1 if strategy == mk.KD_SINGLE else 3)
+    labels = RNG.integers(bank.c, size=bank.n)
+    with np.errstate(all="ignore"), pytest.raises(NumericalError, match=f"non-finite {strategy} targets"):
+        build_targets(bank, labels, DistillConfig(strategy=strategy, **{knob: 1e-310}))

@@ -10,7 +10,7 @@ import multikd as mk
 import multikd.harness as harness
 from multikd.datagen import DataParams
 from multikd.ensemble import TeacherBank
-from multikd.errors import StageError, ValidationError
+from multikd.errors import FormatError, NumericalError, StageError, ValidationError
 from multikd.formats import write_all_views, write_logit_dump
 from multikd.harness import (
     AblationReport,
@@ -241,3 +241,20 @@ class TestDefaultTeachers:
         floor = 3.0 / 11.0
         assert row.teacher_test_acc["teacher-A"] > floor
         assert row.teacher_test_acc["teacher-B"] > floor
+
+
+@pytest.mark.parametrize("cause, code", [
+    pytest.param(ValidationError("bad flag"), 1, id="usage"),
+    pytest.param(FormatError("bad file"), 2, id="format"),
+    pytest.param(NumericalError("overflow"), 3, id="numerical"),
+    pytest.param(FileNotFoundError("no file"), 2, id="os"),
+    pytest.param(KeyError("anything else"), 1, id="other"),
+])
+def test_a_stage_error_exits_with_the_code_of_its_cause(cause, code):
+    def failing():
+        raise cause
+
+    with pytest.raises(StageError) as caught:
+        harness._stage("some-stage", failing)
+    assert caught.value.exit_code == code and caught.value.__cause__ is cause
+    assert str(caught.value) == f"stage 'some-stage': {cause}"

@@ -72,3 +72,15 @@ def test_module_entry_point_refuses_a_nul_out_from_the_config_in_one_line(tmp_pa
     )
     assert (done.returncode, done.stderr) == (1, "error: --out 'a\\x00b' holds a NUL byte\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg"]
+
+
+def test_module_entry_point_reports_a_numerical_failure_in_one_line(tmp_path):
+    # the update overflows; the check that refuses it is all the shell sees
+    argv = ["distill", "--strategy", "NONE", "--lr", "1e308", "--n-train", "20", "--n-test", "10", "--epochs", "1"]
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-m", "multikd", *argv],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 3, done.stderr[-2000:]
+    assert done.stderr.count("\n") == 1 and done.stderr.startswith("error: stage 'train-student': ")
