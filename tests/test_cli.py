@@ -594,6 +594,38 @@ def test_out_that_names_no_file_is_refused_before_any_work(command, tmp_path, no
     assert os.listdir(tmp_path) == []
 
 
+ONE_SEED = ["--seeds", "1", "--strategies", "NONE"]
+
+
+# Each writer, its flags, and the suffix of one file it writes at --out.
+@pytest.mark.parametrize("command, flags, suffix", [
+    *[pytest.param(command, [], "", id=command)
+      for command in ["train-teacher", "dump-logits", "distill", "cost-probe"]],
+    pytest.param("ablate", ONE_SEED, ".txt", id="ablate-txt"),
+    pytest.param("ablate", ONE_SEED, ".tsv", id="ablate-tsv"),
+    pytest.param("assemble", ["--strategy", "AVG2"], ".targets.txt", id="assemble-AVG2-targets"),
+    *[pytest.param("assemble", ["--strategy", strategy], suffix, id=f"assemble-{strategy}-{suffix[1:-4]}")
+      for strategy in ["GTD", "PKD"] for suffix in [".targets.txt", ".weights.txt"]],
+])
+def test_out_that_names_a_directory_is_refused_before_any_work(command, flags, suffix, tmp_path, no_work,
+                                                                capsys):
+    # no file a subcommand writes at --out, or at --out plus a suffix, can be an existing directory
+    given = {"--data": tmp_path / "d.txt", "--model": tmp_path / "m.model", "--teacher-id": "t",
+             "--labels-from": tmp_path / "d.txt"}
+    argv = [str(arg) for flag in REQUIRED[command] if flag != "--out" for arg in (flag, given[flag])]
+    if suffix:
+        out = str(tmp_path / "r")
+        os.mkdir(out + suffix)
+        assert run_cli(command, *argv, *flags, "--out", out) == 1
+        assert capsys.readouterr() == ("", f"error: --out {out!r} writes {out + suffix!r}, which is a directory\n")
+        assert os.listdir(tmp_path) == ["r" + suffix] and os.listdir(out + suffix) == []
+        return
+    for out in [str(tmp_path), "."]:
+        assert run_cli(command, *argv, "--out", out) == 1
+        assert capsys.readouterr() == ("", f"error: --out {out!r} is a directory\n")
+    assert os.listdir(tmp_path) == []
+
+
 def test_gen_data_out_that_is_no_directory_is_refused_before_any_work(tmp_path, monkeypatch, capsys):
     def no_work(*args, **kwargs):
         raise AssertionError("work started")
@@ -635,9 +667,6 @@ def test_ablate_prefix_beside_a_directory_of_its_name_still_runs(tmp_path, capsy
     out = str(tmp_path / "results")
     assert run_cli("ablate", "--seeds", "1", "--strategies", "NONE", *SMALL, "--out", out) == 0
     assert os.path.isfile(out + ".txt") and os.path.isfile(out + ".tsv")
-
-
-ONE_SEED = ["--seeds", "1", "--strategies", "NONE"]
 
 
 # Each subcommand that writes at --out, with the flags of one small run over
