@@ -6,8 +6,9 @@ file supplies `key = value` defaults; explicit flags win. A flag's
 value is text, as a config line's is, and both are converted alike,
 with one message for a bad value. `main` binds every run once, before
 any subcommand does work: it reads `--config`, merges the flags over
-it and builds the `RunConfig`, so each subcommand rejects an
-unreadable config and a bad run-key value, also one it does not use.
+it, builds the `RunConfig` and converts and checks the grid keys
+(`seeds`, `strategies`), so each subcommand rejects an unreadable
+config and a bad run-key or grid-key value, also one it does not use.
 Then, still before any work, every subcommand refuses an `--out` that
 names no file or (but for `gen-data`, which creates it) lies in a
 missing directory, a directory at any file it writes at `--out`, a
@@ -46,6 +47,7 @@ from .formats import (
 )
 from .harness import (
     RunConfig,
+    _cells,
     bind_teacher_dumps,
     cost_probe,
     cost_probe_text,
@@ -150,6 +152,20 @@ def _run_config(values: dict) -> RunConfig:
     )
 
 
+def _convert_grid(values: dict, rc: RunConfig) -> None:
+    """Convert the grid keys of `values` in place, from a flag or a config line
+    alike: `seeds` to ints and `strategies` to tags, each `ablate`'s default when
+    absent. Then refuse the grid as `run_ablation` would, whatever the subcommand."""
+    raw = values.get("seeds", "1,2,3,4,5")
+    try:
+        values["seeds"] = [int(tok) for tok in raw.split(",") if tok.strip() != ""]
+    except ValueError:
+        raise ValidationError(f"bad value for seeds: {raw!r}") from None
+    raw = values.get("strategies", ",".join(cfg.STRATEGIES))
+    values["strategies"] = [tok.strip() for tok in raw.split(",") if tok.strip()]
+    _cells(rc, values["strategies"], values["seeds"])
+
+
 def cmd_gen_data(values: dict, rc: RunConfig) -> int:
     written = write_all_views(values["out"], generate_data(rc))
     print(f"wrote {len(written)} dataset files to {values['out']}")
@@ -188,8 +204,6 @@ def cmd_dump_logits(values: dict, rc: RunConfig) -> int:
 def cmd_assemble(values: dict, rc: RunConfig) -> int:
     if rc.distill.strategy == cfg.NONE:
         raise ValidationError("strategy NONE has no targets to assemble")
-    if rc.distill.strategy == cfg.AVG1:
-        raise ValidationError("assemble cannot write AVG1: a targets file cannot carry its entropy gap")
     if not rc.teacher_paths:
         raise ValidationError("assemble needs at least one --teacher dump")
     _check_teacher_count(rc.distill.strategy, len(rc.teacher_paths))
@@ -223,14 +237,7 @@ def cmd_evaluate(values: dict, rc: RunConfig) -> int:
 
 
 def cmd_ablate(values: dict, rc: RunConfig) -> int:
-    raw_seeds = values.get("seeds", "1,2,3,4,5")
-    try:
-        seeds = [int(tok) for tok in raw_seeds.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise ValidationError(f"bad value for seeds: {raw_seeds!r}") from None
-    raw_strategies = values.get("strategies", ",".join(cfg.STRATEGIES))
-    strategies = [tok.strip() for tok in raw_strategies.split(",") if tok.strip()]
-    report = run_ablation(rc, strategies, seeds, timing=values["timing"])
+    report = run_ablation(rc, values["strategies"], values["seeds"], timing=values["timing"])
     table = report_table_text(report)
     out = values.get("out")
     if out:
@@ -286,6 +293,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         values = _merged(args)
         rc = _run_config(values)
+        _convert_grid(values, rc)
         _check_inputs(args.command, values, rc)
         with np.errstate(all="ignore"):  # every overflow is refused by an explicit check
             return _COMMANDS[args.command].handler(values, rc)

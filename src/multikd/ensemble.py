@@ -9,8 +9,11 @@ combination of the softened teacher distributions.
 
 Everything happens offline on stored logits; no teacher model is ever
 needed once its logits are dumped, so the number of teachers only
-affects this one-shot assembly, never the training loop. Every strategy,
-AVG1 included, yields one N x C target matrix: O(N*C) memory at any K.
+affects this one-shot assembly, never the training loop. Every strategy
+yields one N x C target matrix: O(N*C) memory at any K. AVG1 and AVG2
+build the same matrix: AVG1's loss, the mean of K per-teacher KL terms,
+is AVG2's plus an entropy term that is constant in the student's logits,
+so the two strategies train the same student.
 TeacherBank and DistillConfig are checked once, as they are built, and
 frozen after, so build_targets checks neither again: it softens the
 teachers with the unchecked numerics.softmax_rows.
@@ -25,7 +28,7 @@ import numpy as np
 from . import config as cfg
 from .datagen import validate_labels
 from .errors import NumericalError, ValidationError
-from .numerics import EPS, cross_entropy_rows, entropy_rows, running_mean, softmax_rows
+from .numerics import EPS, cross_entropy_rows, running_mean, softmax_rows
 
 
 @dataclass(frozen=True)
@@ -80,14 +83,11 @@ class TargetSet:
     """Soft targets for one strategy: none for NONE, else one N x C matrix.
 
     GTD and PKD also keep their N x K teacher weights for inspection.
-    AVG1 carries its per-row entropy gap H(mean) - mean_k H(t_k), as its
-    loss mean_k KL(t_k || p) is KL(mean || p) + gap. No gap is a zero gap.
     """
 
     strategy: str
     targets: list[np.ndarray] = field(default_factory=list)
     weights: np.ndarray | None = None
-    gap: np.ndarray | None = None
 
     def __post_init__(self):
         if self.strategy not in cfg.STRATEGIES:
@@ -147,11 +147,9 @@ def build_targets(bank: TeacherBank, labels, config: cfg.DistillConfig) -> Targe
 
     KD_SINGLE, AVG1 and AVG2: the elementwise mean of the K softened
     matrices, softened and added one teacher at a time (KD_SINGLE
-    requires K=1). AVG1, distilled as K equal-weight tasks, also gets
-    its entropy gap (see TargetSet), computed here once: each teacher is
-    softened once, and its entropy row rides along as an extra column
-    of the running mean, so the mean target and the mean entropy have
-    the bits of two separate running means.
+    requires K=1). AVG1 distills the K teachers as equal-weight tasks;
+    that loss differs from AVG2's only by a constant in the student's
+    logits, so AVG1 takes AVG2's target, bit for bit.
     GTD/PKD: reference-weighted convex assembly, GTD at h = 1. PKD
     needs h in (1/C, 1]; GTD ignores config.h.
     Every result holds one N x C matrix, whatever K is. Every sum over
@@ -162,17 +160,8 @@ def build_targets(bank: TeacherBank, labels, config: cfg.DistillConfig) -> Targe
     strategy, tau = config.strategy, config.tau
     _check_teacher_count(strategy, bank.k)
     order = sorted(range(bank.k), key=bank.teacher_ids.__getitem__)
-    if strategy in (cfg.KD_SINGLE, cfg.AVG2):
+    if strategy in (cfg.KD_SINGLE, cfg.AVG1, cfg.AVG2):
         return TargetSet(strategy, [running_mean(softmax_rows(bank.teachers[k] / tau) for k in order)])
-    if strategy == cfg.AVG1:
-
-        def with_entropy(logits):
-            p = softmax_rows(logits / tau)
-            return np.column_stack((p, entropy_rows(p)))
-
-        means = running_mean(with_entropy(bank.teachers[k]) for k in order)
-        target = np.ascontiguousarray(means[:, :-1])
-        return TargetSet(strategy, [target], gap=entropy_rows(target) - means[:, -1])
     if strategy in (cfg.GTD, cfg.PKD):
         h = 1.0
         if strategy == cfg.PKD:

@@ -224,6 +224,26 @@ def run_pipeline(rc: RunConfig, timing: bool = False, caches: dict | None = None
     )
 
 
+def _cells(base: RunConfig, strategies: list[str], seeds: list[int]) -> list:
+    """The (strategy, seed, run config) cells of a grid, in report order.
+
+    Every check of the grid runs here, before any cell does: an empty
+    grid, an unknown strategy, a strategy or seed given twice, and each
+    cell's config, built and so checked.
+    """
+    if not strategies or not seeds:
+        raise ValidationError("need at least one strategy and one seed")
+    for tag in strategies:
+        if tag not in cfg.STRATEGIES:
+            raise ValidationError(f"unknown strategy {tag!r}")
+    for kind, values in (("strategy", strategies), ("seed", seeds)):
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise ValidationError(f"{kind} {value!r} is given twice")
+    return [(tag, seed, base.with_strategy_seed(tag, seed))
+            for tag in cfg.STRATEGIES if tag in strategies for seed in sorted(seeds)]
+
+
 def run_ablation(
     base: RunConfig,
     strategies: list[str],
@@ -246,21 +266,9 @@ def run_ablation(
     strategy or seed named twice is refused, since it would run its
     cells twice and count them twice in `mean_top1`.
     """
-    if not strategies or not seeds:
-        raise ValidationError("need at least one strategy and one seed")
-    for tag in strategies:
-        if tag not in cfg.STRATEGIES:
-            raise ValidationError(f"unknown strategy {tag!r}")
-    for kind, values in (("strategy", strategies), ("seed", seeds)):
-        for i, value in enumerate(values):
-            if value in values[:i]:
-                raise ValidationError(f"{kind} {value!r} is given twice")
-    # every cell's config is built, and so checked, before any cell runs
-    cells = [(tag, seed, base.with_strategy_seed(tag, seed))
-             for tag in cfg.STRATEGIES if tag in strategies for seed in sorted(seeds)]
     caches: dict = {}
     report = AblationReport(rows=[])
-    for tag, seed, rc in cells:
+    for tag, seed, rc in _cells(base, strategies, seeds):
         try:
             report.rows.append(run_pipeline(rc, timing=timing, caches=caches))
         except StageError as exc:  # cell isolation: report partial results

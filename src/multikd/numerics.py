@@ -61,8 +61,3 @@ def log_or_zero(p: np.ndarray) -> np.ndarray:
 def cross_entropy_rows(target: np.ndarray, pred: np.ndarray) -> np.ndarray:
     """Row-wise cross-entropy for pre-validated stacks (no checks)."""
     return -(target * np.log(np.maximum(pred, EPS))).sum(axis=-1)
-
-
-def entropy_rows(p: np.ndarray) -> np.ndarray:
-    """Row-wise Shannon entropy in nats, with 0*log(0)=0 (no checks)."""
-    return -(p * log_or_zero(p)).sum(axis=-1)

@@ -13,8 +13,6 @@ cross-entropy alone (alpha does not apply; this is the baseline).
 Training runs one step kernel, _step, with one mode: it computes the
 forward pass, p1 and p_tau once each, the loss from those two, the logit
 gradient and the update.
-AVG1's entropy term is folded into its log-target before training, so
-every strategy hands the kernel the same rows.
 The plain loss and gradient formulas the kernel is tested against live
 in tests/_oracles.py. train() validates its inputs once at entry and
 gathers each epoch's rows once, so a step builds no per-batch objects.
@@ -23,8 +21,11 @@ so a step writes its gradients into a second model of the same layout,
 updates all four parameters with one subtraction, and checks w1 and w2
 with one reduction over one view; there is no copy of the model to write
 back, and train trains the caller's model in place.
-Every distilling TargetSet holds one N x C matrix, AVG1's included, so
-neither memory nor per-step cost grows with the number of teachers.
+Every distilling TargetSet holds one N x C matrix, so neither memory
+nor per-step cost grows with the number of teachers. AVG1's is AVG2's
+(see ensemble), so an AVG1 fit trains AVG2's student and reports AVG2's
+loss; the per-teacher mean it stands for adds a constant, which moves
+no gradient.
 """
 
 from __future__ import annotations
@@ -145,12 +146,6 @@ def _rows(model: StudentModel, features, labels, target_set: TargetSet, config: 
     for a distillation strategy; row n of each is sample n. onehot is a
     boolean N x C label mask. log_target is log_or_zero(target), so a
     zero target entry adds nothing to the KL term.
-
-    AVG1's per-row entropy gap is added once, here, to its row of
-    log_target: a target row sums to 1, so the kernel's KL(mean||p) then
-    carries the gap, which is constant in the logits and moves no
-    gradient. This keeps a small loss free of the cancellation between
-    mean_k sum t_k log t_k and sum mean log p.
     """
     if target_set.strategy != config.strategy:
         raise ValidationError(f"target set built for {target_set.strategy}, config says {config.strategy}")
@@ -169,13 +164,7 @@ def _rows(model: StudentModel, features, labels, target_set: TargetSet, config: 
         raise ValidationError(
             f"target matrix {target.shape} misaligned with data ({n}, {model.n_classes})"
         )
-    log_target = log_or_zero(target)
-    if target_set.gap is not None:
-        gap = np.asarray(target_set.gap, dtype=np.float64)
-        if gap.shape != (n,):
-            raise ValidationError(f"entropy gap {gap.shape} misaligned with data ({n},)")
-        log_target += gap[:, None]
-    return [features, onehot, target, log_target]
+    return [features, onehot, target, log_or_zero(target)]
 
 
 def _step(model, grads, config, features, onehot, target=None, log_target=None):
@@ -187,9 +176,8 @@ def _step(model, grads, config, features, onehot, target=None, log_target=None):
     exactly 0), then the SGD update of model.data. The
     arithmetic is that of total_loss and loss_gradient, followed by the
     w2, b2, w1, b1 updates, so parameters match that plain sequence bit
-    for bit; AVG1's loss carries its entropy term in log_target (see
-    _rows), so it may differ from total_loss in the last bits. Every
-    finiteness check is one reduction with no Python frame of its own.
+    for bit. Every finiteness check is one reduction with no Python
+    frame of its own.
     Returns the pre-step loss.
     """
     n = features.shape[0]

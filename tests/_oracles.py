@@ -5,11 +5,14 @@ decimal arithmetic and plain term-by-term summation, sharing no code
 with the implementation under test.
 soften is the temperature softmax the references use, softmax_rows of
 the logits over tau, as assembly computes it from a checked bank.
-kl_rows, validate_prob_row and the losses ce_loss, kd_loss, avg1_loss,
-total_loss with its logit gradient loss_gradient are the plain formulas
-of the distillation objective. The program runs none of them: its step
-kernel computes loss and gradient in one pass and is tested against
-them. reference_train is the student SGD loop written step by step
+kl_rows, entropy_rows, validate_prob_row and the losses ce_loss,
+kd_loss, avg1_loss, total_loss with its logit gradient loss_gradient are
+the plain formulas of the distillation objective. total_loss gives AVG1
+the loss of its one target matrix, which is AVG2's: avg1_loss, the mean
+of the per-teacher losses, exceeds it by tau^2 times the mean entropy
+gap H(mean) - mean_k H(t_k), a constant in the logits. The program
+runs none of them: its step kernel computes loss and gradient in one
+pass and is tested against them. reference_train is the student SGD loop written step by step
 from total_loss and loss_gradient, the standard the fused training step
 is held to. step_gradients is the one entry into the program here: the
 (w1, b1, w2, b2) gradients one real step writes, taken on a copy, for
@@ -21,8 +24,6 @@ below() draw per swap, the standard for SplitMix64.permutation's
 batched draws. reference_gen_dataset and reference_init_student draw
 the synthetic data and a student's initial weights one scalar draw at
 a time: the standard for their block draws.
-reference_avg1_targets builds AVG1's mean target and entropy gap in two
-passes over the teachers, softening each one twice.
 reference_matrix_rows and reference_dataset_rows parse a file body one
 line at a time, as the loaders did before they converted rows in bulk:
 the standard for the block parser's values and diagnostics.
@@ -39,7 +40,7 @@ from multikd import config as cfg
 from multikd.datagen import CENTER_HI, CENTER_LO, validate_labels
 from multikd.ensemble import TargetSet
 from multikd.errors import FormatError, ValidationError
-from multikd.numerics import EPS, entropy_rows, log_or_zero, running_mean, softmax_rows
+from multikd.numerics import EPS, log_or_zero, softmax_rows
 from multikd.rng import SplitMix64, derive_seed
 from multikd.trainer import _rows, _step
 
@@ -110,6 +111,11 @@ def kl_rows(q: np.ndarray, p: np.ndarray) -> np.ndarray:
     return (q * (log_q - log_p)).sum(axis=-1)
 
 
+def entropy_rows(p: np.ndarray) -> np.ndarray:
+    """Row-wise Shannon entropy in nats, with 0*log(0)=0 (no checks)."""
+    return -(p * log_or_zero(p)).sum(axis=-1)
+
+
 def ce_loss(student_probs, labels) -> float:
     """Mean negative log-probability of the true class."""
     probs = np.asarray(student_probs, dtype=np.float64)
@@ -138,14 +144,12 @@ def avg1_loss(student_logits, targets, tau: float) -> float:
 
 
 def total_loss(student_logits, labels, target_set, config) -> float:
-    """alpha * CE + (1 - alpha) * KD; a gap adds tau^2 * its mean to KD (AVG1)."""
+    """alpha * CE + (1 - alpha) * KD, KD against the target set's one matrix."""
     logits = np.asarray(student_logits, dtype=np.float64)
     ce = ce_loss(soften(logits, 1.0), labels)
     if config.strategy == cfg.NONE:
         return ce
     kd = kd_loss(logits, target_set.targets[0], config.tau)
-    if target_set.gap is not None:
-        kd += config.tau * config.tau * float(np.mean(target_set.gap))
     return config.alpha * ce + (1.0 - config.alpha) * kd
 
 
@@ -155,7 +159,6 @@ def loss_gradient(student_logits, labels, target_set, config) -> np.ndarray:
     Per row: alpha * (p1 - onehot) / N for the cross-entropy part, plus
     (1 - alpha) * tau * (p_tau - target) / N for the distillation part
     (the tau^2 prefactor and the 1/tau softmax chain rule leave one tau).
-    A gap is constant in the logits and adds nothing.
     """
     logits = np.asarray(student_logits, dtype=np.float64)
     labels = validate_labels(labels, logits.shape[1])
@@ -219,9 +222,8 @@ def rel_err(a, b, floor=1e-6):
 
 
 def batch_targets(target_set, idx):
-    """The rows `idx` of a target set: its matrix and its gap, if any."""
-    gap = None if target_set.gap is None else target_set.gap[idx]
-    return TargetSet(target_set.strategy, [t[idx] for t in target_set.targets], gap=gap)
+    """The rows `idx` of a target set's matrix, if it has one."""
+    return TargetSet(target_set.strategy, [t[idx] for t in target_set.targets])
 
 
 def reference_step(model, x, y, targets, config):
@@ -337,13 +339,6 @@ def reference_init_student(d_in, hidden_dim, n_classes, prng):
 def teachers_in_id_order(bank):
     """The bank's logit matrices in ascending teacher-id order, the order build_targets sums in."""
     return [bank.teachers[k] for k in sorted(range(bank.k), key=lambda k: bank.teacher_ids[k])]
-
-
-def reference_avg1_targets(bank, tau):
-    """AVG1's mean target and entropy gap, softening every teacher twice."""
-    target = running_mean(soften(t, tau) for t in teachers_in_id_order(bank))
-    per_teacher = running_mean(entropy_rows(soften(t, tau)) for t in teachers_in_id_order(bank))
-    return target, entropy_rows(target) - per_teacher
 
 
 def _reference_float_row(line, width, path, lineno):

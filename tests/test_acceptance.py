@@ -30,12 +30,13 @@ from multikd.ensemble import (
 )
 from multikd.formats import load_dataset, load_logits, write_dataset, write_logit_dump
 from multikd.harness import RunConfig, cost_probe, report_machine_text, run_ablation
-from multikd.numerics import EPS, entropy_rows
+from multikd.numerics import EPS
 from multikd.rng import SplitMix64
 from multikd.trainer import forward, init_student
 
 from _oracles import (
-    avg1_loss, fd_gradient, kd_loss, kl_rows, loss_gradient, rel_err, soften, step_gradients, total_loss,
+    avg1_loss, entropy_rows, fd_gradient, kd_loss, kl_rows, loss_gradient, rel_err, soften, step_gradients,
+    total_loss,
 )
 
 GOLDEN_ABLATION = Path(__file__).parent / "golden" / "ablation_default.tsv"

@@ -213,6 +213,17 @@ def test_bad_seeds_named_as_run_key(source, tmp_path, capsys):
     assert "error: bad value for seeds: 'a,b'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+@pytest.mark.parametrize("line, message", [("seeds = x", "bad value for seeds: 'x'"),
+                                           ("strategies = FOO", "unknown strategy 'FOO'")])
+def test_every_subcommand_refuses_a_bad_grid_key_before_any_work(command, line, message, tmp_path,
+                                                                 no_work, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text(line + "\n")
+    assert run_cli(command, "--config", str(config)) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("key", [row.key for row in RUN_KEYS if row.kind is not str])
 def test_a_bad_typed_run_key_reads_alike_as_flag_and_config_line(key, tmp_path, no_work, capsys):
     config = tmp_path / "run.cfg"
@@ -412,8 +423,20 @@ def test_assemble_kd_single_writes_the_build_targets_bits(tmp_path, data_dir, ca
     assert rows.tobytes() == expected.targets[0].tobytes()
 
 
+def test_assemble_avg1_writes_the_avg2_bits_under_its_own_tag(tmp_path, data_dir, two_dumps, capsys):
+    prefix = tmp_path / "avg1"
+    assert run_cli("assemble", "--labels-from", str(data_dir / "train_A.txt"), "--teacher", two_dumps[0],
+                   "--teacher", two_dumps[1], "--strategy", "AVG1", "--tau", "2.5", "--out", str(prefix)) == 0
+    assert capsys.readouterr().out == f"wrote {prefix}.targets.txt\n"
+    dataset = load_dataset(str(data_dir / "train_A.txt"))
+    bank = TeacherBank([load_logits(path).rows for path in two_dumps], ["t0", "t1"])
+    expected = build_targets(bank, dataset.labels, DistillConfig(strategy="AVG2", tau=2.5))
+    strategy, tau, rows = load_targets(f"{prefix}.targets.txt")
+    assert (strategy, tau) == ("AVG1", 2.5)
+    assert rows.tobytes() == expected.targets[0].tobytes()
+
+
 @pytest.mark.parametrize("strategy, message", [
-    ("AVG1", "assemble cannot write AVG1: a targets file cannot carry its entropy gap"),
     ("NONE", "strategy NONE has no targets to assemble"),
     ("KD_SINGLE", "KD_SINGLE requires exactly one teacher, got 2"),
 ])

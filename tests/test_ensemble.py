@@ -318,7 +318,7 @@ class TestBuildTargets:
             bank = random_bank(k=k)
             labels = RNG.integers(bank.c, size=bank.n)
             out = build_targets(bank, labels, mk.DistillConfig(strategy=mk.AVG1))
-            return sum(t.nbytes for t in out.targets) + out.gap.nbytes
+            return sum(t.nbytes for t in out.targets)
 
         assert avg1_nbytes(2) == avg1_nbytes(50)
 

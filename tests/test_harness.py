@@ -117,6 +117,13 @@ class TestRunAblation:
         text = report_table_text(report)
         assert "strategy" in text and "NONE" in text
 
+    def test_avg1_and_avg2_cells_train_one_student(self):
+        report = run_ablation(small_rc(mk.AVG1, epochs=2), [mk.AVG1, mk.AVG2], [1])
+        avg1, avg2 = report.rows
+        assert (avg1.strategy, avg2.strategy) == (mk.AVG1, mk.AVG2)
+        assert avg1.model.data.tobytes() == avg2.model.data.tobytes()
+        assert avg1.loss_trace == avg2.loss_trace
+
     def test_unknown_strategy_rejected(self):
         with pytest.raises(Exception):
             run_ablation(small_rc(mk.NONE), ["BOGUS"], [1])

@@ -7,11 +7,12 @@ and on one-hot
 references that inverse CE has the bits of the inverse KL (kl_rows of
 _oracles.py); AVG1 and AVG2 give the student the same gradient, by the
 reference loss_gradient;
-AVG1's one-matrix loss is the mean of its K per-teacher losses;
+AVG1's one-matrix loss plus its entropy gap is the mean of its K
+per-teacher losses;
 the AVG2 target, summed one teacher at a time, has the bits of
 np.mean over the stacked softened matrices in teacher-id order; AVG1,
-softening each teacher once, has the bits of the two-pass build; and a
-set of teachers gives one target, bit for bit, in any listed order.
+softening each teacher once, has AVG2's bits; and a set of teachers
+gives one target, bit for bit, in any listed order.
 """
 
 from unittest import mock
@@ -34,9 +35,9 @@ from multikd.numerics import EPS, softmax_rows
 from _oracles import (
     avg1_loss,
     ce_loss,
+    entropy_rows,
     kl_rows,
     loss_gradient,
-    reference_avg1_targets,
     soften,
     teachers_in_id_order,
     total_loss,
@@ -125,8 +126,10 @@ def test_avg1_total_loss_is_the_mean_of_per_teacher_losses(bank_labels, tau, alp
     bank, labels = bank_labels
     logits = np.random.default_rng(seed).normal(size=(bank.n, bank.c)) * 3.0
     config = mk.DistillConfig(strategy=mk.AVG1, tau=tau, alpha=alpha)
-    got = total_loss(logits, labels, build_targets(bank, labels, config), config)
+    targets = build_targets(bank, labels, config)
     softened = [soften(t, tau) for t in bank.teachers]
+    gap = entropy_rows(targets.targets[0]) - np.mean([entropy_rows(t) for t in softened], axis=0)
+    got = total_loss(logits, labels, targets, config) + (1 - alpha) * tau * tau * float(np.mean(gap))
     want = alpha * ce_loss(soften(logits), labels) + (1 - alpha) * avg1_loss(logits, softened, tau)
     assert abs(got - want) <= 1e-12 * abs(want)
 
@@ -141,15 +144,14 @@ def test_avg2_target_is_np_mean_of_softened_teachers(bank_labels, tau):
 
 @SETTINGS
 @given(banks(max_k=40), taus)
-def test_avg1_softens_each_teacher_once_with_the_two_pass_bits(bank_labels, tau):
+def test_avg1_softens_each_teacher_once_with_the_avg2_bits(bank_labels, tau):
     bank, labels = bank_labels
     with mock.patch.object(ensemble, "softmax_rows", wraps=softmax_rows) as counted:
         got = build_targets(bank, labels, mk.DistillConfig(strategy=mk.AVG1, tau=tau))
     assert counted.call_count == bank.k
-    target, gap = reference_avg1_targets(bank, tau)
-    assert got.targets[0].shape == target.shape and got.gap.shape == gap.shape
-    assert got.targets[0].tobytes() == target.tobytes()
-    assert got.gap.tobytes() == gap.tobytes()
+    want = build_targets(bank, labels, mk.DistillConfig(strategy=mk.AVG2, tau=tau)).targets[0]
+    assert got.targets[0].shape == want.shape
+    assert got.targets[0].tobytes() == want.tobytes()
 
 
 @st.composite
@@ -174,7 +176,5 @@ def test_a_permuted_bank_gives_the_same_targets_bit_for_bit(banks, strategy, tau
     config = mk.DistillConfig(strategy=strategy, tau=tau, weight_tau=weight_tau, h=h)
     want, got = build_targets(listed, labels, config), build_targets(permuted, labels, config)
     assert got.targets[0].tobytes() == want.targets[0].tobytes()
-    if strategy == mk.AVG1:
-        assert got.gap.tobytes() == want.gap.tobytes()
     if strategy in (mk.GTD, mk.PKD):  # the weights' columns follow the listed order
         assert got.weights.tobytes() == want.weights[:, perm].tobytes()

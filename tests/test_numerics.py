@@ -3,10 +3,11 @@
 Derived expectations are frozen from a 50-digit decimal oracle that
 re-evaluates the same float64 inputs term by term; the oracle lives in
 _oracles.py and is asserted against its frozen value before the
-implementation is. Softmax, cross-entropy and entropy are checked on
-the row kernels that assembly runs; KL on the reference kl_rows, which
-the training step's loss is tested against; argmax on evaluate, through
-a student whose logits are its inputs.
+implementation is. Softmax and cross-entropy are checked on the row
+kernels that assembly runs; KL on the reference kl_rows, which the
+training step's loss is tested against; entropy on the reference
+entropy_rows, which the AVG1 loss identity is tested with; argmax on
+evaluate, through a student whose logits are its inputs.
 """
 
 import math
@@ -15,9 +16,9 @@ import numpy as np
 import pytest
 
 from multikd import StudentModel, evaluate
-from multikd.numerics import EPS, cross_entropy_rows, entropy_rows, softmax_rows
+from multikd.numerics import EPS, cross_entropy_rows, softmax_rows
 
-from _oracles import dec_cross_entropy, dec_kl, dec_softmax, kl_rows
+from _oracles import dec_cross_entropy, dec_kl, dec_softmax, entropy_rows, kl_rows
 
 RNG = np.random.default_rng(20260808)
 
