@@ -73,14 +73,6 @@ def dec_cross_entropy(target, pred):
     return float(total)
 
 
-def dec_entropy(p):
-    total = Decimal(0)
-    for a in p:
-        if a > 0.0:
-            total -= _d(a) * _d(a).ln()
-    return float(total)
-
-
 PROB_SUM_TOL = 1e-9
 
 

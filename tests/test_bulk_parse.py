@@ -159,13 +159,10 @@ def test_dataset_fault_message_matches_line_by_line_parse(tmp_path, case):
     assert _message(load_dataset, path) == want
 
 
-# The first and last lines of a 700-line body, and lines on either side
-# of row 256. An earlier parser converted 256-row chunks, whence the
-# test's name; the cases still check that a fault on any file line is
-# named by that line.
+# The first and last lines of a 700-line body, and lines between.
 @pytest.mark.parametrize("line", [0, 255, 256, 300, 699])
 @pytest.mark.parametrize("kind", FAULTS)
-def test_fault_in_any_chunk_names_its_line(tmp_path, line, kind):
+def test_a_fault_on_any_line_of_a_long_body_names_its_line(tmp_path, line, kind):
     path = tmp_path / "t.logits"
     write_body(path, "#logits v1 n=700 c=3 teacher=t", faulty_rows(700, 3, line, [(line, kind, 1, 0)]))
     body = path.read_text().splitlines()[1:]

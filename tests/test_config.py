@@ -9,9 +9,7 @@ import numpy as np
 import pytest
 
 import multikd as mk
-import multikd.harness as harness
 from multikd import DistillConfig, TeacherBank, build_targets
-from multikd.cli import main
 from multikd.datagen import DataParams
 from multikd.errors import ValidationError
 
@@ -73,35 +71,3 @@ def test_a_bank_views_the_callers_float64_arrays_without_copying():
     for mine, held in zip(logits, bank.teachers):
         assert np.shares_memory(mine, held) and not held.flags.writeable
         assert mine.flags.writeable
-
-
-@pytest.mark.parametrize("flag", ["--lr", "--tau", "--weight-tau", "--gamma"])
-def test_cli_nan_is_usage_error_before_training(flag, monkeypatch, capsys):
-    def no_training(*args, **kwargs):
-        raise AssertionError("training started")
-
-    monkeypatch.setattr(harness, "train", no_training)
-    assert main(["distill", "--seed", "1", flag, "nan"]) == 1
-    assert "must be positive" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("flag", ["--lr", "--tau", "--weight-tau", "--gamma"])
-def test_cli_inf_is_usage_error_before_training(flag, monkeypatch, capsys):
-    def no_training(*args, **kwargs):
-        raise AssertionError("training started")
-
-    monkeypatch.setattr(harness, "train", no_training)
-    monkeypatch.setattr(harness, "train_plain", no_training)
-    assert main(["distill", "--seed", "1", flag, "inf"]) == 1
-    assert "must be positive and finite, got inf" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("value", ["inf", "nan"])
-@pytest.mark.parametrize("command", ["distill", "gen-data"])
-def test_cli_non_finite_noise_is_usage_error_before_data(command, value, tmp_path, monkeypatch, capsys):
-    def no_data(*args, **kwargs):
-        raise AssertionError("data generation started")
-
-    monkeypatch.setattr(harness, "gen_dataset", no_data)  # gen-data generates through harness too
-    assert main([command, "--seed", "1", "--noise", value, "--out", str(tmp_path / "out")]) == 1
-    assert f"noise must be nonnegative and finite, got {value}" in capsys.readouterr().err

@@ -175,7 +175,7 @@ class TestSimilarities:
             assert _inverse_ce(ref, row) == 1.0 / max(kl_rows(ref, row), EPS)
 
 
-class TestComputeWeights:
+class TestTeacherWeights:
     """Raw scores from the scorer; normalized weights as build_targets keeps them."""
 
     def test_identical_teachers_uniform_weights(self):
@@ -245,7 +245,7 @@ class TestComputeWeights:
             build_targets(bank, [0, 1], DistillConfig(strategy=mk.GTD))
 
 
-class TestAssemble:
+class TestWeightedMix:
     """The GTD/PKD target: the weighted sum of the teachers softened at tau."""
 
     def test_identical_rows_fixed_point(self):

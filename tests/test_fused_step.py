@@ -208,7 +208,7 @@ class TestInPlace:
             assert getattr(model, name) is array, name
             assert np.array_equal(array, getattr(expected, name), equal_nan=True), name
 
-    def test_backward_step_and_parameter_gradients_match_one_reference_step(self):
+    def test_one_step_writes_the_reference_gradients_and_update(self):
         # one epoch of one full batch is one step, on the rows in the
         # epoch's shuffled order, as reference_train takes it
         for strategy in mk.STRATEGIES:

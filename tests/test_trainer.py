@@ -299,7 +299,7 @@ class TestBackwardStep:
         loss_after = total_loss(forward(model, features), labels, targets, config)
         assert loss_after < loss_before
 
-    def test_parameter_gradients_match_finite_differences(self):
+    def test_step_gradients_match_finite_differences(self):
         for case in range(8):
             strategy = mk.STRATEGIES[case % len(mk.STRATEGIES)]
             model, features, labels, targets = self._setup(
