@@ -251,12 +251,12 @@ BAD_RUN_KEYS = [
 
 
 @pytest.mark.parametrize("command", SUBCOMMANDS)
-def test_every_subcommand_rejects_a_bad_run_key(command, no_work, capsys):
+@pytest.mark.parametrize("flags, message", BAD_RUN_KEYS, ids=[" ".join(flags) for flags, _ in BAD_RUN_KEYS])
+def test_every_subcommand_rejects_a_bad_run_key(command, flags, message, no_work, capsys):
     # checked before any work, also where the subcommand does not use the key:
     # nothing reaches stdout, so `ablate` prints no table
-    for flags, message in BAD_RUN_KEYS:
-        assert run_cli(command, *flags) == 1, flags
-        assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert run_cli(command, *flags) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 # A valid config; the fuzz below mutates its lines.
