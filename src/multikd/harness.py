@@ -6,11 +6,12 @@ stage 0 the data, 1 and 2 the two teachers, and 3 the student. A
 student (teachers are students trained on labels alone) draws its
 initial weights from splitmix64(stage seed + 0) and its batch order
 from splitmix64(stage seed + 1). Teacher knowledge enters student
-training only as assembled target matrices, so no teacher parameters
-are resident once assembly is done; adding teachers changes the
-one-shot assembly cost, never the per-epoch training work. Every
-strategy's targets are one N x C matrix, so AVG1, like AVG2, holds
-O(N*C) at any number of teachers.
+training only as assembled target matrices: the student loop reads the
+assembled matrix and never a teacher, though `run_ablation` keeps its
+in-process teacher models cached until it returns. Adding teachers
+changes the one-shot assembly cost, never the per-epoch training work.
+Every strategy's targets are one N x C matrix, so AVG1, like AVG2,
+holds O(N*C) at any number of teachers.
 
 Reports are written both as an aligned text table and as one
 tab-separated row per (strategy, seed). Without the opt-in timing mode
@@ -21,6 +22,7 @@ column holds wall-clock measurements and that guarantee is waived.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -409,12 +411,14 @@ def cost_probe(rc: RunConfig, epochs: int = 5, repeats: int = 3) -> CostProbe:
 
 
 def _peak_rss_kb() -> int | None:
+    """This process's peak RSS in kB: `ru_maxrss`, which macOS reports in bytes."""
     try:
         import resource
 
-        return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+        peak = int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
     except Exception:
         return None
+    return peak // 1024 if sys.platform == "darwin" else peak
 
 
 def cost_probe_text(probe: CostProbe) -> str:

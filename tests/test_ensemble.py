@@ -9,6 +9,7 @@ _inverse_ce bit for bit on one-hot references.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -347,6 +348,36 @@ class TestBuildTargets:
             pkd = build_targets(bank, labels, DistillConfig(strategy=mk.PKD, h=1.0, **knobs))
             assert gtd.targets[0].tobytes() == pkd.targets[0].tobytes()
             assert gtd.weights.tobytes() == pkd.weights.tobytes()
+
+
+PEAK_N, PEAK_C, PEAK_K = 1000, 11, 1000
+
+
+@pytest.fixture(scope="module")
+def many_teachers():
+    """PEAK_K teachers' N x C logits, listed in ascending id order, and their labels."""
+    rng = np.random.default_rng(5)
+    mats = [rng.normal(size=(PEAK_N, PEAK_C)) for _ in range(PEAK_K)]
+    return mats, [f"t{k:04d}" for k in range(PEAK_K)], rng.integers(PEAK_C, size=PEAK_N)
+
+
+# Besides the bank's logits, the N x K weights are the only assembly
+# memory that grows with K. The scores become the weights in place, so a
+# bank listed in id order holds one N x K array (bound 1.25); out of id
+# order, a gathered copy of the scores is live while they are summed
+# (bound 2.25).
+@pytest.mark.parametrize("strategy", [mk.GTD, mk.PKD])
+@pytest.mark.parametrize("in_id_order, arrays", [(True, 1.25), (False, 2.25)])
+def test_gtd_pkd_assembly_peaks_near_one_n_by_k_weight_array(many_teachers, strategy, in_id_order, arrays):
+    mats, ids, labels = many_teachers
+    bank = TeacherBank(mats, ids if in_id_order else ids[::-1])
+    tracemalloc.start()
+    try:
+        build_targets(bank, labels, DistillConfig(strategy=strategy))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= arrays * PEAK_N * PEAK_K * 8
 
 
 # GTD and PKD also soften the teachers at weight_tau, to score them

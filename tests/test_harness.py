@@ -1,7 +1,9 @@
 """Pipeline wiring, determinism, cost probe, and report rendering."""
 
+import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -240,6 +242,14 @@ class TestCostProbe:
         # far above timer noise
         probe = cost_probe(RunConfig(distill=mk.DistillConfig()), epochs=4, repeats=2)
         assert probe.per_epoch_seconds[mk.NONE] <= probe.per_epoch_seconds[mk.KD_SINGLE]
+
+    # ru_maxrss is in kB on Linux and in bytes on macOS
+    @pytest.mark.parametrize("platform, maxrss", [("linux", 2048), ("darwin", 2048 * 1024)])
+    def test_peak_rss_is_read_in_kb_on_linux_and_macos(self, monkeypatch, platform, maxrss):
+        resource = pytest.importorskip("resource")
+        monkeypatch.setattr(sys, "platform", platform)
+        monkeypatch.setattr(resource, "getrusage", lambda who: SimpleNamespace(ru_maxrss=maxrss))
+        assert harness._peak_rss_kb() == 2048
 
 
 class TestDefaultTeachers:

@@ -156,7 +156,13 @@ def test_avg1_softens_each_teacher_once_with_the_avg2_bits(bank_labels, tau):
 
 @st.composite
 def permuted_banks(draw):
-    """One bank of 3 to 6 teachers listed twice, in two orders, with the permutation between them."""
+    """One bank of 3 to 6 teachers listed as drawn, permuted and in ascending id order,
+    with the permutation from the first listing to each of the others.
+
+    Only a bank listed out of id order gathers its GTD/PKD scores into
+    id order to sum them, so the ascending listing checks the path
+    without that copy against the gathered one.
+    """
     k = draw(st.integers(3, 6))
     ids = draw(st.lists(st.text("abt-0123456789", min_size=1, max_size=4), min_size=k, max_size=k, unique=True))
     perm = draw(st.permutations(range(k)))
@@ -165,16 +171,20 @@ def permuted_banks(draw):
     mats = [rng.normal(size=(n, c)) * draw(st.floats(0.1, 20.0)) for _ in range(k)]
     listed = TeacherBank(mats, ids)
     permuted = TeacherBank([mats[j] for j in perm], [ids[j] for j in perm])
-    return listed, permuted, list(perm), rng.integers(c, size=n)
+    by_id = sorted(range(k), key=ids.__getitem__)
+    ascending = TeacherBank([mats[j] for j in by_id], [ids[j] for j in by_id])
+    return listed, [(permuted, list(perm)), (ascending, by_id)], rng.integers(c, size=n)
 
 
 @SETTINGS
 @given(permuted_banks(), st.sampled_from([mk.AVG1, mk.AVG2, mk.GTD, mk.PKD]), taus, taus, st.floats(0.0, 1.0))
 def test_a_permuted_bank_gives_the_same_targets_bit_for_bit(banks, strategy, tau, weight_tau, h_share):
-    listed, permuted, perm, labels = banks
+    listed, others, labels = banks
     h = 1.0 / listed.c + (1.0 - 1.0 / listed.c) * max(h_share, 1e-3)
     config = mk.DistillConfig(strategy=strategy, tau=tau, weight_tau=weight_tau, h=h)
-    want, got = build_targets(listed, labels, config), build_targets(permuted, labels, config)
-    assert got.targets[0].tobytes() == want.targets[0].tobytes()
-    if strategy in (mk.GTD, mk.PKD):  # the weights' columns follow the listed order
-        assert got.weights.tobytes() == want.weights[:, perm].tobytes()
+    want = build_targets(listed, labels, config)
+    for bank, perm in others:
+        got = build_targets(bank, labels, config)
+        assert got.targets[0].tobytes() == want.targets[0].tobytes()
+        if strategy in (mk.GTD, mk.PKD):  # the weights' columns follow the listed order
+            assert got.weights.tobytes() == want.weights[:, perm].tobytes()
