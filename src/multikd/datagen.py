@@ -193,9 +193,8 @@ def gen_dataset(seed: int, params: DataParams | None = None) -> SyntheticData:
         dark = gamma_correct(
             darken(a, params.dark_factor, params.quant_levels), params.gamma
         )
+        # each Dataset converts the labels to a new int64 array of its own
         out[(split, MODALITY_A)] = Dataset(a, labels, params.n_classes, MODALITY_A, split)
-        out[(split, MODALITY_B)] = Dataset(b, labels.copy(), params.n_classes, MODALITY_B, split)
-        out[(split, MODALITY_A_DARK)] = Dataset(
-            dark, labels.copy(), params.n_classes, MODALITY_A_DARK, split
-        )
+        out[(split, MODALITY_B)] = Dataset(b, labels, params.n_classes, MODALITY_B, split)
+        out[(split, MODALITY_A_DARK)] = Dataset(dark, labels, params.n_classes, MODALITY_A_DARK, split)
     return SyntheticData.from_views(out)

@@ -1,11 +1,14 @@
 """Assembly of several teachers' logits into one soft target.
 
-GTD and PKD are one computation in `build_targets`: build a reference
-row per sample that keeps mass h on the true class and spreads the rest
-evenly (PKD's preferred distribution; GTD is h = 1, the one-hot ground
-truth), score every teacher against it by inverse cross-entropy,
-normalize the scores across teachers, and take the weighted convex
-combination of the softened teacher distributions.
+Every strategy is one pass in `build_targets`: soften each teacher at
+tau, in ascending teacher-id order, and add it to one N x C matrix.
+KD_SINGLE, AVG1 and AVG2 add the teachers unweighted and divide the sum
+by K. GTD and PKD first weight them: build a reference row per sample
+that keeps mass h on the true class and spreads the rest evenly (PKD's
+preferred distribution; GTD is h = 1, the one-hot ground truth), score
+every teacher against it by inverse cross-entropy, and normalize the
+scores across teachers; each softened teacher is then added times its
+column of weights, a convex combination.
 
 Everything happens offline on stored logits; no teacher model is ever
 needed once its logits are dumped, so the number of teachers only
@@ -15,7 +18,9 @@ the bank's logits, K*N*C floats, and for GTD and PKD one N x K weight
 matrix: the scores are normalized in place, and only a bank listed out
 of teacher-id order also gathers a copy of them to sum. By tracemalloc,
 one PKD build at N=1000, C=11 from a bank in id order peaks at 2.04 MB
-for K=200 and 8.47 MB for K=1000, whose weights take 8.0 MB. AVG1 and AVG2
+for K=200 and 8.47 MB for K=1000, whose weights take 8.0 MB; a
+KD_SINGLE, AVG1 or AVG2 build peaks at 4.9 N x C matrices (0.43 MB)
+at any K, as no softened teacher outlives its addition. AVG1 and AVG2
 build the same matrix: AVG1's loss, the mean of K per-teacher KL terms,
 is AVG2's plus an entropy term that is constant in the student's logits,
 so the two strategies train the same student.
@@ -33,7 +38,7 @@ import numpy as np
 from . import config as cfg
 from .datagen import validate_labels
 from .errors import NumericalError, ValidationError
-from .numerics import EPS, cross_entropy_rows, running_mean, softmax_rows
+from .numerics import EPS, cross_entropy_rows, softmax_rows
 
 
 @dataclass(frozen=True)
@@ -148,14 +153,15 @@ def _check_teacher_count(strategy: str, k: int) -> None:
 
 
 def build_targets(bank: TeacherBank, labels, config: cfg.DistillConfig) -> TargetSet:
-    """Dispatch one strategy tag to its target construction.
+    """One strategy's target: each teacher softened at tau and added to one N x C matrix.
 
-    KD_SINGLE, AVG1 and AVG2: the elementwise mean of the K softened
-    matrices, softened and added one teacher at a time (KD_SINGLE
+    KD_SINGLE, AVG1 and AVG2 add the softened matrices unweighted and
+    divide the sum by K in place, their elementwise mean (KD_SINGLE
     requires K=1). AVG1 distills the K teachers as equal-weight tasks;
     that loss differs from AVG2's only by a constant in the student's
     logits, so AVG1 takes AVG2's target, bit for bit.
-    GTD/PKD: reference-weighted convex assembly, GTD at h = 1. PKD
+    GTD/PKD first compute their N x K reference weights, GTD at h = 1,
+    and add each softened matrix times its column of weights. PKD
     needs h in (1/C, 1]; GTD ignores config.h.
     Every result holds one N x C matrix, whatever K is. Every sum over
     teachers runs in ascending teacher-id order, whatever order the bank
@@ -166,8 +172,8 @@ def build_targets(bank: TeacherBank, labels, config: cfg.DistillConfig) -> Targe
     _check_teacher_count(strategy, bank.k)
     order = sorted(range(bank.k), key=bank.teacher_ids.__getitem__)
     if strategy in (cfg.KD_SINGLE, cfg.AVG1, cfg.AVG2):
-        return TargetSet(strategy, [running_mean(softmax_rows(bank.teachers[k] / tau) for k in order)])
-    if strategy in (cfg.GTD, cfg.PKD):
+        weights = None
+    elif strategy in (cfg.GTD, cfg.PKD):
         h = 1.0
         if strategy == cfg.PKD:
             h = config.h
@@ -179,8 +185,13 @@ def build_targets(bank: TeacherBank, labels, config: cfg.DistillConfig) -> Targe
         # live; only a bank listed out of id order gathers a copy to sum
         weights = _teacher_scores(bank, labels, h, config.weight_tau)
         weights /= (weights if order == list(range(bank.k)) else weights[:, order]).sum(axis=1, keepdims=True)
-        target = np.zeros((bank.n, bank.c), dtype=np.float64)
-        for k in order:
-            target += weights[:, k : k + 1] * softmax_rows(bank.teachers[k] / tau)
-        return TargetSet(strategy, [target], weights)
-    raise ValidationError(f"build_targets cannot handle strategy {strategy!r}")
+    else:
+        raise ValidationError(f"build_targets cannot handle strategy {strategy!r}")
+    target = np.zeros((bank.n, bank.c), dtype=np.float64)
+    for k in order:
+        softened = softmax_rows(bank.teachers[k] / tau)
+        target += softened if weights is None else weights[:, k : k + 1] * softened
+        del softened  # else it stays live beside the next teacher's
+    if weights is None:
+        target /= bank.k
+    return TargetSet(strategy, [target], weights)

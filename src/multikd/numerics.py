@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ValidationError
-
 EPS = 1e-12
 
 
@@ -32,25 +30,6 @@ def softmax_rows(scaled: np.ndarray) -> np.ndarray:
     """
     e = np.exp(scaled - np.maximum.reduce(scaled, axis=-1, keepdims=True))
     return e / np.add.reduce(e, axis=-1, keepdims=True)
-
-
-def running_mean(arrays) -> np.ndarray:
-    """Elementwise mean of an iterable of equal-shape arrays.
-
-    The arrays are added one at a time, in order, so only the running
-    sum and the current array are held, whatever their number. That is
-    also numpy's order for a mean of contiguous float64 arrays over the
-    leading axis, so the result has the bits of np.mean(list(arrays), axis=0).
-    """
-    items = iter(arrays)
-    first = next(items, None)
-    if first is None:
-        raise ValidationError("running_mean needs at least one array")
-    total, count = np.array(first, dtype=np.float64), 1
-    for item in items:
-        total += item
-        count += 1
-    return total / count
 
 
 def log_or_zero(p: np.ndarray) -> np.ndarray:

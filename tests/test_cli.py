@@ -16,7 +16,7 @@ from multikd import DistillConfig
 from multikd.cli import build_parser, main
 from multikd.config import RUN_KEYS
 from multikd.ensemble import TeacherBank, build_targets
-from multikd.datagen import Dataset
+from multikd.datagen import DataParams, Dataset
 from multikd.formats import (
     fmt_float,
     load_dataset,
@@ -27,7 +27,7 @@ from multikd.formats import (
     write_logit_dump,
     write_model,
 )
-from multikd.harness import assembly_flop_estimate
+from multikd.harness import RunConfig, assembly_flop_estimate
 from multikd.rng import SplitMix64
 from multikd.trainer import evaluate, init_student
 
@@ -247,6 +247,9 @@ BAD_RUN_KEYS = [
     (["--dark-factor", "2"], "darken factor must be in (0, 1], got 2.0"),
     (["--dark-factor", "nan"], "darken factor must be in (0, 1], got nan"),
     (["--quant-levels", "1"], "quant_levels must be >= 2, got 1"),
+    (["--epochs", "-1"], "epochs must be >= 0, got -1"),
+    (["--batch-size", "0"], "batch_size must be >= 1, got 0"),
+    (["--hidden-dim", "0"], "hidden_dim must be >= 1, got 0"),
 ]
 
 
@@ -457,6 +460,18 @@ def two_dumps(tmp_path):
         write_logit_dump(paths[-1], f"t{k}", np.random.default_rng(k).normal(size=(120, 4)) * 3.0)
     return paths
 
+
+
+def test_distill_prints_each_in_process_teacher_by_id_then_the_student(capsys):
+    assert run_cli("distill", "--strategy", "AVG2", "--seed", "2", "--tau", "2.5", *SMALL) == 0
+    out = capsys.readouterr().out
+    rc = RunConfig(distill=DistillConfig(strategy="AVG2", seed=2, tau=2.5, epochs=3, lr=0.1),
+                   data=DataParams(n_train=120, n_test=60, n_classes=4, dim=8))
+    row = harness.run_pipeline(rc)
+    teachers = sorted(row.teacher_test_acc.items())
+    assert len(teachers) > 1 and all(teacher_id.startswith("teacher-") for teacher_id, _ in teachers)
+    assert out == "".join(f"{teacher_id} test top-1 {acc:.4f}\n" for teacher_id, acc in teachers) + (
+        f"strategy AVG2 tau 2.5 seed 2 test top-1 {row.top1:.4f}\n")
 
 def test_kd_single_distills_from_the_first_of_several_dumps(tmp_path, data_dir, two_dumps, capsys):
     files = ["--data-dir", str(data_dir), "--teacher", two_dumps[0], "--teacher", two_dumps[1]]
@@ -710,6 +725,26 @@ def test_assemble_refuses_kd_single_of_two_before_any_file(tmp_path, data_dir, n
         assert capsys.readouterr().err == "error: KD_SINGLE requires exactly one teacher, got 2\n"
         assert not tmp_path.joinpath("refused.targets.txt").exists()
 
+
+
+def test_assemble_without_a_teacher_is_refused_before_any_file(tmp_path, data_dir, no_work, capsys):
+    assert run_cli("assemble", "--labels-from", str(data_dir / "train_A.txt"), "--strategy", "PKD",
+                   "--out", str(tmp_path / "refused")) == 1
+    assert capsys.readouterr() == ("", "error: assemble needs at least one --teacher dump\n")
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", ": empty file (bad magic line)"),
+    ("#logits v1 n=-1 c=4 teacher=a\n", ":1: n must be nonnegative"),
+], ids=["empty", "negative-n"])
+def test_assemble_refuses_a_dump_with_no_valid_header(tmp_path, data_dir, text, message, capsys):
+    dump = tmp_path / "a.logits"
+    dump.write_text(text)
+    assert run_cli("assemble", "--labels-from", str(data_dir / "train_A.txt"), "--teacher", str(dump),
+                   "--strategy", "PKD", "--out", str(tmp_path / "refused")) == 2
+    assert capsys.readouterr() == ("", f"error: {dump}{message}\n")
+    assert not list(tmp_path.glob("refused*"))
 
 def test_ablate_diverging_cell_exit_3(capsys):
     with np.errstate(over="ignore", invalid="ignore"):

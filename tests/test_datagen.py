@@ -37,6 +37,15 @@ def test_cross_modality_alignment():
     assert np.array_equal(data.test_a.labels, data.test_dark.labels)
 
 
+
+def test_each_view_holds_its_labels_in_an_array_of_its_own():
+    data = gen_dataset(7, SMALL)
+    for split in ("train", "test"):
+        views = [getattr(data, f"{split}_{name}").labels for name in ("a", "b", "dark")]
+        for i, labels in enumerate(views):
+            for other in views[i + 1 :]:
+                assert np.array_equal(labels, other) and not np.shares_memory(labels, other)
+
 def test_split_shapes_and_ranges():
     data = gen_dataset(3, SMALL)
     assert data.train_a.features.shape == (200, 4)

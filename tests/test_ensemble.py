@@ -329,6 +329,12 @@ class TestBuildTargets:
         with pytest.raises(ValidationError):
             build_targets(bank, labels, mk.DistillConfig(strategy=mk.KD_SINGLE))
 
+    def test_none_has_no_targets_to_build(self):
+        bank = random_bank()
+        labels = RNG.integers(bank.c, size=bank.n)
+        with pytest.raises(ValidationError, match="build_targets cannot handle strategy 'NONE'"):
+            build_targets(bank, labels, mk.DistillConfig(strategy=mk.NONE))
+
     def test_pkd_weights_attached(self):
         bank = random_bank(k=2)
         labels = RNG.integers(bank.c, size=bank.n)
@@ -378,6 +384,24 @@ def test_gtd_pkd_assembly_peaks_near_one_n_by_k_weight_array(many_teachers, stra
     finally:
         tracemalloc.stop()
     assert peak <= arrays * PEAK_N * PEAK_K * 8
+
+
+# Each softened teacher is added to one N x C accumulator and dropped
+# before the next is softened, so an unweighted build peaks at the
+# accumulator plus one softmax's temporaries, whatever K is.
+@pytest.mark.parametrize("strategy, k", [
+    (mk.KD_SINGLE, 1), (mk.AVG1, 2), (mk.AVG2, 2), (mk.AVG1, 200), (mk.AVG2, 200),
+])
+def test_unweighted_assembly_peak_does_not_grow_with_k(many_teachers, strategy, k):
+    mats, ids, labels = many_teachers
+    bank = TeacherBank(mats[:k], ids[:k])
+    tracemalloc.start()
+    try:
+        build_targets(bank, labels, DistillConfig(strategy=strategy))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.25 * PEAK_N * PEAK_C * 8
 
 
 # GTD and PKD also soften the teachers at weight_tau, to score them
