@@ -81,9 +81,7 @@ def validate_labels(labels, n_classes: int) -> np.ndarray:
     if arr.ndim != 1 or arr.size == 0:
         raise ValidationError("labels must be a non-empty 1-D vector")
     if not np.issubdtype(arr.dtype, np.integer):
-        if not np.all(arr == np.floor(arr)):
-            raise ValidationError("labels must be integers")
-        arr = arr.astype(np.int64)
+        raise ValidationError("labels must be integers")
     if (arr < 0).any() or (arr >= n_classes).any():
         raise ValidationError(f"labels must lie in [0, {n_classes})")
     return arr.astype(np.int64)
@@ -99,9 +97,7 @@ class Dataset:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
-        labels = np.asarray(self.labels)
-        # an empty view, which validate_labels refuses, is kept for the writers to refuse
-        self.labels = validate_labels(labels, self.n_classes) if labels.size else labels.astype(np.int64)
+        self.labels = validate_labels(self.labels, self.n_classes)
         if self.features.ndim != 2 or self.features.shape[0] != self.labels.size:
             raise ValidationError("features and labels misaligned")
         if self.modality not in MODALITIES:

@@ -7,9 +7,9 @@ student (teachers are students trained on labels alone) draws its
 initial weights from splitmix64(stage seed + 0) and its batch order
 from splitmix64(stage seed + 1). Teacher knowledge enters student
 training only as assembled target matrices: the student loop reads the
-assembled matrix and never a teacher, though `run_ablation` keeps its
-in-process teacher models cached until it returns. Adding teachers
-changes the one-shot assembly cost, never the per-epoch training work.
+assembled matrix and never a teacher, and no teacher model outlives its
+fit: a teacher is its logits. Adding teachers changes the one-shot
+assembly cost, never the per-epoch training work.
 Every strategy's targets are one N x C matrix, so AVG1, like AVG2,
 holds O(N*C) at any number of teachers.
 
@@ -109,16 +109,16 @@ def _stage(name: str, fn, *args, **kwargs):
         raise StageError(name, exc) from exc
 
 
-def _cached(caches: dict | None, key: tuple, make):
-    """make(), shared across the cells of one run through `caches`.
+def _cached(caches: dict | None, key: tuple, make, *args):
+    """make(*args), shared across the cells of one run through `caches`.
 
     A call that raises stores nothing, so a bad input fails every cell
     alike, each with the same message.
     """
     if caches is None:
-        return make()
+        return make(*args)
     if key not in caches:
-        caches[key] = make()
+        caches[key] = make(*args)
     return caches[key]
 
 
@@ -129,8 +129,8 @@ def generate_data(rc: RunConfig) -> SyntheticData:
 
 def _obtain_data(rc: RunConfig, caches: dict | None) -> SyntheticData:
     if rc.data_dir is not None:
-        return _cached(caches, ("views", rc.data_dir), lambda: load_all_views(rc.data_dir))
-    return _cached(caches, ("data", rc.seed), lambda: generate_data(rc))
+        return _cached(caches, ("views", rc.data_dir), load_all_views, rc.data_dir)
+    return _cached(caches, ("data", rc.seed), generate_data, rc)
 
 
 def bind_teacher_dumps(paths: list[str], data: Dataset, caches: dict | None = None) -> TeacherBank:
@@ -143,7 +143,7 @@ def bind_teacher_dumps(paths: list[str], data: Dataset, caches: dict | None = No
     """
 
     def bank() -> TeacherBank:
-        dumps = [_cached(caches, ("dump", path), lambda: load_logits(path)) for path in paths]
+        dumps = [_cached(caches, ("dump", path), load_logits, path) for path in paths]
         for dump in dumps:
             if dump.rows.shape != (data.n, data.n_classes):
                 n, c = dump.rows.shape
@@ -161,6 +161,13 @@ def _roster(strategy: str, teachers):
     return teachers[:1] if strategy == cfg.KD_SINGLE else teachers
 
 
+def _fit_teacher(rc: RunConfig, data: SyntheticData, stage: int, modality: str):
+    """A teacher fit, as its logits on its clean train view and top-1 on its clean test view."""
+    train_view, test_view = data.view("train", modality), data.view("test", modality)
+    model = train_plain(train_view, rc.distill, derive_seed(rc.seed, stage))
+    return forward(model, train_view.features), evaluate(model, test_view.features, test_view.labels)
+
+
 def _obtain_teacher_logits(
     rc: RunConfig, data: SyntheticData, caches: dict | None
 ) -> tuple[TeacherBank | None, dict[str, float]]:
@@ -169,8 +176,10 @@ def _obtain_teacher_logits(
     NONE has no teachers and binds none. Otherwise the strategy's
     `_roster` is taken from the dumps given in the run config, which
     win, or from `_TEACHERS`, which are trained in-process, seeded by
-    their stage index so retraining is bit-exact. Only the dumps in the
-    roster are read and checked: KD_SINGLE binds the first alone.
+    their stage index so retraining is bit-exact. Only the roster's dumps
+    are read: KD_SINGLE binds the first alone. Through `caches`, from
+    either source, each teacher is fit or read once per run, and each
+    roster's bank built once per run.
     """
     strategy = rc.distill.strategy
     if strategy == cfg.NONE:
@@ -178,17 +187,11 @@ def _obtain_teacher_logits(
     if rc.teacher_paths:
         return bind_teacher_dumps(_roster(strategy, rc.teacher_paths), data.train_dark, caches), {}
     roster = _roster(strategy, _TEACHERS)
-    mats, accs = [], {}
-    for teacher_id, stage, modality in roster:
-        train_view, test_view = data.view("train", modality), data.view("test", modality)
-        model = _cached(
-            caches,
-            ("teacher", rc.seed, teacher_id),
-            lambda: train_plain(train_view, rc.distill, derive_seed(rc.seed, stage)),
-        )
-        mats.append(forward(model, train_view.features))
-        accs[teacher_id] = evaluate(model, test_view.features, test_view.labels)
-    return TeacherBank(mats, [teacher_id for teacher_id, _, _ in roster]), accs
+    ids = tuple(teacher_id for teacher_id, _, _ in roster)
+    fits = [_cached(caches, ("teacher", rc.seed, teacher_id), _fit_teacher, rc, data, stage, modality)
+            for teacher_id, stage, modality in roster]
+    bank = _cached(caches, ("roster", rc.seed, ids), TeacherBank, [logits for logits, _ in fits], ids)
+    return bank, {teacher_id: top1 for teacher_id, (_, top1) in zip(ids, fits)}
 
 
 def _cell_targets(bank: TeacherBank | None, labels, config: cfg.DistillConfig) -> TargetSet:
@@ -255,8 +258,8 @@ def run_ablation(
     """Cross-product of strategies and seeds, run in report order: that of
     cfg.STRATEGIES, then ascending seed, which rows and failures follow.
 
-    Per-seed data and teacher models are cached across strategies; the
-    cache only reuses values that deterministic retraining would
+    Per-seed data, teacher logits and roster banks are made once per run;
+    the cache only reuses values that deterministic retraining would
     reproduce bit-exactly, so reports do not depend on cell order.
     Teacher dumps (`base.teacher_paths`) and `base.data_dir` views are
     read once per ablation, on first use, and shared by every cell; a

@@ -121,12 +121,9 @@ def test_block_draws_match_the_scalar_draw_loop(seed, n_train, n_test, n_classes
     ([0.5, 1.7], "labels must be integers"),
     ([0, 5], r"labels must lie in \[0, 3\)"),
     ([[0, 1]], "labels must be a non-empty 1-D vector"),
+    ([2.0, 0.0], "labels must be integers"),
+    ([], "labels must be a non-empty 1-D vector"),
 ])
 def test_dataset_refuses_the_labels_validate_labels_refuses(labels, message):
     with pytest.raises(ValidationError, match=message):
         Dataset(np.zeros((2, 2)), labels, 3, "A", "train")
-
-
-def test_dataset_keeps_integral_float_labels_as_integers():
-    labels = Dataset(np.zeros((2, 2)), [2.0, 0.0], 3, "A", "train").labels
-    assert labels.dtype == np.int64 and labels.tolist() == [2, 0]

@@ -281,7 +281,7 @@ class TestAtomicWriters:
         for matrix in ([[np.nan, 1.0]], [[1.0, np.inf]], [0.5, 0.5], np.zeros((0, 2)), np.zeros((2, 0)), 1.0)
     ] + [
         ("dataset", Dataset([[0.5, np.nan]], [0], 2, "A", "train")),
-        ("dataset", Dataset(np.zeros((0, 2)), [], 2, "A", "train")),
+        ("dataset", Dataset(np.zeros((2, 0)), [0, 1], 2, "A", "train")),
         ("model", StudentModel([[np.inf]], [0.0], [[1.0]], [0.0])),
         ("model", StudentModel(np.zeros((1, 0)), [0.0], [[1.0]], [0.0])),
         ("targets of strategy FOO", [[1.0]]),

@@ -14,6 +14,7 @@ from multikd.datagen import DataParams
 from multikd.ensemble import TeacherBank
 from multikd.errors import FormatError, NumericalError, StageError, ValidationError
 from multikd.formats import write_all_views, write_logit_dump
+from multikd.trainer import StudentModel
 from multikd.harness import (
     AblationReport,
     RunConfig,
@@ -200,21 +201,45 @@ class TestAblationReadsInputsOnce:
 
 
 class TestBindTeacherDumpsOnce:
-    @pytest.mark.parametrize("strategies, banks", [
-        (DUMP_STRATEGIES, 1),
-        (DUMP_STRATEGIES + [mk.KD_SINGLE], 2),  # KD_SINGLE binds the first dump alone
+    # (banks, teacher forward passes, teacher evaluations) over seeds 1 and 2
+    @pytest.mark.parametrize("in_process, strategies, counts", [
+        pytest.param(False, DUMP_STRATEGIES, (1, 0, 0), id="dumps"),
+        # KD_SINGLE binds the first dump alone
+        pytest.param(False, DUMP_STRATEGIES + [mk.KD_SINGLE], (2, 0, 0), id="dumps-and-KD_SINGLE"),
+        # per seed: two teachers fit, a bank for KD_SINGLE's roster and one for the rest
+        pytest.param(True, list(mk.STRATEGIES), (4, 4, 4), id="in-process"),
     ])
-    def test_one_bank_per_roster(self, dumped, monkeypatch, strategies, banks):
-        built = []
+    def test_one_bank_per_roster(self, dumped, monkeypatch, in_process, strategies, counts):
+        calls = {"bank": 0, "forward": 0, "evaluate": 0}
 
-        def counting(*args):
-            built.append(args)
-            return TeacherBank(*args)
+        def counting(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
 
-        monkeypatch.setattr(harness, "TeacherBank", counting)
-        report = run_ablation(dumped, strategies, [1, 2])
+        for name, attr in (("bank", "TeacherBank"), ("forward", "forward"), ("evaluate", "evaluate")):
+            monkeypatch.setattr(harness, attr, counting(name, getattr(harness, attr)))
+        base = replace(dumped, teacher_paths=[], data_dir=None) if in_process else dumped
+        report = run_ablation(base, strategies, [1, 2])
         assert report.failures == [] and len(report.rows) == 2 * len(strategies)
-        assert len(built) == banks
+        # every cell evaluates its student once; the rest are teacher evaluations
+        assert (calls["bank"], calls["forward"], calls["evaluate"] - len(report.rows)) == counts
+
+    def test_no_teacher_model_outlives_its_fit(self):
+        def holds_model(value) -> bool:
+            if isinstance(value, StudentModel):
+                return True
+            if isinstance(value, dict):
+                return any(map(holds_model, value.values()))
+            if isinstance(value, (list, tuple)):
+                return any(map(holds_model, value))
+            return hasattr(value, "__dict__") and holds_model(vars(value))
+
+        caches = {}
+        run_pipeline(small_rc(mk.PKD, epochs=1), caches=caches)
+        assert ("teacher", 1, "teacher-A") in caches
+        assert not any(holds_model(value) for value in caches.values())
 
 
 class TestCostProbe:
