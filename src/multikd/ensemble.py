@@ -7,8 +7,8 @@ by K. GTD and PKD first weight them: build a reference row per sample
 that keeps mass h on the true class and spreads the rest evenly (PKD's
 preferred distribution; GTD is h = 1, the one-hot ground truth), score
 every teacher against it by inverse cross-entropy, and normalize the
-scores across teachers; each softened teacher is then added times its
-column of weights, a convex combination.
+scores across teachers; each softened teacher is then scaled in place
+by its column of weights and added, a convex combination.
 
 Everything happens offline on stored logits; no teacher model is ever
 needed once its logits are dumped, so the number of teachers only
@@ -18,12 +18,15 @@ the bank's logits, K*N*C floats, and for GTD and PKD one N x K weight
 matrix: the scores are normalized in place, and only a bank listed out
 of teacher-id order also gathers a copy of them to sum. By tracemalloc,
 one PKD build at N=1000, C=11 from a bank in id order peaks at 2.04 MB
-for K=200 and 8.47 MB for K=1000, whose weights take 8.0 MB; a
-KD_SINGLE, AVG1 or AVG2 build peaks at 4.9 N x C matrices (0.43 MB)
-at any K, as no softened teacher outlives its addition. AVG1 and AVG2
-build the same matrix: AVG1's loss, the mean of K per-teacher KL terms,
-is AVG2's plus an entropy term that is constant in the student's logits,
-so the two strategies train the same student.
+for K=200 and 8.47 MB for K=1000, whose weights take 8.0 MB (16.04 MB
+listed out of id order); a GTD or PKD build at K=2 peaks at 5.1 N x C
+matrices, and a KD_SINGLE, AVG1 or AVG2 build at 4.9 (0.43 MB) at
+K=1, 2 or 200, as no softened teacher outlives its addition. These
+figures hold with softmax_rows' column-major row max, whose copy is
+freed before exp. AVG1 and AVG2 build the same matrix: AVG1's loss,
+the mean of K per-teacher KL terms, is AVG2's plus an entropy term that
+is constant in the student's logits, so the two strategies train the
+same student, and a run builds their mean once (harness._cell_targets).
 TeacherBank and DistillConfig are checked once, as they are built, and
 frozen after, so build_targets checks neither again: it softens the
 teachers with the unchecked numerics.softmax_rows.
@@ -161,7 +164,8 @@ def build_targets(bank: TeacherBank, labels, config: cfg.DistillConfig) -> Targe
     that loss differs from AVG2's only by a constant in the student's
     logits, so AVG1 takes AVG2's target, bit for bit.
     GTD/PKD first compute their N x K reference weights, GTD at h = 1,
-    and add each softened matrix times its column of weights. PKD
+    and scale each softened matrix by its column of weights, in place,
+    before adding it. PKD
     needs h in (1/C, 1]; GTD ignores config.h.
     Every result holds one N x C matrix, whatever K is. Every sum over
     teachers runs in ascending teacher-id order, whatever order the bank
@@ -190,7 +194,9 @@ def build_targets(bank: TeacherBank, labels, config: cfg.DistillConfig) -> Targe
     target = np.zeros((bank.n, bank.c), dtype=np.float64)
     for k in order:
         softened = softmax_rows(bank.teachers[k] / tau)
-        target += softened if weights is None else weights[:, k : k + 1] * softened
+        if weights is not None:
+            softened *= weights[:, k : k + 1]  # a product commutes exactly: no temporary, same bits
+        target += softened
         del softened  # else it stays live beside the next teacher's
     if weights is None:
         target /= bank.k

@@ -153,7 +153,12 @@ def bind_teacher_dumps(paths: list[str], data: Dataset, caches: dict | None = No
                 )
         return TeacherBank([d.rows for d in dumps], [d.teacher_id for d in dumps])
 
-    return _cached(caches, ("bank", tuple(paths), data.n, data.n_classes), bank)
+    return _cached(caches, _dump_bank_key(paths, data), bank)
+
+
+def _dump_bank_key(paths: list[str], data: Dataset) -> tuple:
+    """The cache key of the bank of the dumps at `paths` bound to `data`."""
+    return ("bank", tuple(paths), data.n, data.n_classes)
 
 
 def _roster(strategy: str, teachers):
@@ -170,8 +175,9 @@ def _fit_teacher(rc: RunConfig, data: SyntheticData, stage: int, modality: str):
 
 def _obtain_teacher_logits(
     rc: RunConfig, data: SyntheticData, caches: dict | None
-) -> tuple[TeacherBank | None, dict[str, float]]:
-    """Teacher logits on the training samples, plus teacher test accuracy.
+) -> tuple[TeacherBank | None, tuple | None, dict[str, float]]:
+    """Teacher logits on the training samples as a bank, the bank's cache
+    key, and teacher test accuracy.
 
     NONE has no teachers and binds none. Otherwise the strategy's
     `_roster` is taken from the dumps given in the run config, which
@@ -183,30 +189,45 @@ def _obtain_teacher_logits(
     """
     strategy = rc.distill.strategy
     if strategy == cfg.NONE:
-        return None, {}
+        return None, None, {}
     if rc.teacher_paths:
-        return bind_teacher_dumps(_roster(strategy, rc.teacher_paths), data.train_dark, caches), {}
+        paths, view = _roster(strategy, rc.teacher_paths), data.train_dark
+        return bind_teacher_dumps(paths, view, caches), _dump_bank_key(paths, view), {}
     roster = _roster(strategy, _TEACHERS)
     ids = tuple(teacher_id for teacher_id, _, _ in roster)
     fits = [_cached(caches, ("teacher", rc.seed, teacher_id), _fit_teacher, rc, data, stage, modality)
             for teacher_id, stage, modality in roster]
-    bank = _cached(caches, ("roster", rc.seed, ids), TeacherBank, [logits for logits, _ in fits], ids)
-    return bank, {teacher_id: top1 for teacher_id, (_, top1) in zip(ids, fits)}
+    key = ("roster", rc.seed, ids)
+    bank = _cached(caches, key, TeacherBank, [logits for logits, _ in fits], ids)
+    return bank, key, {teacher_id: top1 for teacher_id, (_, top1) in zip(ids, fits)}
 
 
-def _cell_targets(bank: TeacherBank | None, labels, config: cfg.DistillConfig) -> TargetSet:
-    """The student's targets: none for NONE, else the strategy's assembly of `bank`."""
+def _cell_targets(
+    bank: TeacherBank | None, bank_key: tuple | None, labels, config: cfg.DistillConfig, caches: dict | None
+) -> TargetSet:
+    """The student's targets: none for NONE, else the strategy's assembly of `bank`.
+
+    The unweighted mean that KD_SINGLE, AVG1 and AVG2 distill from
+    depends on the bank and tau alone, so through `caches` it is built
+    once per bank and tau, and each cell wraps that matrix under its own
+    tag, so it still trains its own student. A build that raises stores
+    nothing, so each cell fails with its own tag in the message.
+    """
     if config.strategy == cfg.NONE:
         return TargetSet(cfg.NONE)
-    return build_targets(bank, labels, config)
+    if config.strategy in (cfg.GTD, cfg.PKD):
+        return build_targets(bank, labels, config)
+    mean = _cached(caches, ("mean", bank_key, config.tau), build_targets, bank, labels, config).targets[0]
+    mean.flags.writeable = False  # shared: no cell may write into another's target
+    return TargetSet(config.strategy, [mean])
 
 
 def run_pipeline(rc: RunConfig, timing: bool = False, caches: dict | None = None) -> PipelineRow:
     """One (strategy, seed) cell: data -> teachers -> targets -> student."""
     data = _stage("generate-data", _obtain_data, rc, caches)
-    bank, teacher_accs = _stage("teachers", _obtain_teacher_logits, rc, data, caches)
+    bank, bank_key, teacher_accs = _stage("teachers", _obtain_teacher_logits, rc, data, caches)
     view = data.train_dark
-    targets = _stage("assemble-targets", _cell_targets, bank, view.labels, rc.distill)
+    targets = _stage("assemble-targets", _cell_targets, bank, bank_key, view.labels, rc.distill, caches)
 
     def _student():
         model, config = _fresh_student(view, rc.distill, derive_seed(rc.seed, STAGE_STUDENT))
@@ -258,9 +279,11 @@ def run_ablation(
     """Cross-product of strategies and seeds, run in report order: that of
     cfg.STRATEGIES, then ascending seed, which rows and failures follow.
 
-    Per-seed data, teacher logits and roster banks are made once per run;
-    the cache only reuses values that deterministic retraining would
-    reproduce bit-exactly, so reports do not depend on cell order.
+    Per-seed data, teacher logits, roster banks and each bank's
+    unweighted mean at tau are made once per run (the means are freed
+    when the first GTD or PKD cell starts); the cache only reuses
+    values that deterministic retraining would reproduce bit-exactly, so
+    reports do not depend on cell order.
     Teacher dumps (`base.teacher_paths`) and `base.data_dir` views are
     read once per ablation, on first use, and shared by every cell; a
     file edited while the ablation runs is not seen by it. A cell binds
@@ -274,6 +297,11 @@ def run_ablation(
     caches: dict = {}
     report = AblationReport(rows=[])
     for tag, seed, rc in _cells(base, strategies, seeds):
+        if tag in (cfg.GTD, cfg.PKD):
+            # report order runs every KD_SINGLE, AVG1 and AVG2 cell first,
+            # so no later cell reads a cached mean: free them all
+            for key in [key for key in caches if key[0] == "mean"]:
+                del caches[key]
         try:
             report.rows.append(run_pipeline(rc, timing=timing, caches=caches))
         except StageError as exc:  # cell isolation: report partial results
@@ -378,9 +406,9 @@ def cost_probe(rc: RunConfig, epochs: int = 5, repeats: int = 3) -> CostProbe:
     configs, targets, flops = {}, {}, {}
     for tag in tags:
         cell = replace(rc, distill=rc.distill.with_(strategy=tag, epochs=epochs))
-        bank, _ = _obtain_teacher_logits(cell, data, caches)
+        bank, bank_key, _ = _obtain_teacher_logits(cell, data, caches)
         configs[tag] = cell.distill.with_(epochs=1)
-        targets[tag] = _cell_targets(bank, view.labels, cell.distill)
+        targets[tag] = _cell_targets(bank, bank_key, view.labels, cell.distill, caches)
         flops[tag] = assembly_flop_estimate(view.n, 0 if tag == cfg.NONE else bank.k, view.n_classes)
 
     stage_seed = derive_seed(rc.seed, STAGE_STUDENT)

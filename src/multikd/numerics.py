@@ -28,7 +28,17 @@ def softmax_rows(scaled: np.ndarray) -> np.ndarray:
     Stabilized by max subtraction: output rows sum to 1 within 1e-12 and
     are invariant to adding a constant to the logits.
     """
-    e = np.exp(scaled - np.maximum.reduce(scaled, axis=-1, keepdims=True))
+    # A max is exact in any order, so a tall matrix (rows >= 16 x columns)
+    # takes its row max from a column-major copy, which numpy reduces as
+    # whole columns: 12 us against 51 us for 1000 x 11 on an AVX-512 host.
+    # Measured there, the copy pays from about 16 rows at 11 columns and
+    # stops paying between 50 and 64 columns at 1000 rows; a training
+    # batch (4 rows) and a 1-D row keep the row-major reduce. The copy is
+    # freed before exp, and the subtraction, exp and row sum stay
+    # row-major, so neither the peak nor any bit changes.
+    tall = scaled.shape[0] >= 16 * scaled.shape[-1]
+    e = np.exp(scaled - np.maximum.reduce(
+        np.asfortranarray(scaled) if tall else scaled, axis=-1, keepdims=True))
     return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 

@@ -5,6 +5,11 @@ decimal arithmetic and plain term-by-term summation, sharing no code
 with the implementation under test.
 soften is the temperature softmax the references use, softmax_rows of
 the logits over tau, as assembly computes it from a checked bank.
+row_major_softmax is softmax_rows with every reduction over the rows as
+stored, the standard for its column-major row max, and
+reference_build_targets is the assembly loop built on it, each weighted
+teacher added as a product temporary: the standard for build_targets'
+bits.
 kl_rows, entropy_rows, validate_prob_row and the losses ce_loss,
 kd_loss, avg1_loss, total_loss with its logit gradient loss_gradient are
 the plain formulas of the distillation objective. total_loss gives AVG1
@@ -38,7 +43,7 @@ import numpy as np
 
 from multikd import config as cfg
 from multikd.datagen import CENTER_HI, CENTER_LO, validate_labels
-from multikd.ensemble import TargetSet
+from multikd.ensemble import TargetSet, _inverse_ce, _reference_rows
 from multikd.errors import FormatError, ValidationError
 from multikd.numerics import EPS, log_or_zero, softmax_rows
 from multikd.rng import SplitMix64, derive_seed
@@ -79,6 +84,41 @@ PROB_SUM_TOL = 1e-9
 def soften(logits, tau=1.0) -> np.ndarray:
     """Row-wise softmax of logits at temperature tau: softmax_rows(logits / tau)."""
     return softmax_rows(np.asarray(logits, dtype=np.float64) / tau)
+
+
+def row_major_softmax(scaled) -> np.ndarray:
+    """Row-wise softmax of scaled logits, its row max and row sum reduced as stored."""
+    e = np.exp(scaled - np.maximum.reduce(scaled, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
+
+
+def reference_build_targets(bank, labels, config):
+    """(target, weights) of build_targets from row_major_softmax.
+
+    GTD and PKD score each teacher at weight_tau against its reference
+    row and divide the scores by their row sums in ascending id order:
+    over the scores as stored for a bank listed in id order, else over
+    a gathered copy, which numpy lays out column-major, so its row sums
+    add in sequence where the others add pairwise (the bits differ from
+    K = 8 on). Then each teacher, softened at tau and in ascending id
+    order, is added to one N x C matrix, times its column of weights as
+    a new product, or unweighted and the sum divided by K.
+    """
+    order = sorted(range(bank.k), key=bank.teacher_ids.__getitem__)
+    weights = None
+    if config.strategy in (cfg.GTD, cfg.PKD):
+        refs = _reference_rows(np.asarray(labels), bank.c, 1.0 if config.strategy == cfg.GTD else config.h)
+        raw = np.empty((bank.n, bank.k))
+        for k, logits in enumerate(bank.teachers):
+            raw[:, k] = _inverse_ce(refs, row_major_softmax(logits / config.weight_tau))
+        weights = raw / (raw if order == list(range(bank.k)) else raw[:, order]).sum(axis=1, keepdims=True)
+    target = np.zeros((bank.n, bank.c))
+    for k in order:
+        softened = row_major_softmax(bank.teachers[k] / config.tau)
+        target += softened if weights is None else weights[:, k : k + 1] * softened
+    if weights is None:
+        target /= bank.k
+    return target, weights
 
 
 def validate_prob_row(values, name: str = "probs") -> np.ndarray:

@@ -40,6 +40,7 @@ from _oracles import (
 )
 
 GOLDEN_ABLATION = Path(__file__).parent / "golden" / "ablation_default.tsv"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def report(num, name, ok, detail):
@@ -238,6 +239,21 @@ def test_golden_ablation_report(ablation):
     # number alike; the pinned bytes can
     rep, _ = ablation
     assert report_machine_text(rep).encode("utf-8") == GOLDEN_ABLATION.read_bytes()
+
+
+def test_readme_five_seed_table_is_the_golden_means():
+    # README copies the table by hand: the first block under its
+    # ablation heading must hold each strategy's golden mean top-1
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## What the default ablation shows", 1)[1]
+    table = section.split("```", 2)[1].strip().splitlines()
+    top1: dict[str, list[float]] = {}
+    for line in GOLDEN_ABLATION.read_text(encoding="utf-8").splitlines()[1:]:
+        strategy, _, _, value, _ = line.split("\t")
+        top1.setdefault(strategy, []).append(float(value))
+    assert [line.split() for line in table] == [
+        [strategy, f"{np.mean(values):.4f}"] for strategy, values in top1.items()
+    ]
 
 
 def test_criterion_9_zero_added_cost():

@@ -20,7 +20,14 @@ from multikd.ensemble import _inverse_ce, _reference_rows, _teacher_scores
 from multikd.errors import NumericalError, ValidationError
 from multikd.numerics import EPS
 
-from _oracles import dec_cross_entropy, dec_kl, kl_rows, soften, validate_prob_row
+from _oracles import (
+    dec_cross_entropy,
+    dec_kl,
+    kl_rows,
+    reference_build_targets,
+    soften,
+    validate_prob_row,
+)
 
 RNG = np.random.default_rng(31337)
 
@@ -384,6 +391,26 @@ def test_gtd_pkd_assembly_peaks_near_one_n_by_k_weight_array(many_teachers, stra
     finally:
         tracemalloc.stop()
     assert peak <= arrays * PEAK_N * PEAK_K * 8
+
+
+# 1000 x 11 teachers take softmax_rows' column-major row max, and
+# GTD/PKD scale each softened teacher in place: neither may move a bit
+# from the row-major loop with a product temporary.
+@pytest.mark.parametrize("in_id_order", [True, False], ids=["id-order", "reversed"])
+@pytest.mark.parametrize("strategy, k", [
+    (mk.KD_SINGLE, 1),
+    *[(strategy, k) for strategy in [mk.AVG1, mk.AVG2, mk.GTD, mk.PKD] for k in (1, 2, 200)],
+])
+def test_assembly_has_the_bits_of_the_reference_loop(many_teachers, strategy, k, in_id_order):
+    mats, ids, labels = many_teachers
+    bank = TeacherBank(mats[:k], ids[:k] if in_id_order else ids[:k][::-1])
+    config = DistillConfig(strategy=strategy)
+    got = build_targets(bank, labels, config)
+    target, weights = reference_build_targets(bank, labels, config)
+    assert got.targets[0].tobytes() == target.tobytes()
+    assert (got.weights is None) == (weights is None)
+    if weights is not None:
+        assert got.weights.tobytes() == weights.tobytes()
 
 
 # Each softened teacher is added to one N x C accumulator and dropped

@@ -65,7 +65,7 @@ class TestRunPipeline:
 
         rc = small_rc(mk.KD_SINGLE, seed=5)
         data = _obtain_data(rc, None)
-        bank, _ = _obtain_teacher_logits(rc, data, None)
+        bank, _, _ = _obtain_teacher_logits(rc, data, None)
         dump_path = tmp_path / "teacherA.txt"
         write_logit_dump(dump_path, "teacher-A", bank.teachers[0])
 
@@ -148,7 +148,7 @@ def dumped(tmp_path):
     rc = small_rc(mk.PKD, seed=3, epochs=1)
     data = harness._obtain_data(rc, None)
     write_all_views(tmp_path / "d", data)
-    bank, _ = harness._obtain_teacher_logits(rc, data, None)
+    bank, _, _ = harness._obtain_teacher_logits(rc, data, None)
     rng = np.random.default_rng(0)
     paths = []
     for k in range(5):
@@ -240,6 +240,82 @@ class TestBindTeacherDumpsOnce:
         run_pipeline(small_rc(mk.PKD, epochs=1), caches=caches)
         assert ("teacher", 1, "teacher-A") in caches
         assert not any(holds_model(value) for value in caches.values())
+
+
+class TestOneMeanBuild:
+    """KD_SINGLE, AVG1 and AVG2 distill the unweighted mean of a bank at
+    tau, built once per bank and tau in a run and wrapped under each
+    cell's own tag."""
+
+    # over seeds 1 and 2: in-process, per seed KD_SINGLE, AVG1, GTD and PKD
+    # build (10 without the shared mean); from dumps, whose bank does not
+    # depend on the seed, AVG1 builds once and GTD and PKD once per seed
+    @pytest.mark.parametrize("in_process, strategies, builds", [
+        pytest.param(True, list(mk.STRATEGIES), 8, id="in-process"),
+        pytest.param(False, DUMP_STRATEGIES, 5, id="dumps"),
+    ])
+    def test_the_mean_is_built_once_per_bank_and_tau(self, dumped, monkeypatch, in_process, strategies, builds):
+        built, trained = [], []
+        build, train = harness.build_targets, harness.train
+
+        def counting(bank, labels, config):
+            built.append(config.strategy)
+            return build(bank, labels, config)
+
+        def recording(model, features, labels, target_set, config):
+            trained.append(target_set.strategy)
+            return train(model, features, labels, target_set, config)
+
+        monkeypatch.setattr(harness, "build_targets", counting)
+        monkeypatch.setattr(harness, "train", recording)
+        base = replace(dumped, teacher_paths=[], data_dir=None) if in_process else dumped
+        report = run_ablation(base, strategies, [1, 2])
+        assert report.failures == [] and len(built) == builds
+        assert mk.AVG2 not in built
+        # every distilling cell trains its own student on a target set of its own tag
+        assert [tag for tag in trained if tag != mk.NONE] == [
+            tag for tag in strategies if tag != mk.NONE for _ in (1, 2)
+        ]
+
+    def test_no_mean_is_held_while_gtd_or_pkd_runs(self, monkeypatch):
+        held = []
+        run = harness.run_pipeline
+
+        def recording(rc, timing=False, caches=None):
+            row = run(rc, timing=timing, caches=caches)
+            held.append((rc.distill.strategy, [key[1][2] for key in caches if key[0] == "mean"]))
+            return row
+
+        monkeypatch.setattr(harness, "run_pipeline", recording)
+        run_ablation(small_rc(epochs=1), list(mk.STRATEGIES), [1])
+        # the rosters of the cached means once each cell has run: AVG2
+        # reads AVG1's, and both are freed before GTD runs
+        a, ab = ("teacher-A",), ("teacher-A", "teacher-B")
+        assert held == [
+            (mk.NONE, []), (mk.KD_SINGLE, [a]), (mk.AVG1, [a, ab]), (mk.AVG2, [a, ab]),
+            (mk.GTD, []), (mk.PKD, []),
+        ]
+
+    def test_avg_rows_equal_the_cells_run_alone(self):
+        base = small_rc(epochs=2)
+        together = run_ablation(base, list(mk.STRATEGIES), [1, 2])
+        for tag in (mk.AVG1, mk.AVG2):
+            alone = run_ablation(base, [tag], [1, 2])
+            shared = [row for row in together.rows if row.strategy == tag]
+            assert report_machine_text(AblationReport(shared)) == report_machine_text(alone)
+            for a, b in zip(shared, alone.rows):
+                assert a.model.data.tobytes() == b.model.data.tobytes()
+                assert a.loss_trace == b.loss_trace
+
+    def test_a_failed_mean_build_fails_each_cell_with_its_own_tag(self):
+        # logits / 1e-310 overflow, so the mean is not finite and nothing is cached
+        with np.errstate(all="ignore"):
+            report = run_ablation(small_rc(epochs=1, tau=1e-310), [mk.AVG1, mk.AVG2], [1])
+        assert report.rows == []
+        assert [(tag, str(exc)) for tag, _, exc in report.failures] == [
+            (tag, f"stage 'assemble-targets': non-finite {tag} targets; assembly aborted")
+            for tag in (mk.AVG1, mk.AVG2)
+        ]
 
 
 class TestCostProbe:

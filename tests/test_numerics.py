@@ -4,7 +4,9 @@ Derived expectations are frozen from a 50-digit decimal oracle that
 re-evaluates the same float64 inputs term by term; the oracle lives in
 _oracles.py and is asserted against its frozen value before the
 implementation is. Softmax and cross-entropy are checked on the row
-kernels that assembly runs; KL on the reference kl_rows, which the
+kernels that assembly runs, softmax also bit for bit against the
+row-major row_major_softmax of _oracles.py on both sides of the
+column-major row max's crossover; KL on the reference kl_rows, which the
 training step's loss is tested against; entropy on the reference
 entropy_rows, which the AVG1 loss identity is tested with; argmax on
 evaluate, through a student whose logits are its inputs.
@@ -14,11 +16,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from multikd import StudentModel, evaluate
 from multikd.numerics import EPS, cross_entropy_rows, softmax_rows
 
-from _oracles import dec_cross_entropy, dec_kl, dec_softmax, entropy_rows, kl_rows
+from _oracles import dec_cross_entropy, dec_kl, dec_softmax, entropy_rows, kl_rows, row_major_softmax
 
 RNG = np.random.default_rng(20260808)
 
@@ -87,6 +91,25 @@ class TestSoftmax:
     def test_large_logits_stable(self):
         out = softmax_rows(np.array([1e8, 1e8 - 1.0]))
         assert np.isfinite(out).all()
+
+    # A matrix of at least 16 rows per column takes its row max from a
+    # column-major copy; a step batch (4 x 11), a 1-D row and a wide
+    # matrix do not. Rounded logits tie rows' maxima and give signed
+    # zeros, the values on which the order of a max could show.
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.one_of(st.tuples(st.integers(1, 40)),
+                     st.tuples(st.integers(1, 400), st.integers(1, 40))),
+           st.integers(0, 2**32 - 1), st.floats(1e-3, 1e3), st.booleans())
+    @example((4, 11), 0, 3.0, False)
+    @example((175, 11), 1, 3.0, True)
+    @example((176, 11), 2, 3.0, True)
+    @example((1000, 11), 3, 30.0, False)
+    @example((11,), 4, 3.0, True)
+    def test_equals_the_row_major_softmax_bit_for_bit(self, shape, seed, scale, rounded):
+        scaled = np.random.default_rng(seed).normal(size=shape) * scale
+        if rounded:
+            scaled = np.round(scaled)
+        assert softmax_rows(scaled).tobytes() == row_major_softmax(scaled).tobytes()
 
 
 class TestKl:
