@@ -186,9 +186,12 @@ def build_targets(bank: TeacherBank, labels, config: cfg.DistillConfig) -> Targe
             if not (1.0 / bank.c) < h <= 1.0:
                 raise ValidationError(f"h must be in (1/{bank.c}, 1], got {h}")
         # the scores become the weights in place, so one N x K array is
-        # live; only a bank listed out of id order gathers a copy to sum
+        # live; only a bank listed out of id order gathers a copy to sum,
+        # row-major by np.take (weights[:, order] is column-major, and its
+        # row sums would add in another order from K = 8 on)
         weights = _teacher_scores(bank, labels, h, config.weight_tau)
-        weights /= (weights if order == list(range(bank.k)) else weights[:, order]).sum(axis=1, keepdims=True)
+        in_order = order == list(range(bank.k))
+        weights /= (weights if in_order else np.take(weights, order, axis=1)).sum(axis=1, keepdims=True)
     else:
         raise ValidationError(f"build_targets cannot handle strategy {strategy!r}")
     target = np.zeros((bank.n, bank.c), dtype=np.float64)

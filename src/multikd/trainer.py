@@ -21,6 +21,8 @@ so a step writes its gradients into a second model of the same layout,
 updates all four parameters with one subtraction, and checks w1 and w2
 with one reduction over one view; there is no copy of the model to write
 back, and train trains the caller's model in place.
+train reads no clock: its loss trace is a pure function of its inputs,
+and the wall time that reports carry is read in harness.
 Every distilling TargetSet holds one N x C matrix, so neither memory
 nor per-step cost grows with the number of teachers. AVG1's is AVG2's
 (see ensemble), so an AVG1 fit trains AVG2's student and reports AVG2's
@@ -31,8 +33,6 @@ no gradient.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,12 +95,6 @@ class StudentModel:
 
     def copy(self) -> "StudentModel":
         return StudentModel(self.w1, self.b1, self.w2, self.b2)
-
-
-@dataclass
-class TrainResult:
-    loss_trace: list[float]
-    epoch_seconds: list[float]
 
 
 def init_student(d_in: int, hidden_dim: int, n_classes: int, prng: SplitMix64) -> StudentModel:
@@ -217,7 +211,7 @@ def train(
     labels: np.ndarray,
     target_set: TargetSet,
     config: cfg.DistillConfig,
-) -> TrainResult:
+) -> list[float]:
     """SGD over epochs * ceil(N / batch) steps, shuffled by config.seed.
 
     Inputs are validated once, here; each epoch gathers its rows in
@@ -227,9 +221,8 @@ def train(
     step made it; the gradients go into one copy of model, made here.
 
     Deterministic: the seed fixes the batch order, and every reduction
-    runs in a fixed order, so the final parameters and the loss trace
-    are bit-identical across runs. The per-epoch wall-clock times in
-    the result are measurements and carry no such guarantee.
+    runs in a fixed order, so the final parameters and the returned loss
+    trace (each epoch's mean pre-step loss) are bit-identical across runs.
     """
     rows = _rows(model, features, labels, target_set, config)
     n = rows[0].shape[0]
@@ -237,10 +230,8 @@ def train(
     prng = SplitMix64(config.seed)
     grads = model.copy()
     trace: list[float] = []
-    times: list[float] = []
     shuffled = [np.empty_like(column) for column in rows]
     for _ in range(config.epochs):
-        started = time.perf_counter()
         order = np.array(prng.permutation(n), dtype=np.int64)
         for column, out in zip(rows, shuffled):
             # order is a permutation of range(n), so no index is ever
@@ -251,8 +242,7 @@ def train(
             batch = [column[lo : lo + size] for column in shuffled]
             step_losses.append(_step(model, grads, config, *batch))
         trace.append(float(np.mean(step_losses)))
-        times.append(time.perf_counter() - started)
-    return TrainResult(trace, times)
+    return trace
 
 
 def evaluate(model: StudentModel, features, labels) -> float:

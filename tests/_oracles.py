@@ -96,13 +96,12 @@ def reference_build_targets(bank, labels, config):
     """(target, weights) of build_targets from row_major_softmax.
 
     GTD and PKD score each teacher at weight_tau against its reference
-    row and divide the scores by their row sums in ascending id order:
-    over the scores as stored for a bank listed in id order, else over
-    a gathered copy, which numpy lays out column-major, so its row sums
-    add in sequence where the others add pairwise (the bits differ from
-    K = 8 on). Then each teacher, softened at tau and in ascending id
-    order, is added to one N x C matrix, times its column of weights as
-    a new product, or unweighted and the sum divided by K.
+    row and divide the scores by their row sums, each added in ascending
+    id order over a row-major row, so every listing of one set of
+    teachers divides by the same bits. Then each teacher, softened at
+    tau and in ascending id order, is added to one N x C matrix, times
+    its column of weights as a new product, or unweighted and the sum
+    divided by K.
     """
     order = sorted(range(bank.k), key=bank.teacher_ids.__getitem__)
     weights = None
@@ -111,7 +110,7 @@ def reference_build_targets(bank, labels, config):
         raw = np.empty((bank.n, bank.k))
         for k, logits in enumerate(bank.teachers):
             raw[:, k] = _inverse_ce(refs, row_major_softmax(logits / config.weight_tau))
-        weights = raw / (raw if order == list(range(bank.k)) else raw[:, order]).sum(axis=1, keepdims=True)
+        weights = raw / np.ascontiguousarray(raw[:, order]).sum(axis=1, keepdims=True)
     target = np.zeros((bank.n, bank.c))
     for k in order:
         softened = row_major_softmax(bank.teachers[k] / config.tau)

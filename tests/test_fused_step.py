@@ -77,11 +77,11 @@ def test_train_matches_reference_loop_bit_for_bit(fit):
     model, features, labels, targets, config = fit
     expected = model.copy()
     expected_trace = reference_train(expected, features, labels, targets, config)
-    result = train(model, features, labels, targets, config)
+    trace = train(model, features, labels, targets, config)
     for name in ("w1", "b1", "w2", "b2"):
         assert np.array_equal(getattr(model, name), getattr(expected, name)), name
-    assert len(result.loss_trace) == len(expected_trace)
-    for got, want in zip(result.loss_trace, expected_trace):
+    assert len(trace) == len(expected_trace)
+    for got, want in zip(trace, expected_trace):
         assert abs(got - want) <= 1e-12 * abs(want)
 
 
@@ -225,7 +225,7 @@ class TestInPlace:
                 (want_loss,) = reference_train(expected, features, labels, targets, config)
             assert steps.call_count == 1
             arrays = [getattr(model, name) for name in PARAMETERS]
-            (loss,) = train(model, features, labels, targets, config).loss_trace
+            (loss,) = train(model, features, labels, targets, config)
             assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
             for name, array in zip(PARAMETERS, arrays):
                 assert getattr(model, name) is array, name

@@ -11,10 +11,10 @@ import pytest
 import multikd as mk
 import multikd.harness as harness
 from multikd.datagen import DataParams
-from multikd.ensemble import TeacherBank
+from multikd.ensemble import TargetSet, TeacherBank
 from multikd.errors import FormatError, NumericalError, StageError, ValidationError
 from multikd.formats import write_all_views, write_logit_dump
-from multikd.trainer import StudentModel
+from multikd.trainer import StudentModel, train
 from multikd.harness import (
     AblationReport,
     RunConfig,
@@ -41,6 +41,20 @@ class TestRunPipeline:
         assert 0.0 <= row.top1 <= 1.0
         assert row.teacher_test_acc == {}
         assert len(row.loss_trace) == 4
+
+    def test_timing_gives_the_student_fit_seconds_per_epoch(self):
+        seconds = run_pipeline(small_rc(mk.NONE, epochs=2), timing=True).epoch_seconds
+        assert type(seconds) is float and seconds > 0.0
+        assert run_pipeline(small_rc(mk.NONE, epochs=0), timing=True).epoch_seconds is None
+        assert run_pipeline(small_rc(mk.NONE, epochs=2), timing=False).epoch_seconds is None
+
+    def test_train_returns_one_python_float_per_epoch(self):
+        rc = small_rc(mk.NONE, epochs=3)
+        view = harness.generate_data(rc).train_dark
+        model, config = harness._fresh_student(view, rc.distill, 7)
+        trace = train(model, view.features, view.labels, TargetSet(mk.NONE), config)
+        assert type(trace) is list and len(trace) == 3
+        assert all(type(loss) is float for loss in trace)
 
     def test_kd_single_uses_teacher_a_only(self):
         row = run_pipeline(small_rc(mk.KD_SINGLE))

@@ -224,7 +224,7 @@ class TestAvg1Avg2Identity:
             config = DistillConfig(strategy=strategy, tau=3.0, alpha=0.4, lr=0.2, batch_size=4,
                                    epochs=3, seed=17)
             model = init_student(d, 6, c, SplitMix64(17))
-            trace = train(model, features, labels, build_targets(bank, labels, config), config).loss_trace
+            trace = train(model, features, labels, build_targets(bank, labels, config), config)
             runs[strategy] = model.data.tobytes(), trace
         assert runs[mk.AVG1] == runs[mk.AVG2]
 
@@ -272,7 +272,7 @@ class TestBackwardStep:
     def one_step(model, features, labels, targets, config):
         """One SGD step over all rows, in place; returns the pre-step loss."""
         config = config.with_(epochs=1, batch_size=len(labels))
-        return train(model, features, labels, targets, config).loss_trace[0]
+        return train(model, features, labels, targets, config)[0]
 
     def test_vanishing_lr_keeps_model(self):
         # lr must be positive by config contract; a denormal step is the
@@ -337,9 +337,9 @@ class TestTrainAndEvaluate:
         features, labels = self._data()
         model = init_student(6, 4, 3, SplitMix64(1))
         before = model.copy()
-        result = train(model, features, labels, TargetSet(mk.NONE),
-                       DistillConfig(strategy=mk.NONE, epochs=0))
-        assert result.loss_trace == []
+        trace = train(model, features, labels, TargetSet(mk.NONE),
+                      DistillConfig(strategy=mk.NONE, epochs=0))
+        assert trace == []
         assert np.array_equal(model.w1, before.w1)
 
     def test_same_seed_bit_identical(self):
@@ -348,8 +348,7 @@ class TestTrainAndEvaluate:
         runs = []
         for _ in range(2):
             model = init_student(6, 4, 3, SplitMix64(9))
-            result = train(model, features, labels, TargetSet(mk.NONE), config)
-            runs.append((model, result.loss_trace))
+            runs.append((model, train(model, features, labels, TargetSet(mk.NONE), config)))
         assert runs[0][1] == runs[1][1]
         for attr in ("w1", "b1", "w2", "b2"):
             assert np.array_equal(getattr(runs[0][0], attr), getattr(runs[1][0], attr))
@@ -388,7 +387,7 @@ class TestTrainAndEvaluate:
         model_b = init_student(6, 8, 4, SplitMix64(21))
         res_none = train(model_a, features, labels, TargetSet(mk.NONE), config_none)
         res_pkd = train(model_b, features, labels, targets_pkd, config_pkd)
-        assert all(np.isfinite(res_none.loss_trace)) and all(np.isfinite(res_pkd.loss_trace))
+        assert all(np.isfinite(res_none)) and all(np.isfinite(res_pkd))
         ce_none = ce_loss(soften(forward(model_a, features), 1.0), labels)
         ce_pkd = ce_loss(soften(forward(model_b, features), 1.0), labels)
         assert ce_none <= ce_pkd
