@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -251,7 +252,7 @@ def cmd_ablate(values: dict, rc: RunConfig) -> int:
 
 
 def cmd_cost_probe(values: dict, rc: RunConfig) -> int:
-    probe = cost_probe(rc, epochs=rc.distill.epochs if "epochs" in values else 5)
+    probe = cost_probe(rc if "epochs" in values else replace(rc, distill=rc.distill.with_(epochs=5)))
     text = cost_probe_text(probe)
     out = values.get("out")
     if out:

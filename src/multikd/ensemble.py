@@ -26,7 +26,8 @@ figures hold with softmax_rows' column-major row max, whose copy is
 freed before exp. AVG1 and AVG2 build the same matrix: AVG1's loss,
 the mean of K per-teacher KL terms, is AVG2's plus an entropy term that
 is constant in the student's logits, so the two strategies train the
-same student, and a run builds their mean once (harness._cell_targets).
+same student, and a run builds their mean once per bank and tau
+(harness._cell_targets); a TeacherBank hashes by identity, not arrays.
 TeacherBank and DistillConfig are checked once, as they are built, and
 frozen after, so build_targets checks neither again: it softens the
 teachers with the unchecked numerics.softmax_rows.
@@ -44,7 +45,7 @@ from .errors import NumericalError, ValidationError
 from .numerics import EPS, cross_entropy_rows, softmax_rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TeacherBank:
     """Aligned logit matrices from K teachers; row n is sample n everywhere.
 

@@ -11,7 +11,8 @@ assembled matrix and never a teacher, and no teacher model outlives its
 fit: a teacher is its logits. Adding teachers changes the one-shot
 assembly cost, never the per-epoch training work.
 Every strategy's targets are one N x C matrix, so AVG1, like AVG2,
-holds O(N*C) at any number of teachers.
+holds O(N*C) at any number of teachers. A run's cells share work in a
+cache keyed by what determines it, the mean AVG1 and AVG2 share by bank.
 
 Reports are written both as an aligned text table and as one
 tab-separated row per (strategy, seed). Without the opt-in timing mode
@@ -156,12 +157,7 @@ def bind_teacher_dumps(paths: list[str], data: Dataset, caches: dict | None = No
                 )
         return TeacherBank([d.rows for d in dumps], [d.teacher_id for d in dumps])
 
-    return _cached(caches, _dump_bank_key(paths, data), bank)
-
-
-def _dump_bank_key(paths: list[str], data: Dataset) -> tuple:
-    """The cache key of the bank of the dumps at `paths` bound to `data`."""
-    return ("bank", tuple(paths), data.n, data.n_classes)
+    return _cached(caches, ("bank", tuple(paths), data.n, data.n_classes), bank)
 
 
 def _roster(strategy: str, teachers):
@@ -178,9 +174,8 @@ def _fit_teacher(rc: RunConfig, data: SyntheticData, stage: int, modality: str):
 
 def _obtain_teacher_logits(
     rc: RunConfig, data: SyntheticData, caches: dict | None
-) -> tuple[TeacherBank | None, tuple | None, dict[str, float]]:
-    """Teacher logits on the training samples as a bank, the bank's cache
-    key, and teacher test accuracy.
+) -> tuple[TeacherBank | None, dict[str, float]]:
+    """Teacher logits on the training samples as a bank, and teacher test accuracy.
 
     NONE has no teachers and binds none. Otherwise the strategy's
     `_roster` is taken from the dumps given in the run config, which
@@ -188,39 +183,36 @@ def _obtain_teacher_logits(
     their stage index so retraining is bit-exact. Only the roster's dumps
     are read: KD_SINGLE binds the first alone. Through `caches`, from
     either source, each teacher is fit or read once per run, and each
-    roster's bank built once per run.
+    roster's bank built once per run, so every cell of a roster gets the
+    same bank object.
     """
     strategy = rc.distill.strategy
     if strategy == cfg.NONE:
-        return None, None, {}
+        return None, {}
     if rc.teacher_paths:
-        paths, view = _roster(strategy, rc.teacher_paths), data.train_dark
-        return bind_teacher_dumps(paths, view, caches), _dump_bank_key(paths, view), {}
+        return bind_teacher_dumps(_roster(strategy, rc.teacher_paths), data.train_dark, caches), {}
     roster = _roster(strategy, _TEACHERS)
     ids = tuple(teacher_id for teacher_id, _, _ in roster)
     fits = [_cached(caches, ("teacher", rc.seed, teacher_id), _fit_teacher, rc, data, stage, modality)
             for teacher_id, stage, modality in roster]
-    key = ("roster", rc.seed, ids)
-    bank = _cached(caches, key, TeacherBank, [logits for logits, _ in fits], ids)
-    return bank, key, {teacher_id: top1 for teacher_id, (_, top1) in zip(ids, fits)}
+    bank = _cached(caches, ("roster", rc.seed, ids), TeacherBank, [logits for logits, _ in fits], ids)
+    return bank, {teacher_id: top1 for teacher_id, (_, top1) in zip(ids, fits)}
 
 
-def _cell_targets(
-    bank: TeacherBank | None, bank_key: tuple | None, labels, config: cfg.DistillConfig, caches: dict | None
-) -> TargetSet:
+def _cell_targets(bank: TeacherBank | None, labels, config: cfg.DistillConfig, caches: dict | None) -> TargetSet:
     """The student's targets: none for NONE, else the strategy's assembly of `bank`.
 
-    The unweighted mean that KD_SINGLE, AVG1 and AVG2 distill from
-    depends on the bank and tau alone, so through `caches` it is built
-    once per bank and tau, and each cell wraps that matrix under its own
-    tag, so it still trains its own student. A build that raises stores
-    nothing, so each cell fails with its own tag in the message.
+    AVG1 and AVG2 distill one matrix, the bank's unweighted mean at tau,
+    so through `caches`, keyed by the bank itself, it is built once per
+    bank and tau, and each cell wraps it under its own tag to train its
+    own student. A build that raises stores nothing, so each cell fails
+    with its own tag. KD_SINGLE, GTD and PKD build their own targets.
     """
     if config.strategy == cfg.NONE:
         return TargetSet(cfg.NONE)
-    if config.strategy in (cfg.GTD, cfg.PKD):
+    if config.strategy not in (cfg.AVG1, cfg.AVG2):
         return build_targets(bank, labels, config)
-    mean = _cached(caches, ("mean", bank_key, config.tau), build_targets, bank, labels, config).targets[0]
+    mean = _cached(caches, ("mean", bank, config.tau), build_targets, bank, labels, config).targets[0]
     mean.flags.writeable = False  # shared: no cell may write into another's target
     return TargetSet(config.strategy, [mean])
 
@@ -228,9 +220,9 @@ def _cell_targets(
 def run_pipeline(rc: RunConfig, timing: bool = False, caches: dict | None = None) -> PipelineRow:
     """One (strategy, seed) cell: data -> teachers -> targets -> student."""
     data = _stage("generate-data", _obtain_data, rc, caches)
-    bank, bank_key, teacher_accs = _stage("teachers", _obtain_teacher_logits, rc, data, caches)
+    bank, teacher_accs = _stage("teachers", _obtain_teacher_logits, rc, data, caches)
     view = data.train_dark
-    targets = _stage("assemble-targets", _cell_targets, bank, bank_key, view.labels, rc.distill, caches)
+    targets = _stage("assemble-targets", _cell_targets, bank, view.labels, rc.distill, caches)
 
     def _student():
         model, config = _fresh_student(view, rc.distill, derive_seed(rc.seed, STAGE_STUDENT))
@@ -281,11 +273,11 @@ def run_ablation(
     """Cross-product of strategies and seeds, run in report order: that of
     cfg.STRATEGIES, then ascending seed, which rows and failures follow.
 
-    Per-seed data, teacher logits, roster banks and each bank's
-    unweighted mean at tau are made once per run (the means are freed
-    when the first GTD or PKD cell starts); the cache only reuses
-    values that deterministic retraining would reproduce bit-exactly, so
-    reports do not depend on cell order.
+    Per-seed data, teacher logits and roster banks are made once per
+    run, and AVG1 and AVG2 share each bank's unweighted mean at tau (the
+    means are freed when the first GTD or PKD cell starts); the cache
+    only reuses values that deterministic retraining would reproduce
+    bit-exactly, so reports do not depend on cell order.
     Teacher dumps (`base.teacher_paths`) and `base.data_dir` views are
     read once per ablation, on first use, and shared by every cell; a
     file edited while the ablation runs is not seen by it. A cell binds
@@ -381,7 +373,7 @@ def assembly_flop_estimate(n: int, k: int, c: int) -> int:
     return n * k * (per_pair + 2)
 
 
-def cost_probe(rc: RunConfig, epochs: int = 5, repeats: int = 3) -> CostProbe:
+def cost_probe(rc: RunConfig, repeats: int = 3) -> CostProbe:
     """Compare per-epoch training wall-time across NONE, KD_SINGLE, PKD.
 
     All three strategies train on identical data with the same seed and
@@ -395,8 +387,9 @@ def cost_probe(rc: RunConfig, epochs: int = 5, repeats: int = 3) -> CostProbe:
     per-epoch time is a low quantile of its epochs, and the reported
     ratio is the median of the paired per-epoch ratios. Assembly flop
     counts are analytic and depend only on matrix sizes, never on
-    epochs.
+    epochs. Each repeat times `rc.distill.epochs` epochs.
     """
+    epochs = rc.distill.epochs
     if epochs < 2:
         raise ValidationError("cost probe needs at least 2 epochs (first is warmup)")
     if repeats < 1:
@@ -407,10 +400,10 @@ def cost_probe(rc: RunConfig, epochs: int = 5, repeats: int = 3) -> CostProbe:
     tags = (cfg.NONE, cfg.KD_SINGLE, cfg.PKD)
     configs, targets, flops = {}, {}, {}
     for tag in tags:
-        cell = replace(rc, distill=rc.distill.with_(strategy=tag, epochs=epochs))
-        bank, bank_key, _ = _obtain_teacher_logits(cell, data, caches)
+        cell = replace(rc, distill=rc.distill.with_(strategy=tag))
+        bank, _ = _obtain_teacher_logits(cell, data, caches)
         configs[tag] = cell.distill.with_(epochs=1)
-        targets[tag] = _cell_targets(bank, bank_key, view.labels, cell.distill, caches)
+        targets[tag] = _cell_targets(bank, view.labels, cell.distill, caches)
         flops[tag] = assembly_flop_estimate(view.n, 0 if tag == cfg.NONE else bank.k, view.n_classes)
 
     stage_seed = derive_seed(rc.seed, STAGE_STUDENT)

@@ -258,8 +258,8 @@ def test_readme_five_seed_table_is_the_golden_means():
 
 def test_criterion_9_zero_added_cost():
     started = time.perf_counter()
-    probe = cost_probe(RunConfig(), epochs=10, repeats=6)
-    probe_small = cost_probe(RunConfig(), epochs=3, repeats=1)
+    probe = cost_probe(RunConfig(distill=mk.DistillConfig(epochs=10)), repeats=6)
+    probe_small = cost_probe(RunConfig(distill=mk.DistillConfig(epochs=3)), repeats=1)
     ratio = probe.pkd_kd_ratio
     flops_stable = probe.assembly_flops == probe_small.assembly_flops
     elapsed = time.perf_counter() - started

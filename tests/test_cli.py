@@ -136,6 +136,11 @@ def test_cost_probe_reads_epochs_from_config(tmp_path, capsys):
     assert "epochs timed: 2 " in capsys.readouterr().out
 
 
+def test_cost_probe_times_five_epochs_unless_told(capsys):
+    assert run_cli("cost-probe", "--n-train", "80", "--n-test", "40", "--classes", "3", "--dim", "6") == 0
+    assert "epochs timed: 5 " in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("epochs", ["0", "1"])
 def test_cost_probe_too_few_epochs_exit_1(epochs, capsys):
     assert run_cli("cost-probe", "--epochs", epochs) == 1

@@ -95,6 +95,17 @@ class TestTeacherBank:
         assert str(info.value) == "teacher id 'a' is given twice"
 
 
+def test_a_bank_is_a_cache_key_by_identity():
+    # a run keys the mean it shares by the bank object, so a bank must
+    # hash, and two banks of equal contents must stay two keys
+    logits = np.zeros((2, 3))
+    bank, twin = TeacherBank([logits], ["a"]), TeacherBank([logits], ["a"])
+    assert hash(bank) == hash(bank) and bank == bank
+    assert bank != twin
+    cache = {("mean", bank, 1.0): "bank's", ("mean", twin, 1.0): "twin's"}
+    assert len(cache) == 2 and cache["mean", bank, 1.0] == "bank's"
+
+
 class TestReferences:
     def test_gtd_onehot(self):
         assert np.array_equal(gtd_row(2, 4), [0.0, 0.0, 1.0, 0.0])

@@ -79,7 +79,7 @@ class TestRunPipeline:
 
         rc = small_rc(mk.KD_SINGLE, seed=5)
         data = _obtain_data(rc, None)
-        bank, _, _ = _obtain_teacher_logits(rc, data, None)
+        bank, _ = _obtain_teacher_logits(rc, data, None)
         dump_path = tmp_path / "teacherA.txt"
         write_logit_dump(dump_path, "teacher-A", bank.teachers[0])
 
@@ -162,7 +162,7 @@ def dumped(tmp_path):
     rc = small_rc(mk.PKD, seed=3, epochs=1)
     data = harness._obtain_data(rc, None)
     write_all_views(tmp_path / "d", data)
-    bank, _, _ = harness._obtain_teacher_logits(rc, data, None)
+    bank, _ = harness._obtain_teacher_logits(rc, data, None)
     rng = np.random.default_rng(0)
     paths = []
     for k in range(5):
@@ -257,9 +257,9 @@ class TestBindTeacherDumpsOnce:
 
 
 class TestOneMeanBuild:
-    """KD_SINGLE, AVG1 and AVG2 distill the unweighted mean of a bank at
-    tau, built once per bank and tau in a run and wrapped under each
-    cell's own tag."""
+    """AVG1 and AVG2 distill the unweighted mean of a bank at tau, built
+    once per bank and tau in a run and wrapped under each cell's own
+    tag; KD_SINGLE builds its own."""
 
     # over seeds 1 and 2: in-process, per seed KD_SINGLE, AVG1, GTD and PKD
     # build (10 without the shared mean); from dumps, whose bank does not
@@ -297,18 +297,37 @@ class TestOneMeanBuild:
 
         def recording(rc, timing=False, caches=None):
             row = run(rc, timing=timing, caches=caches)
-            held.append((rc.distill.strategy, [key[1][2] for key in caches if key[0] == "mean"]))
+            held.append((rc.distill.strategy, [key[1].teacher_ids for key in caches if key[0] == "mean"]))
             return row
 
         monkeypatch.setattr(harness, "run_pipeline", recording)
         run_ablation(small_rc(epochs=1), list(mk.STRATEGIES), [1])
-        # the rosters of the cached means once each cell has run: AVG2
-        # reads AVG1's, and both are freed before GTD runs
-        a, ab = ("teacher-A",), ("teacher-A", "teacher-B")
+        # the rosters of the cached means once each cell has run: none for
+        # KD_SINGLE, AVG2 reads AVG1's, and it is freed before GTD runs
+        ab = ("teacher-A", "teacher-B")
         assert held == [
-            (mk.NONE, []), (mk.KD_SINGLE, [a]), (mk.AVG1, [a, ab]), (mk.AVG2, [a, ab]),
+            (mk.NONE, []), (mk.KD_SINGLE, []), (mk.AVG1, [ab]), (mk.AVG2, [ab]),
             (mk.GTD, []), (mk.PKD, []),
         ]
+
+    def test_one_dump_shares_its_mean_between_avg1_and_avg2_alone(self, dumped, monkeypatch):
+        # KD_SINGLE, AVG1 and AVG2 of one dump all distill the same
+        # matrix, yet only AVG1 and AVG2 share it: KD_SINGLE builds once
+        # per seed and AVG1 once for both seeds, 3 builds in all
+        built = []
+        build = harness.build_targets
+
+        def counting(bank, labels, config):
+            built.append(config.strategy)
+            return build(bank, labels, config)
+
+        base = replace(dumped, teacher_paths=dumped.teacher_paths[:1])
+        strategies = [mk.KD_SINGLE, mk.AVG1, mk.AVG2]
+        monkeypatch.setattr(harness, "build_targets", counting)
+        together = run_ablation(base, strategies, [1, 2])
+        assert together.failures == [] and built == [mk.KD_SINGLE, mk.KD_SINGLE, mk.AVG1]
+        alone = [row for tag in strategies for row in run_ablation(base, [tag], [1, 2]).rows]
+        assert report_machine_text(together) == report_machine_text(AblationReport(alone))
 
     def test_avg_rows_equal_the_cells_run_alone(self):
         base = small_rc(epochs=2)
@@ -335,8 +354,9 @@ class TestOneMeanBuild:
 class TestCostProbe:
     def test_structure_and_flop_independence(self):
         rc = small_rc(mk.PKD)
-        probe3 = cost_probe(rc, epochs=3, repeats=1)
-        probe5 = cost_probe(rc, epochs=5, repeats=1)
+        probe3 = cost_probe(replace(rc, distill=rc.distill.with_(epochs=3)), repeats=1)
+        probe5 = cost_probe(replace(rc, distill=rc.distill.with_(epochs=5)), repeats=1)
+        assert (probe3.epochs, probe5.epochs) == (3, 5)  # the config's epochs, timed
         assert set(probe3.per_epoch_seconds) == {mk.NONE, mk.KD_SINGLE, mk.PKD}
         assert probe3.assembly_flops == probe5.assembly_flops
         assert probe3.assembly_flops[mk.NONE] == 0
@@ -355,7 +375,7 @@ class TestCostProbe:
         # the baseline skips the distillation term, so its epochs are
         # cheaper; measured at full default size where the margin is
         # far above timer noise
-        probe = cost_probe(RunConfig(distill=mk.DistillConfig()), epochs=4, repeats=2)
+        probe = cost_probe(RunConfig(distill=mk.DistillConfig(epochs=4)), repeats=2)
         assert probe.per_epoch_seconds[mk.NONE] <= probe.per_epoch_seconds[mk.KD_SINGLE]
 
     # ru_maxrss is in kB on Linux and in bytes on macOS

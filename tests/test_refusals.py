@@ -52,7 +52,7 @@ REFUSALS = [
      ValidationError, "strategy PKD carries exactly one target matrix"),
     ("report-mean", lambda: AblationReport(rows=[]).mean_top1("PKD"),
      ValidationError, "no rows for strategy PKD"),
-    ("cost-probe-repeats", lambda: cost_probe(RunConfig(), epochs=2, repeats=0),
+    ("cost-probe-repeats", lambda: cost_probe(RunConfig(distill=mk.DistillConfig(epochs=2)), repeats=0),
      ValidationError, "cost probe needs at least one repeat"),
     ("gamma-empty", lambda: gamma_correct(np.array([])),
      ValidationError, "intensities must be non-empty"),
