@@ -10,11 +10,10 @@ probabilities; only the distillation term is temperature-softened and
 carries the tau^2 prefactor. Strategy NONE trains on the plain
 cross-entropy alone (alpha does not apply; this is the baseline).
 
-Training runs one step kernel, _step, with one mode: it computes the
-forward pass, p1 and p_tau once each, the loss from those two, the logit
-gradient and the update.
-The plain loss and gradient formulas the kernel is tested against live
-in tests/_oracles.py. train() validates its inputs once at entry and
+Training runs one step kernel, _step, with one mode: the forward pass,
+one softmax for p1 and p_tau as a stack, the loss, the logit gradient
+and the update. The plain formulas it is tested against live in
+tests/_oracles.py. train() validates its inputs once at entry and
 gathers each epoch's rows once, so a step builds no per-batch objects.
 A StudentModel is one contiguous float64 buffer whose fields are views,
 so a step writes its gradients into a second model of the same layout,
@@ -161,34 +160,38 @@ def _rows(model: StudentModel, features, labels, target_set: TargetSet, config: 
     return [features, onehot, target, log_or_zero(target)]
 
 
-def _step(model, grads, config, features, onehot, target=None, log_target=None):
+def _step(model, grads, config, scales, features, onehot, target=None, log_target=None):
     """The student step on one batch of rows, as returned by _rows.
 
-    Forward pass, p1 and p_tau once each, the loss from them, the logit
-    gradient, the parameter gradients pushed through both layers into
-    grads, a model of model's layout (relu takes the zero subgradient at
-    exactly 0), then the SGD update of model.data. The
-    arithmetic is that of total_loss and loss_gradient, followed by the
-    w2, b2, w1, b1 updates, so parameters match that plain sequence bit
-    for bit. Every finiteness check is one reduction with no Python
-    frame of its own.
+    Forward pass, softmax, loss, logit gradient, the parameter gradients
+    pushed through both layers into grads, a model of model's layout
+    (relu takes the zero subgradient at exactly 0), then the SGD update
+    of model.data. A distilling step softens the logits at scales, the
+    2 x 1 x 1 [1.0, tau], in one call, and one log serves both loss
+    terms: softmax_rows works row by row and x / 1.0 is x, so the two
+    slices are p1 and p_tau to the bit. The arithmetic is that of
+    total_loss and loss_gradient, then the w2, b2, w1, b1 updates, bit
+    for bit. No finiteness check has a Python frame of its own.
     Returns the pre-step loss.
     """
     n = features.shape[0]
     logits, hidden, pre = _forward_cached(model, features)
     if not _all(np.isfinite(logits), None):
         raise NumericalError("non-finite student logits; training aborted")
-    p1 = softmax_rows(logits)
-    loss = -float(np.add.reduce(np.log(np.maximum(p1[onehot], EPS))) / n)
-    g_logits = (p1 - onehot) / n
-    if target is not None:
+    if target is None:
+        p1 = softmax_rows(logits)
+        loss = -float(np.add.reduce(np.log(np.maximum(p1[onehot], EPS)))) / n
+        g_logits = (p1 - onehot) / n
+    else:
         alpha, tau = config.alpha, config.tau
-        p_tau = softmax_rows(logits / tau)
-        kl = np.add.reduce(target * (log_target - np.log(np.maximum(p_tau, EPS))), axis=1)
-        kd = tau * tau * float(np.add.reduce(kl) / n)
-        loss = alpha * loss + (1.0 - alpha) * kd
-        g_logits = alpha * g_logits + (1.0 - alpha) * tau * (p_tau - target) / n
-    if not math.isfinite(loss):
+        p = softmax_rows(logits / scales)
+        logp = np.log(np.maximum(p, EPS))
+        ce = -float(np.add.reduce(logp[0][onehot])) / n
+        kl = np.add.reduce(target * (log_target - logp[1]), axis=1)
+        kd = tau * tau * (float(np.add.reduce(kl)) / n)
+        loss = alpha * ce + (1.0 - alpha) * kd
+        g_logits = alpha * ((p[0] - onehot) / n) + (1.0 - alpha) * tau * (p[1] - target) / n
+    if not -math.inf < loss < math.inf:  # a nan fails both comparisons
         raise NumericalError(f"non-finite loss {loss}; training aborted")
     if not _all(np.isfinite(g_logits), None):
         raise NumericalError("non-finite logit gradient; training aborted")
@@ -215,10 +218,11 @@ def train(
     """SGD over epochs * ceil(N / batch) steps, shuffled by config.seed.
 
     Inputs are validated once, here; each epoch gathers its rows in
-    permutation order into the same buffers, and every batch is a
-    contiguous slice of them. Each step updates model.data, so model is
-    trained in place, and a NumericalError leaves it as the failing
-    step made it; the gradients go into one copy of model, made here.
+    permutation order into the same buffers, which zip walks as views of
+    whole batches, plus one step for a ragged tail. Each step updates
+    model.data, so model is trained in place, and a NumericalError
+    leaves it as the failing step made it; the gradients go into one
+    copy of model, made here.
 
     Deterministic: the seed fixes the batch order, and every reduction
     runs in a fixed order, so the final parameters and the returned loss
@@ -227,20 +231,23 @@ def train(
     rows = _rows(model, features, labels, target_set, config)
     n = rows[0].shape[0]
     size = config.batch_size
+    full = n - n % size
+    scales = np.array([1.0, config.tau]).reshape(2, 1, 1)
     prng = SplitMix64(config.seed)
     grads = model.copy()
     trace: list[float] = []
     shuffled = [np.empty_like(column) for column in rows]
+    batches = [column[:full].reshape(-1, size, *column.shape[1:]) for column in shuffled]
+    tail = [column[full:] for column in shuffled] if full < n else None
     for _ in range(config.epochs):
         order = np.array(prng.permutation(n), dtype=np.int64)
         for column, out in zip(rows, shuffled):
             # order is a permutation of range(n), so no index is ever
             # clipped; mode="raise" would gather through a temporary
             np.take(column, order, axis=0, out=out, mode="clip")
-        step_losses = []
-        for lo in range(0, n, size):
-            batch = [column[lo : lo + size] for column in shuffled]
-            step_losses.append(_step(model, grads, config, *batch))
+        step_losses = [_step(model, grads, config, scales, *batch) for batch in zip(*batches)]
+        if tail is not None:
+            step_losses.append(_step(model, grads, config, scales, *tail))
         trace.append(float(np.mean(step_losses)))
     return trace
 

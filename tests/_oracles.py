@@ -287,7 +287,8 @@ def step_gradients(model, features, labels, target_set, config):
     in order, writes into its grads buffer; it steps a copy, so model is
     left unchanged."""
     probe, grads = model.copy(), model.copy()
-    _step(probe, grads, config, *_rows(probe, features, labels, target_set, config))
+    scales = np.array([1.0, config.tau]).reshape(2, 1, 1)  # as train divides the logits
+    _step(probe, grads, config, scales, *_rows(probe, features, labels, target_set, config))
     return grads.w1, grads.b1, grads.w2, grads.b2
 
 

@@ -111,6 +111,28 @@ class TestSoftmax:
             scaled = np.round(scaled)
         assert softmax_rows(scaled).tobytes() == row_major_softmax(scaled).tobytes()
 
+    # The training step softens the logits at [1.0, tau] in one call on an
+    # S x B x C stack. Each slice must keep the bits of its own 2-D call,
+    # also where that call takes the column-major row max (B >= 16 x C)
+    # and where the slice is the logits divided by exactly 1.0.
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(1, 3), st.integers(1, 400), st.integers(1, 40),
+           st.integers(0, 2**32 - 1), st.floats(0.25, 12.0), st.booleans())
+    @example(2, 4, 11, 0, 3.0, False)
+    @example(2, 176, 11, 1, 3.0, True)
+    @example(2, 1000, 11, 2, 1.0, False)
+    @example(3, 32, 2, 3, 0.25, True)
+    def test_a_stack_softens_each_slice_as_its_own_call(self, s, b, c, seed, tau, rounded):
+        logits = np.random.default_rng(seed).normal(size=(b, c)) * 5.0
+        if rounded:
+            logits = np.round(logits)
+        scales = np.array([1.0, tau, 1.0 / tau][:s]).reshape(s, 1, 1)
+        stacked = softmax_rows(logits / scales)
+        assert stacked.shape == (s, b, c)
+        for i in range(s):
+            assert stacked[i].tobytes() == softmax_rows(logits / scales[i, 0, 0]).tobytes(), i
+        assert stacked[0].tobytes() == softmax_rows(logits).tobytes()
+
 
 class TestKl:
     def test_identity_zero(self):
