@@ -92,11 +92,22 @@ class TeacherBank:
         return self.teachers[0].shape[1]
 
 
+# How far a target row's sum may stray from 1. build_targets' rows stray
+# by a few ulps; the bound only has to tell a distribution from a row
+# that is not one.
+ROW_SUM_TOL = 1e-9
+
+
 @dataclass
 class TargetSet:
     """Soft targets for one strategy: none for NONE, else one N x C matrix.
 
-    GTD and PKD also keep their N x K teacher weights for inspection.
+    The matrix is checked once, as built: finite (NumericalError, as a
+    temperature can overflow finite logits), then each row a
+    distribution, nonnegative and summing to 1 within ROW_SUM_TOL
+    (ValidationError). The student step relies on this: it checks the
+    logit gradient, not the loss. GTD and PKD also keep their N x K
+    teacher weights for inspection.
     """
 
     strategy: str
@@ -111,8 +122,14 @@ class TargetSet:
                 raise ValidationError("strategy NONE carries no targets")
         elif len(self.targets) != 1:
             raise ValidationError(f"strategy {self.strategy} carries exactly one target matrix")
-        elif not np.isfinite(self.targets[0]).all():  # a temperature can overflow finite logits
-            raise NumericalError(f"non-finite {self.strategy} targets; assembly aborted")
+        else:
+            target = np.asarray(self.targets[0])
+            if not np.isfinite(target).all():
+                raise NumericalError(f"non-finite {self.strategy} targets; assembly aborted")
+            if (target < 0.0).any():
+                raise ValidationError(f"{self.strategy} targets have a negative entry")
+            if not (np.abs(np.add.reduce(target, axis=-1) - 1.0) <= ROW_SUM_TOL).all():
+                raise ValidationError(f"{self.strategy} target rows must sum to 1 within {ROW_SUM_TOL}")
 
 
 def _inverse_ce(refs: np.ndarray, dists: np.ndarray) -> np.ndarray:

@@ -76,7 +76,6 @@ class PipelineRow:
     seed: int
     top1: float
     epoch_seconds: float | None
-    loss_trace: list[float]
     model: StudentModel
     teacher_test_acc: dict[str, float]
 
@@ -226,10 +225,11 @@ def run_pipeline(rc: RunConfig, timing: bool = False, caches: dict | None = None
 
     def _student():
         model, config = _fresh_student(view, rc.distill, derive_seed(rc.seed, STAGE_STUDENT))
-        return model, train(model, view.features, view.labels, targets, config)
+        train(model, view.features, view.labels, targets, config)
+        return model
 
     started = time.perf_counter()
-    model, trace = _stage("train-student", _student)
+    model = _stage("train-student", _student)
     fit_seconds = time.perf_counter() - started
     top1 = _stage("evaluate", evaluate, model, data.test_dark.features, data.test_dark.labels)
     return PipelineRow(
@@ -238,7 +238,6 @@ def run_pipeline(rc: RunConfig, timing: bool = False, caches: dict | None = None
         seed=rc.seed,
         top1=top1,
         epoch_seconds=fit_seconds / rc.distill.epochs if timing and rc.distill.epochs else None,
-        loss_trace=trace,
         model=model,
         teacher_test_acc=teacher_accs,
     )

@@ -12,8 +12,8 @@ divided by a temperature, the training step on its logits divided by
 the stacked temperatures [1, tau].
 Reductions use numpy's fixed evaluation order, so results are
 bit-reproducible for a fixed input order. The scalar references these
-kernels are tested against (KL, probability-row checks) live in
-tests/_oracles.py.
+kernels are tested against (KL, entropy, log_or_zero, probability-row
+checks) live in tests/_oracles.py.
 """
 
 from __future__ import annotations
@@ -44,11 +44,6 @@ def softmax_rows(scaled: np.ndarray) -> np.ndarray:
     e = np.exp(scaled - np.maximum.reduce(
         np.asfortranarray(scaled) if tall else scaled, axis=-1, keepdims=True))
     return e / np.add.reduce(e, axis=-1, keepdims=True)
-
-
-def log_or_zero(p: np.ndarray) -> np.ndarray:
-    """log(p) where p > 0 and 0 elsewhere, so that p * log(p) is 0 at 0."""
-    return np.log(np.where(p > 0.0, p, 1.0))
 
 
 def cross_entropy_rows(target: np.ndarray, pred: np.ndarray) -> np.ndarray:

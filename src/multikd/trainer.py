@@ -11,27 +11,29 @@ carries the tau^2 prefactor. Strategy NONE trains on the plain
 cross-entropy alone (alpha does not apply; this is the baseline).
 
 Training runs one step kernel, _step, with one mode: the forward pass,
-one softmax for p1 and p_tau as a stack, the loss, the logit gradient
-and the update. The plain formulas it is tested against live in
-tests/_oracles.py. train() validates its inputs once at entry and
-gathers each epoch's rows once, so a step builds no per-batch objects.
+one softmax for p1 and p_tau as a stack, the logit gradient of that
+loss and the update. The step never evaluates the loss itself, which
+no update reads; the plain formulas of the loss and its gradient, which
+the step is tested against, live in tests/_oracles.py. train()
+validates its inputs once at entry and gathers each epoch's rows once,
+so a step builds no per-batch objects.
 A StudentModel is one contiguous float64 buffer whose fields are views,
 so a step writes its gradients into a second model of the same layout,
 updates all four parameters with one subtraction, and checks w1 and w2
 with one reduction over one view; there is no copy of the model to write
 back, and train trains the caller's model in place.
-train reads no clock: its loss trace is a pure function of its inputs,
-and the wall time that reports carry is read in harness.
+train reads no clock and returns nothing: the trained model is its one
+result, and the wall time that reports carry is read in harness. A
+per-epoch loss, if one is wanted, is for an observer of the run to
+measure on the model after the epoch, off the step path.
 Every distilling TargetSet holds one N x C matrix, so neither memory
 nor per-step cost grows with the number of teachers. AVG1's is AVG2's
-(see ensemble), so an AVG1 fit trains AVG2's student and reports AVG2's
-loss; the per-teacher mean it stands for adds a constant, which moves
-no gradient.
+(see ensemble), so an AVG1 fit trains AVG2's student; the per-teacher
+mean it stands for adds a constant to the loss, which moves no
+gradient.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -39,7 +41,7 @@ from . import config as cfg
 from .datagen import validate_labels
 from .ensemble import TargetSet
 from .errors import NumericalError, ValidationError
-from .numerics import EPS, log_or_zero, softmax_rows
+from .numerics import softmax_rows
 from .rng import SplitMix64, _uniforms
 
 # logical_and.reduce(x, None) tests a whole array in one C call; ndarray.all
@@ -134,11 +136,11 @@ def _rows(model: StudentModel, features, labels, target_set: TargetSet, config: 
     """Validate one training call and return its per-row step inputs.
 
     Every check the step kernel relies on runs here, once: the strategy
-    tag, feature and label shapes, and the target shapes.
-    The result is [features, onehot] for NONE, plus [target, log_target]
-    for a distillation strategy; row n of each is sample n. onehot is a
-    boolean N x C label mask. log_target is log_or_zero(target), so a
-    zero target entry adds nothing to the KL term.
+    tag, feature and label shapes, and the target shapes (TargetSet
+    has checked each target row as a distribution, once, as built).
+    The result is [features, onehot] for NONE, plus [target] for a
+    distillation strategy; row n of each is sample n. onehot is a
+    boolean N x C label mask.
     """
     if target_set.strategy != config.strategy:
         raise ValidationError(f"target set built for {target_set.strategy}, config says {config.strategy}")
@@ -157,42 +159,34 @@ def _rows(model: StudentModel, features, labels, target_set: TargetSet, config: 
         raise ValidationError(
             f"target matrix {target.shape} misaligned with data ({n}, {model.n_classes})"
         )
-    return [features, onehot, target, log_or_zero(target)]
+    return [features, onehot, target]
 
 
-def _step(model, grads, config, scales, features, onehot, target=None, log_target=None):
+def _step(model, grads, config, scales, features, onehot, target=None):
     """The student step on one batch of rows, as returned by _rows.
 
-    Forward pass, softmax, loss, logit gradient, the parameter gradients
+    Forward pass, softmax, logit gradient, the parameter gradients
     pushed through both layers into grads, a model of model's layout
     (relu takes the zero subgradient at exactly 0), then the SGD update
     of model.data. A distilling step softens the logits at scales, the
-    2 x 1 x 1 [1.0, tau], in one call, and one log serves both loss
-    terms: softmax_rows works row by row and x / 1.0 is x, so the two
-    slices are p1 and p_tau to the bit. The arithmetic is that of
-    total_loss and loss_gradient, then the w2, b2, w1, b1 updates, bit
-    for bit. No finiteness check has a Python frame of its own.
-    Returns the pre-step loss.
+    2 x 1 x 1 [1.0, tau], in one call: softmax_rows works row by row and
+    x / 1.0 is x, so the two slices are p1 and p_tau to the bit. The
+    arithmetic is that of loss_gradient, then the w2, b2, w1, b1
+    updates, bit for bit. No finiteness check has a Python frame of its
+    own. The loss is not computed: with finite logits and target rows
+    that are distributions it is finite, and a softmax that is not
+    finite makes the logit gradient non-finite, which is checked.
     """
     n = features.shape[0]
     logits, hidden, pre = _forward_cached(model, features)
     if not _all(np.isfinite(logits), None):
         raise NumericalError("non-finite student logits; training aborted")
     if target is None:
-        p1 = softmax_rows(logits)
-        loss = -float(np.add.reduce(np.log(np.maximum(p1[onehot], EPS)))) / n
-        g_logits = (p1 - onehot) / n
+        g_logits = (softmax_rows(logits) - onehot) / n
     else:
         alpha, tau = config.alpha, config.tau
         p = softmax_rows(logits / scales)
-        logp = np.log(np.maximum(p, EPS))
-        ce = -float(np.add.reduce(logp[0][onehot])) / n
-        kl = np.add.reduce(target * (log_target - logp[1]), axis=1)
-        kd = tau * tau * (float(np.add.reduce(kl)) / n)
-        loss = alpha * ce + (1.0 - alpha) * kd
         g_logits = alpha * ((p[0] - onehot) / n) + (1.0 - alpha) * tau * (p[1] - target) / n
-    if not -math.inf < loss < math.inf:  # a nan fails both comparisons
-        raise NumericalError(f"non-finite loss {loss}; training aborted")
     if not _all(np.isfinite(g_logits), None):
         raise NumericalError("non-finite logit gradient; training aborted")
 
@@ -205,7 +199,6 @@ def _step(model, grads, config, scales, features, onehot, target=None, log_targe
     data -= config.lr * grads.data
     if not _all(np.isfinite(model.weights), None):
         raise NumericalError("non-finite parameters after update; training aborted")
-    return loss
 
 
 def train(
@@ -214,7 +207,7 @@ def train(
     labels: np.ndarray,
     target_set: TargetSet,
     config: cfg.DistillConfig,
-) -> list[float]:
+) -> None:
     """SGD over epochs * ceil(N / batch) steps, shuffled by config.seed.
 
     Inputs are validated once, here; each epoch gathers its rows in
@@ -225,8 +218,8 @@ def train(
     copy of model, made here.
 
     Deterministic: the seed fixes the batch order, and every reduction
-    runs in a fixed order, so the final parameters and the returned loss
-    trace (each epoch's mean pre-step loss) are bit-identical across runs.
+    runs in a fixed order, so the final parameters are bit-identical
+    across runs. Returns None; the trained model is the result.
     """
     rows = _rows(model, features, labels, target_set, config)
     n = rows[0].shape[0]
@@ -235,7 +228,6 @@ def train(
     scales = np.array([1.0, config.tau]).reshape(2, 1, 1)
     prng = SplitMix64(config.seed)
     grads = model.copy()
-    trace: list[float] = []
     shuffled = [np.empty_like(column) for column in rows]
     batches = [column[:full].reshape(-1, size, *column.shape[1:]) for column in shuffled]
     tail = [column[full:] for column in shuffled] if full < n else None
@@ -245,11 +237,10 @@ def train(
             # order is a permutation of range(n), so no index is ever
             # clipped; mode="raise" would gather through a temporary
             np.take(column, order, axis=0, out=out, mode="clip")
-        step_losses = [_step(model, grads, config, scales, *batch) for batch in zip(*batches)]
+        for batch in zip(*batches):
+            _step(model, grads, config, scales, *batch)
         if tail is not None:
-            step_losses.append(_step(model, grads, config, scales, *tail))
-        trace.append(float(np.mean(step_losses)))
-    return trace
+            _step(model, grads, config, scales, *tail)
 
 
 def evaluate(model: StudentModel, features, labels) -> float:

@@ -10,16 +10,16 @@ stored, the standard for its column-major row max, and
 reference_build_targets is the assembly loop built on it, each weighted
 teacher added as a product temporary: the standard for build_targets'
 bits.
-kl_rows, entropy_rows, validate_prob_row and the losses ce_loss,
-kd_loss, avg1_loss, total_loss with its logit gradient loss_gradient are
-the plain formulas of the distillation objective. total_loss gives AVG1
-the loss of its one target matrix, which is AVG2's: avg1_loss, the mean
-of the per-teacher losses, exceeds it by tau^2 times the mean entropy
-gap H(mean) - mean_k H(t_k), a constant in the logits. The program
-runs none of them: its step kernel computes loss and gradient in one
-pass and is tested against them. reference_train is the student SGD loop written step by step
-from total_loss and loss_gradient, the standard the fused training step
-is held to. step_gradients is the one entry into the program here: the
+log_or_zero, kl_rows, entropy_rows, validate_prob_row and the losses
+ce_loss, kd_loss, avg1_loss, total_loss with its logit gradient
+loss_gradient are the plain formulas of the distillation objective.
+total_loss gives AVG1 the loss of its one target matrix, which is
+AVG2's: avg1_loss, the mean of the per-teacher losses, exceeds it by
+tau^2 times the mean entropy gap H(mean) - mean_k H(t_k), a constant in
+the logits. The program runs none of them: its step kernel computes the
+logit gradient alone, never the loss, and is tested against them.
+reference_train is the student SGD loop written step by step from
+loss_gradient, the standard the fused training step is held to. step_gradients is the one entry into the program here: the
 (w1, b1, w2, b2) gradients one real step writes, taken on a copy, for
 the tests that hold them to reference_step or finite differences.
 uniform, below and gauss_pair are the scalar draws, one next_u64()
@@ -45,7 +45,7 @@ from multikd import config as cfg
 from multikd.datagen import CENTER_HI, CENTER_LO, validate_labels
 from multikd.ensemble import TargetSet, _inverse_ce, _reference_rows
 from multikd.errors import FormatError, ValidationError
-from multikd.numerics import EPS, log_or_zero, softmax_rows
+from multikd.numerics import EPS, softmax_rows
 from multikd.rng import SplitMix64, derive_seed
 from multikd.trainer import _rows, _step
 
@@ -133,6 +133,11 @@ def validate_prob_row(values, name: str = "probs") -> np.ndarray:
     if np.max(np.abs(sums - 1.0)) > PROB_SUM_TOL:
         raise ValidationError(f"{name} rows must sum to 1 within {PROB_SUM_TOL}")
     return arr
+
+
+def log_or_zero(p: np.ndarray) -> np.ndarray:
+    """log(p) where p > 0 and 0 elsewhere, so that p * log(p) is 0 at 0."""
+    return np.log(np.where(p > 0.0, p, 1.0))
 
 
 def kl_rows(q: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -258,17 +263,15 @@ def batch_targets(target_set, idx):
 
 
 def reference_step(model, x, y, targets, config):
-    """One plain SGD step on a batch, in place; return (loss, gradients).
+    """One plain SGD step on a batch, in place; return its gradients.
 
-    Runs the forward pass, takes the loss from total_loss and the logit
-    gradient from loss_gradient, pushes it through both layers, then
-    updates w2, b2, w1, b1 in that order. The gradients are the
-    (w1, b1, w2, b2) tuple.
+    Runs the forward pass, takes the logit gradient from loss_gradient,
+    pushes it through both layers, then updates w2, b2, w1, b1 in that
+    order. The gradients are the (w1, b1, w2, b2) tuple.
     """
     pre = x @ model.w1.T + model.b1
     hidden = np.maximum(pre, 0.0)
     logits = hidden @ model.w2.T + model.b2
-    loss = total_loss(logits, y, targets, config)
     g = loss_gradient(logits, y, targets, config)
     g_w2 = g.T @ hidden
     g_b2 = g.sum(axis=0)
@@ -279,7 +282,7 @@ def reference_step(model, x, y, targets, config):
     model.b2 -= config.lr * g_b2
     model.w1 -= config.lr * g_w1
     model.b1 -= config.lr * g_b1
-    return loss, (g_w1, g_b1, g_w2, g_b2)
+    return g_w1, g_b1, g_w2, g_b2
 
 
 def step_gradients(model, features, labels, target_set, config):
@@ -293,7 +296,7 @@ def step_gradients(model, features, labels, target_set, config):
 
 
 def reference_train(model, features, labels, target_set, config, until_nonfinite=False):
-    """Train `model` in place, one plain step at a time; return the loss trace.
+    """Train `model` in place, one plain step at a time.
 
     Per batch: gather the rows and take one reference_step. With
     until_nonfinite, stop after the first update that leaves w1 or w2
@@ -303,20 +306,16 @@ def reference_train(model, features, labels, target_set, config, until_nonfinite
     labels = np.asarray(labels)
     n = labels.size
     prng = SplitMix64(config.seed)
-    trace = []
     for _ in range(config.epochs):
         order = np.array(prng.permutation(n), dtype=np.int64)
-        losses = []
         for lo in range(0, n, config.batch_size):
             idx = order[lo : lo + config.batch_size]
             x, y, targets = features[idx], labels[idx], batch_targets(target_set, idx)
-            losses.append(reference_step(model, x, y, targets, config)[0])
+            reference_step(model, x, y, targets, config)
             if until_nonfinite and not (
                 np.isfinite(model.w1).all() and np.isfinite(model.w2).all()
             ):
-                return trace
-        trace.append(float(np.mean(losses)))
-    return trace
+                return
 
 
 def reference_permutation(prng, n):

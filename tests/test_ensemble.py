@@ -16,7 +16,7 @@ import pytest
 
 import multikd as mk
 from multikd import DistillConfig, TeacherBank, build_targets
-from multikd.ensemble import _inverse_ce, _reference_rows, _teacher_scores
+from multikd.ensemble import ROW_SUM_TOL, TargetSet, _inverse_ce, _reference_rows, _teacher_scores
 from multikd.errors import NumericalError, ValidationError
 from multikd.numerics import EPS
 
@@ -453,3 +453,12 @@ def test_a_temperature_that_overflows_finite_logits_is_a_numerical_error(strateg
     labels = RNG.integers(bank.c, size=bank.n)
     with np.errstate(all="ignore"), pytest.raises(NumericalError, match=f"non-finite {strategy} targets"):
         build_targets(bank, labels, DistillConfig(strategy=strategy, **{knob: 1e-310}))
+
+
+def test_a_target_row_within_the_sum_bound_is_accepted():
+    # the refusals past the bound and of a negative entry are rows of
+    # tests/test_refusals.py
+    rows = np.array([[0.5, 0.5 + 0.5 * ROW_SUM_TOL], [0.0, 1.0 - 0.5 * ROW_SUM_TOL], [0.0, 1.0]])
+    assert TargetSet(mk.PKD, [rows]).targets[0] is rows
+    with pytest.raises(ValidationError, match="^PKD target rows must sum to 1 within 1e-09$"):
+        TargetSet(mk.PKD, [rows + [[0.0, 2.0 * ROW_SUM_TOL]]])

@@ -2,8 +2,8 @@
 
 train() runs one kernel per batch on rows gathered once per epoch. Its
 final parameters must equal, bit for bit, those of the plain loop built
-from total_loss and loss_gradient (tests/_oracles.py), for every
-strategy and for batches that do not divide N. AVG1 steps must cost the
+from loss_gradient (tests/_oracles.py), for every strategy and for
+batches that do not divide N; train returns None. AVG1 steps must cost the
 same at any number of teachers. A StudentModel is one float64 buffer
 whose fields are views: the steps update the caller's own arrays, also
 when a step fails, and whatever dtype the model was built from, it
@@ -88,13 +88,10 @@ def fits(draw):
 def test_train_matches_reference_loop_bit_for_bit(fit):
     model, features, labels, targets, config = fit
     expected = model.copy()
-    expected_trace = reference_train(expected, features, labels, targets, config)
-    trace = train(model, features, labels, targets, config)
+    reference_train(expected, features, labels, targets, config)
+    assert train(model, features, labels, targets, config) is None
     for name in ("w1", "b1", "w2", "b2"):
         assert np.array_equal(getattr(model, name), getattr(expected, name)), name
-    assert len(trace) == len(expected_trace)
-    for got, want in zip(trace, expected_trace):
-        assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_uneven_last_batch_matches_reference():
@@ -138,10 +135,10 @@ def test_calls_per_step_stay_at_their_recorded_counts():
     # One flat update, one weight check and batched shuffle draws took
     # these from 31 (NONE) and 36 (PKD) to 14 and 19; one softmax over the
     # stacked [p1, p_tau] pair, a loss check by comparison and batches
-    # walked as views took them to 11 and 13. A step that gains calls
-    # fails here.
-    assert calls_per_step(mk.NONE, 1) == 11
-    assert calls_per_step(mk.PKD, 2) == 13
+    # walked as views took them to 11 and 13; a step that computes no
+    # loss, to 10 and 10. A step that gains calls fails here.
+    assert calls_per_step(mk.NONE, 1) == 10
+    assert calls_per_step(mk.PKD, 2) == 10
 
 
 def test_avg1_step_cost_does_not_grow_with_teachers():
@@ -153,9 +150,9 @@ def test_avg1_step_cost_does_not_grow_with_teachers():
 
 # A train call holds its row columns, one shuffled copy of each and an
 # epoch's permutation; it walks the batches as views of the copies, made
-# one step at a time. Peaks measured before the batches were views,
-# in KiB: a list of every batch's views would add about a third.
-@pytest.mark.parametrize("strategy, kib", [(mk.NONE, 497), (mk.PKD, 1012)])
+# one step at a time. Peaks measured on an x86-64 host, in KiB: a list
+# of every batch's views would add about a third.
+@pytest.mark.parametrize("strategy, kib", [(mk.NONE, 483), (mk.PKD, 655)])
 def test_train_peak_holds_no_list_of_batches(strategy, kib):
     model, features, labels, targets, config = make_fit(
         strategy, n=2000, d=10, c=11, hidden=32, k=2, tau=3.0, alpha=0.5,
@@ -180,13 +177,17 @@ class TestNumericalChecks:
                 train(model, features, labels, targets, config)
 
     def test_nonfinite_loss(self):
-        # logits / tau overflow at a denormal temperature
+        # logits / tau overflow at a denormal temperature: the softened
+        # rows, the loss the step no longer computes and the logit
+        # gradient are all nan, and the gradient check refuses them
         model, features, labels, targets, config = make_fit(
             mk.KD_SINGLE, n=8, d=3, c=3, hidden=4, k=1, tau=2.0, alpha=0.5,
             batch_size=4, epochs=1, seed=1)
+        before = model.copy()
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericalError, match="non-finite loss nan"):
+            with pytest.raises(NumericalError, match="^non-finite logit gradient; training aborted$"):
                 train(model, features, labels, targets, config.with_(tau=1e-310))
+        assert model.data.tobytes() == before.data.tobytes()
 
     def test_nonfinite_parameters(self):
         model, features, labels, targets, config = make_fit(
@@ -249,17 +250,16 @@ class TestInPlace:
             model, features, labels, targets, config = make_fit(
                 strategy, n=5, d=4, c=3, hidden=5, k=k, tau=2.0, alpha=0.3,
                 batch_size=5, epochs=1, seed=4)
-            _, want_grads = reference_step(model.copy(), features, labels, targets, config)
+            want_grads = reference_step(model.copy(), features, labels, targets, config)
             got_grads = step_gradients(model, features, labels, targets, config)
             for got, want in zip(got_grads, want_grads):
                 assert got.shape == want.shape and got.tobytes() == want.tobytes(), strategy
             expected = model.copy()
             with mock.patch.object(_oracles, "reference_step", wraps=reference_step) as steps:
-                (want_loss,) = reference_train(expected, features, labels, targets, config)
+                reference_train(expected, features, labels, targets, config)
             assert steps.call_count == 1
             arrays = [getattr(model, name) for name in PARAMETERS]
-            (loss,) = train(model, features, labels, targets, config)
-            assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+            train(model, features, labels, targets, config)
             for name, array in zip(PARAMETERS, arrays):
                 assert getattr(model, name) is array, name
                 assert np.array_equal(array, getattr(expected, name)), name

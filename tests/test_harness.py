@@ -40,7 +40,6 @@ class TestRunPipeline:
         row = run_pipeline(small_rc(mk.NONE))
         assert 0.0 <= row.top1 <= 1.0
         assert row.teacher_test_acc == {}
-        assert len(row.loss_trace) == 4
 
     def test_timing_gives_the_student_fit_seconds_per_epoch(self):
         seconds = run_pipeline(small_rc(mk.NONE, epochs=2), timing=True).epoch_seconds
@@ -48,13 +47,11 @@ class TestRunPipeline:
         assert run_pipeline(small_rc(mk.NONE, epochs=0), timing=True).epoch_seconds is None
         assert run_pipeline(small_rc(mk.NONE, epochs=2), timing=False).epoch_seconds is None
 
-    def test_train_returns_one_python_float_per_epoch(self):
+    def test_train_returns_none(self):
         rc = small_rc(mk.NONE, epochs=3)
         view = harness.generate_data(rc).train_dark
         model, config = harness._fresh_student(view, rc.distill, 7)
-        trace = train(model, view.features, view.labels, TargetSet(mk.NONE), config)
-        assert type(trace) is list and len(trace) == 3
-        assert all(type(loss) is float for loss in trace)
+        assert train(model, view.features, view.labels, TargetSet(mk.NONE), config) is None
 
     def test_kd_single_uses_teacher_a_only(self):
         row = run_pipeline(small_rc(mk.KD_SINGLE))
@@ -68,7 +65,6 @@ class TestRunPipeline:
         a = run_pipeline(small_rc(mk.PKD, seed=3))
         b = run_pipeline(small_rc(mk.PKD, seed=3))
         assert a.top1 == b.top1
-        assert a.loss_trace == b.loss_trace
         for attr in ("w1", "b1", "w2", "b2"):
             assert np.array_equal(getattr(a.model, attr), getattr(b.model, attr))
 
@@ -139,7 +135,6 @@ class TestRunAblation:
         avg1, avg2 = report.rows
         assert (avg1.strategy, avg2.strategy) == (mk.AVG1, mk.AVG2)
         assert avg1.model.data.tobytes() == avg2.model.data.tobytes()
-        assert avg1.loss_trace == avg2.loss_trace
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(Exception):
@@ -338,7 +333,6 @@ class TestOneMeanBuild:
             assert report_machine_text(AblationReport(shared)) == report_machine_text(alone)
             for a, b in zip(shared, alone.rows):
                 assert a.model.data.tobytes() == b.model.data.tobytes()
-                assert a.loss_trace == b.loss_trace
 
     def test_a_failed_mean_build_fails_each_cell_with_its_own_tag(self):
         # logits / 1e-310 overflow, so the mean is not finite and nothing is cached

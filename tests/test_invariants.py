@@ -11,8 +11,10 @@ AVG1's one-matrix loss plus its entropy gap is the mean of its K
 per-teacher losses;
 the AVG2 target, summed one teacher at a time, has the bits of
 np.mean over the stacked softened matrices in teacher-id order; AVG1,
-softening each teacher once, has AVG2's bits; and a set of teachers
-gives one target, bit for bit, in any listed order.
+softening each teacher once, has AVG2's bits; a set of teachers
+gives one target, bit for bit, in any listed order; and every target
+build_targets makes passes TargetSet's row check, which the student
+step relies on in place of a loss check.
 """
 
 from unittest import mock
@@ -41,6 +43,7 @@ from _oracles import (
     soften,
     teachers_in_id_order,
     total_loss,
+    validate_prob_row,
 )
 
 WEIGHT_ROW_SUM_TOL = 1e-6
@@ -191,3 +194,16 @@ def test_a_permuted_bank_gives_the_same_targets_bit_for_bit(banks, strategy, tau
         assert got.targets[0].tobytes() == want.targets[0].tobytes()
         if strategy in (mk.GTD, mk.PKD):  # the weights' columns follow the listed order
             assert got.weights.tobytes() == want.weights[:, perm].tobytes()
+
+
+@SETTINGS
+@given(banks(max_k=10), st.sampled_from([mk.KD_SINGLE, mk.AVG1, mk.AVG2, mk.GTD, mk.PKD]), taus, taus,
+       st.floats(0.0, 1.0))
+def test_every_built_target_passes_the_target_row_check(bank_labels, strategy, tau, weight_tau, h_share):
+    bank, labels = bank_labels
+    if strategy == mk.KD_SINGLE:
+        bank = TeacherBank(bank.teachers[:1], bank.teacher_ids[:1])
+    h = 1.0 / bank.c + (1.0 - 1.0 / bank.c) * max(h_share, 1e-3)
+    config = mk.DistillConfig(strategy=strategy, tau=tau, weight_tau=weight_tau, h=h)
+    target = build_targets(bank, labels, config).targets[0]  # its TargetSet checked the rows
+    validate_prob_row(target, "target")  # and the oracle's check, at the same bound, agrees

@@ -1,10 +1,13 @@
 """Public-API refusals, each with its error type and exact message.
 
 Every row is an input the package refuses before doing any work, so
-the harness generates no data for any of them. The last row reaches
-the logit-gradient check of the student step, which a finite loss does
-not make dead: a target entry of -1e308 keeps the KL term finite while
-tau * (p_tau - target) overflows.
+the harness generates no data for any of them. A target matrix is
+refused as built: not finite first, then a negative entry, then a row
+sum off 1 by more than ROW_SUM_TOL. The last row reaches the
+logit-gradient check of the student step, the one check that stands
+for the loss the step no longer computes: at a denormal temperature
+finite logits overflow, their softened rows are nan, and so is the
+gradient.
 """
 
 import numpy as np
@@ -30,6 +33,13 @@ def _views() -> SyntheticData:
     return SyntheticData(*[Dataset(np.zeros((2, 2)), [0, 1], 2, "A", "train")] * 6)
 
 
+def _denormal_tau_step():
+    target_set = TargetSet(mk.KD_SINGLE, [np.array([[0.5, 0.5]])])
+    config = mk.DistillConfig(strategy=mk.KD_SINGLE, tau=1e-310, alpha=0.5)
+    with np.errstate(invalid="ignore"):  # inf - inf in the softmax
+        train(_model(b2=[1000.0, 0.0]), np.zeros((1, 3)), [0], target_set, config)
+
+
 def _train(features, labels, target_set=TargetSet(mk.NONE), config=mk.DistillConfig(strategy=mk.NONE),
            model=None):
     return lambda: train(model or _model(), np.asarray(features), labels, target_set, config)
@@ -50,6 +60,12 @@ REFUSALS = [
      ValidationError, "strategy NONE carries no targets"),
     ("targets-pkd", lambda: TargetSet(mk.PKD, []),
      ValidationError, "strategy PKD carries exactly one target matrix"),
+    ("targets-nonfinite-first", lambda: TargetSet(mk.PKD, [np.array([[np.nan, -1.0]])]),
+     NumericalError, "non-finite PKD targets; assembly aborted"),
+    ("targets-negative", lambda: TargetSet(mk.GTD, [np.array([[0.5, 0.5], [1.5, -0.5]])]),
+     ValidationError, "GTD targets have a negative entry"),
+    ("targets-row-sum", lambda: TargetSet(mk.AVG2, [np.array([[0.5, 0.5], [0.5, 0.5 + 2e-9]])]),
+     ValidationError, "AVG2 target rows must sum to 1 within 1e-09"),
     ("report-mean", lambda: AblationReport(rows=[]).mean_top1("PKD"),
      ValidationError, "no rows for strategy PKD"),
     ("cost-probe-repeats", lambda: cost_probe(RunConfig(distill=mk.DistillConfig(epochs=2)), repeats=0),
@@ -71,9 +87,7 @@ REFUSALS = [
      ValidationError, "target matrix (3, 2) misaligned with data (2, 2)"),
     ("evaluate-misaligned", lambda: evaluate(_model(), np.zeros((3, 3)), [0, 1]),
      ValidationError, "features and labels misaligned"),
-    ("logit-gradient", _train(np.zeros((1, 3)), [0], TargetSet(mk.KD_SINGLE, [[[-1e308, 0.0]]]),
-                              mk.DistillConfig(strategy=mk.KD_SINGLE, tau=4.0, alpha=0.5),
-                              _model(b2=[1000.0, 0.0])),
+    ("logit-gradient", _denormal_tau_step,
      NumericalError, "non-finite logit gradient; training aborted"),
 ]
 

@@ -7,11 +7,15 @@ suite rather than only the benchmark. Running one pass of the
 `offline-cli` and `many-teachers` workloads against their checked-in
 pins does the same for a change in their output bytes; the golden
 ablation report covers the `ablation` workload. `python -m multikd` is
-run as a process too, so the exit code it hands the shell is checked.
+run as a process too, so the exit code it hands the shell is checked,
+and so a report can be made under another host class than the test's
+own: the seed-1 rows of the default ablation must be the golden TSV's
+under the lowest x86-64 class as well.
 """
 
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +23,16 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+GOLDEN_ABLATION = ROOT / "tests" / "golden" / "ablation_default.tsv"
+
+# The lowest x86-64 host class, set in a child's environment: numpy's
+# baseline X86_V2 loops for exp, log and power, and OpenBLAS's Prescott
+# core, on one thread.
+LOWEST_X86_64 = {
+    "NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR",
+    "OPENBLAS_CORETYPE": "Prescott",
+    "OPENBLAS_NUM_THREADS": "1",
+}
 
 
 def test_perfbench_selftest_passes():
@@ -84,3 +98,26 @@ def test_module_entry_point_reports_a_numerical_failure_in_one_line(tmp_path):
     )
     assert done.returncode == 3, done.stderr[-2000:]
     assert done.stderr.count("\n") == 1 and done.stderr.startswith("error: stage 'train-student': ")
+
+
+def test_seed_1_report_rows_are_the_golden_rows_under_the_lowest_x86_64_class(tmp_path):
+    # Model and target bytes may move with the host's kernels; the top-1
+    # report must not. Only x86-64 can run the class; another host runs
+    # its own kernels and says so.
+    machine = platform.machine()
+    x86_64 = machine.lower() in ("x86_64", "amd64")
+    ran = "the lowest x86-64 class" if x86_64 else f"this {machine} host's own kernels"
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path, **(LOWEST_X86_64 if x86_64 else {"OPENBLAS_NUM_THREADS": "1"}))
+    done = subprocess.run(
+        [sys.executable, "-m", "multikd", "ablate", "--seeds", "1", "--out", "report"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    rows = (tmp_path / "report.tsv").read_bytes().splitlines(keepends=True)
+    golden = GOLDEN_ABLATION.read_bytes().splitlines(keepends=True)
+    want = [golden[0]] + [row for row in golden[1:] if row.split(b"\t")[2] == b"1"]
+    if not x86_64 and rows != want:
+        pytest.skip(f"ran ablate --seeds 1 under {ran}, not the lowest x86-64 class, which this "
+                    "host cannot run; its rows differ from the golden seed-1 rows")
+    assert rows == want, f"ablate --seeds 1 under {ran}"
