@@ -14,9 +14,14 @@ Training runs one step kernel, _step, with one mode: the forward pass,
 one softmax for p1 and p_tau as a stack, the logit gradient of that
 loss and the update. The step never evaluates the loss itself, which
 no update reads; the plain formulas of the loss and its gradient, which
-the step is tested against, live in tests/_oracles.py. train()
-validates its inputs once at entry and gathers each epoch's rows once,
-so a step builds no per-batch objects.
+the step is tested against, live in tests/_oracles.py. The step's five
+matrix products, two of them in the forward pass that forward shares,
+are ndarray.dot calls: the same gemm as `@`, and the same bits, for
+about half the dispatch cost of the matmul ufunc, which at batch size
+4 is most of what a product costs. The reference loop in
+tests/_oracles.py still multiplies with `@`. train() validates its
+inputs once at entry and gathers each epoch's rows once, so a step
+builds no per-batch objects.
 A StudentModel is one contiguous float64 buffer whose fields are views,
 so a step writes its gradients into a second model of the same layout,
 updates all four parameters with one subtraction, and checks w1 and w2
@@ -58,19 +63,30 @@ class StudentModel:
     w1 is hidden x d_in, b1 hidden, w2 classes x hidden, b2 classes. The
     constructor copies w1, w2, b1, b2, as float64, into the one
     contiguous array data, in that order. The four fields are views of
-    data, and so is weights, the w1 + w2 prefix. Assigning a field
-    writes into its view (a wrong shape raises ValidationError), so the
-    fields and data never diverge.
+    data, and so is weights, the w1 + w2 prefix. The constructor checks
+    the four shapes against each other once, and a mismatch raises
+    ValidationError naming the field. Assigning a field writes into its
+    view (a wrong shape raises ValidationError), so the fields and data
+    never diverge.
     """
 
     def __init__(self, w1, b1, w2, b2):
         parts = [np.asarray(part, dtype=np.float64) for part in (w1, w2, b1, b2)]
+        w1, w2, b1, b2 = parts
+        if w1.ndim != 2:
+            raise ValidationError(f"w1 must be a hidden x d_in matrix, got shape {w1.shape}")
+        if b1.shape != w1.shape[:1]:
+            raise ValidationError(f"b1 must have shape {w1.shape[:1]}, got {b1.shape}")
+        if w2.ndim != 2 or w2.shape[1] != w1.shape[0]:
+            raise ValidationError(f"w2 must be a classes x {w1.shape[0]} matrix, got shape {w2.shape}")
+        if b2.shape != w2.shape[:1]:
+            raise ValidationError(f"b2 must have shape {w2.shape[:1]}, got {b2.shape}")
         data = np.concatenate([part.ravel() for part in parts])
         views, start = {"data": data}, 0
         for name, part in zip(_FIELDS, parts):
             views[name] = data[start : start + part.size].reshape(part.shape)
             start += part.size
-        views["weights"] = data[: parts[0].size + parts[1].size]
+        views["weights"] = data[: w1.size + w2.size]
         self.__dict__.update(views)
 
     def __setattr__(self, name: str, value) -> None:
@@ -114,9 +130,9 @@ def init_student(d_in: int, hidden_dim: int, n_classes: int, prng: SplitMix64) -
 
 
 def _forward_cached(model: StudentModel, features: np.ndarray):
-    pre = features @ model.w1.T + model.b1
+    pre = features.dot(model.w1.T) + model.b1
     hidden = np.maximum(pre, 0.0)
-    return hidden @ model.w2.T + model.b2, hidden, pre
+    return hidden.dot(model.w2.T) + model.b2, hidden, pre
 
 
 def forward(model: StudentModel, features) -> np.ndarray:
@@ -172,8 +188,11 @@ def _step(model, grads, config, scales, features, onehot, target=None):
     2 x 1 x 1 [1.0, tau], in one call: softmax_rows works row by row and
     x / 1.0 is x, so the two slices are p1 and p_tau to the bit. The
     arithmetic is that of loss_gradient, then the w2, b2, w1, b1
-    updates, bit for bit. No finiteness check has a Python frame of its
-    own. The loss is not computed: with finite logits and target rows
+    updates, bit for bit. The products are ndarray.dot calls, the two
+    weight gradients written into grads through out=, where the
+    reference loop uses `@`: dot reaches the same gemm with less
+    dispatch. No finiteness check has a Python frame of its own. The
+    loss is not computed: with finite logits and target rows
     that are distributions it is finite, and a softmax that is not
     finite makes the logit gradient non-finite, which is checked.
     """
@@ -190,10 +209,10 @@ def _step(model, grads, config, scales, features, onehot, target=None):
     if not _all(np.isfinite(g_logits), None):
         raise NumericalError("non-finite logit gradient; training aborted")
 
-    np.matmul(g_logits.T, hidden, out=grads.w2)
+    g_logits.T.dot(hidden, out=grads.w2)
     np.add.reduce(g_logits, axis=0, out=grads.b2)
-    g_hidden = (g_logits @ model.w2) * (pre > 0.0)
-    np.matmul(g_hidden.T, features, out=grads.w1)
+    g_hidden = g_logits.dot(model.w2) * (pre > 0.0)
+    g_hidden.T.dot(features, out=grads.w1)
     np.add.reduce(g_hidden, axis=0, out=grads.b1)
     data = model.data  # a local name: an augmented attribute assignment would run __setattr__
     data -= config.lr * grads.data

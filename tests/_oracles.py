@@ -19,7 +19,10 @@ tau^2 times the mean entropy gap H(mean) - mean_k H(t_k), a constant in
 the logits. The program runs none of them: its step kernel computes the
 logit gradient alone, never the loss, and is tested against them.
 reference_train is the student SGD loop written step by step from
-loss_gradient, the standard the fused training step is held to. step_gradients is the one entry into the program here: the
+loss_gradient, the standard the fused training step is held to; its
+forward pass, reference_forward, and every product of its step go
+through `@`, the matmul the program's ndarray.dot calls are held to.
+step_gradients is the one entry into the program here: the
 (w1, b1, w2, b2) gradients one real step writes, taken on a copy, for
 the tests that hold them to reference_step or finite differences.
 uniform, below and gauss_pair are the scalar draws, one next_u64()
@@ -262,6 +265,13 @@ def batch_targets(target_set, idx):
     return TargetSet(target_set.strategy, [t[idx] for t in target_set.targets])
 
 
+def reference_forward(model, x):
+    """The student's (logits, hidden, pre), each product through `@`."""
+    pre = x @ model.w1.T + model.b1
+    hidden = np.maximum(pre, 0.0)
+    return hidden @ model.w2.T + model.b2, hidden, pre
+
+
 def reference_step(model, x, y, targets, config):
     """One plain SGD step on a batch, in place; return its gradients.
 
@@ -269,9 +279,7 @@ def reference_step(model, x, y, targets, config):
     pushes it through both layers, then updates w2, b2, w1, b1 in that
     order. The gradients are the (w1, b1, w2, b2) tuple.
     """
-    pre = x @ model.w1.T + model.b1
-    hidden = np.maximum(pre, 0.0)
-    logits = hidden @ model.w2.T + model.b2
+    logits, hidden, pre = reference_forward(model, x)
     g = loss_gradient(logits, y, targets, config)
     g_w2 = g.T @ hidden
     g_b2 = g.sum(axis=0)

@@ -131,14 +131,69 @@ def calls_per_step(strategy, k, steps=8):
     return (count(2 * steps * 4) - count(steps * 4)) / steps
 
 
+def callees_per_step(strategy, k, steps=8):
+    """The callees the profile hook sees in each step, in order, by name.
+
+    A Python function is named by its code object, a builtin method by
+    its owner and name: a ufunc method by the ufunc (logical_and.reduce),
+    any other by its type (ndarray.dot). A ufunc call itself is no
+    profile event, so np.isfinite, np.maximum and the operators are not
+    listed.
+    """
+    model, features, labels, targets, config = make_fit(
+        strategy, n=steps * 4, d=5, c=4, hidden=6, k=k, tau=3.0, alpha=0.5,
+        batch_size=4, epochs=1, seed=3)
+    step_code, seen, current = mk.trainer._step.__code__, [], None
+
+    def hook(frame, event, arg):
+        nonlocal current
+        if event == "call" and frame.f_code is step_code:
+            current = []
+            seen.append(current)
+        if current is None:
+            return
+        if event == "call":
+            current.append(frame.f_code.co_name)
+        elif event == "c_call":
+            owner = getattr(arg, "__self__", None)
+            current.append(f"{owner.__name__}.{arg.__name__}" if isinstance(owner, np.ufunc)
+                           else arg.__qualname__)
+        elif event == "return" and frame.f_code is step_code:
+            current = None
+
+    sys.setprofile(hook)
+    try:
+        train(model, features, labels, targets, config)
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+# Every call a step makes, in order: the forward pass and its two
+# products, the logits check, the softmax's row max and row sum, the
+# gradient check, the three backward products and two bias sums, and
+# the weight check. NONE and every distilling strategy make the same calls.
+STEP_CALLEES = [
+    "_step", "_forward_cached", "ndarray.dot", "ndarray.dot", "logical_and.reduce",
+    "softmax_rows", "maximum.reduce", "add.reduce", "logical_and.reduce",
+    "ndarray.dot", "add.reduce", "ndarray.dot", "ndarray.dot", "add.reduce",
+    "logical_and.reduce",
+]
+
+
 def test_calls_per_step_stay_at_their_recorded_counts():
     # One flat update, one weight check and batched shuffle draws took
     # these from 31 (NONE) and 36 (PKD) to 14 and 19; one softmax over the
     # stacked [p1, p_tau] pair, a loss check by comparison and batches
     # walked as views took them to 11 and 13; a step that computes no
-    # loss, to 10 and 10. A step that gains calls fails here.
-    assert calls_per_step(mk.NONE, 1) == 10
-    assert calls_per_step(mk.PKD, 2) == 10
+    # loss, to 10 and 10. The five matrix products then moved from the
+    # matmul ufunc, whose dispatch the hook does not see, to ndarray.dot,
+    # a method call it does see at half the dispatch cost: 15 and 15, a
+    # faster step at a higher count. A step that gains calls fails here,
+    # and so does one that adds, drops or swaps a call at the same count.
+    for strategy, k in ((mk.NONE, 1), (mk.PKD, 2)):
+        assert calls_per_step(strategy, k) == len(STEP_CALLEES) == 15
+        assert callees_per_step(strategy, k) == [STEP_CALLEES] * 8, strategy
 
 
 def test_avg1_step_cost_does_not_grow_with_teachers():

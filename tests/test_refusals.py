@@ -76,6 +76,20 @@ REFUSALS = [
      ValidationError, "intensities must be finite"),
     ("model-field", lambda: setattr(_model(), "bias", 1),
      AttributeError, "StudentModel has no assignable field 'bias'"),
+    # the constructor checks w1, b1, w2, b2 in that order: a length-1 b1
+    # would broadcast in forward, a narrow w2 fail inside numpy
+    ("model-w1-vector", lambda: StudentModel(np.ones(3), np.zeros(3), np.ones((2, 3)), np.zeros(2)),
+     ValidationError, "w1 must be a hidden x d_in matrix, got shape (3,)"),
+    ("model-b1-length", lambda: StudentModel(np.ones((3, 2)), np.zeros(1), np.ones((2, 3)), np.zeros(2)),
+     ValidationError, "b1 must have shape (3,), got (1,)"),
+    ("model-w2-width", lambda: StudentModel(np.ones((3, 2)), np.zeros(3), np.ones((2, 4)), np.zeros(2)),
+     ValidationError, "w2 must be a classes x 3 matrix, got shape (2, 4)"),
+    ("model-w2-vector", lambda: StudentModel(np.ones((3, 2)), np.zeros(3), np.ones(3), np.zeros(2)),
+     ValidationError, "w2 must be a classes x 3 matrix, got shape (3,)"),
+    ("model-b2-length", lambda: StudentModel(np.ones((3, 2)), np.zeros(3), np.ones((2, 3)), np.zeros(3)),
+     ValidationError, "b2 must have shape (2,), got (3,)"),
+    ("model-b1-scalar", lambda: StudentModel(np.ones((3, 2)), 0.0, np.ones((2, 3)), np.zeros(2)),
+     ValidationError, "b1 must have shape (3,), got ()"),
     ("init-dims", lambda: init_student(0, 4, 3, SplitMix64(1)),
      ValidationError, "model dimensions must be positive"),
     ("train-misaligned", _train(np.zeros((3, 3)), [0, 1]),

@@ -21,13 +21,14 @@ from multikd import (
     init_student,
     train,
 )
+from multikd.datagen import MODALITY_A, MODALITY_A_DARK, MODALITY_B, gen_dataset
 from multikd.errors import NumericalError, ValidationError
 from multikd.ensemble import TeacherBank, build_targets
 from multikd.rng import SplitMix64
 
 from _oracles import (
-    avg1_loss, ce_loss, entropy_rows, fd_gradient, kd_loss, loss_gradient, rel_err, soften, step_gradients,
-    total_loss,
+    avg1_loss, ce_loss, entropy_rows, fd_gradient, kd_loss, loss_gradient, reference_forward, rel_err, soften,
+    step_gradients, total_loss,
 )
 
 RNG = np.random.default_rng(777)
@@ -253,6 +254,26 @@ class TestForward:
             for c in range(5):
                 expected[n, c] = sum(model.w2[c, i] * hidden[i] for i in range(4)) + model.b2[c]
         assert np.max(np.abs(forward(model, x) - expected)) < 1e-12
+
+    # forward's products go through ndarray.dot; outside the step the
+    # pipeline runs them on 2000-row teacher inputs and 1000-row test
+    # inputs, and gen_dataset's A and B views are column slices of one
+    # array, so their rows are not contiguous
+    @pytest.mark.parametrize("split, modality, contiguous", [
+        ("train", MODALITY_A, False),
+        ("train", MODALITY_B, False),
+        ("test", MODALITY_A, False),
+        ("train", MODALITY_A_DARK, True),
+    ])
+    def test_pipeline_shapes_match_matmul_bit_for_bit(self, split, modality, contiguous):
+        features = gen_dataset(5).view(split, modality).features
+        assert features.flags.c_contiguous == contiguous
+        rng = np.random.default_rng(32)
+        model = init_student(features.shape[1], 32, 11, SplitMix64(9))
+        model.b1 = rng.normal(size=32) * 0.5  # relu keeps some units and zeroes others
+        model.b2 = rng.normal(size=11)
+        for x in (features, np.ascontiguousarray(features), features[:37]):
+            assert forward(model, x).tobytes() == reference_forward(model, x)[0].tobytes()
 
     def test_dim_mismatch(self):
         model = StudentModel(np.zeros((2, 3)), np.zeros(2), np.zeros((2, 2)), np.zeros(2))
