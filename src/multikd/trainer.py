@@ -10,9 +10,9 @@ probabilities; only the distillation term is temperature-softened and
 carries the tau^2 prefactor. Strategy NONE trains on the plain
 cross-entropy alone (alpha does not apply; this is the baseline).
 
-Training runs one step kernel, _step, with one mode: the forward pass,
-one softmax for p1 and p_tau as a stack, the logit gradient of that
-loss and the update. The step never evaluates the loss itself, which
+Training runs one step kernel, _step: the forward pass, one softmax
+for p1 and p_tau as a stack, the logit gradient of that loss and the
+update. The step never evaluates the loss itself, which
 no update reads; the plain formulas of the loss and its gradient, which
 the step is tested against, live in tests/_oracles.py. The step's five
 matrix products, two of them in the forward pass that forward shares,
@@ -23,10 +23,28 @@ tests/_oracles.py still multiplies with `@`. train() validates its
 inputs once at entry and gathers each epoch's rows once, so a step
 builds no per-batch objects.
 A StudentModel is one contiguous float64 buffer whose fields are views,
-so a step writes its gradients into a second model of the same layout,
-updates all four parameters with one subtraction, and checks w1 and w2
-with one reduction over one view; there is no copy of the model to write
-back, and train trains the caller's model in place.
+so a step writes its gradients into a second model of the same layout
+and updates all four parameters with one subtraction; there is no copy
+of the model to write back, and train trains the caller's model in
+place.
+A step has three finiteness checks: the logits, the logit gradient, and
+w1 and w2 after the update. train runs each epoch optimistically, its
+steps keeping only the logits check, and then tests the whole buffer
+once. If that test fails, or anything raises, train restores the
+epoch's starting parameters from a snapshot and replays the epoch's
+batches, in the same order, with every step checked: the error, the
+step it is raised at and the model it leaves are those of a train that
+checks every step. The replay is needed whenever a skipped check would
+have fired, because a non-finite value stays non-finite under
+data -= lr * grads (lr is positive and finite), and a non-finite logit
+gradient makes its column of the b2 sum non-finite: such an epoch ends
+with a non-finite buffer, or stops at the next step's logits check. A
+clean epoch is the checked epoch's arithmetic without the two checks,
+which write nothing. The logits check stays in every step: a row whose
+only non-finite logits are -inf leaves p, the gradient and the model
+finite, so nothing later would show it. The unchecked steps run under
+the caller's np.errstate, so a failing epoch can warn before its
+replay; train's docstring says what that means for warnings.
 train reads no clock and returns nothing: the trained model is its one
 result, and the wall time that reports carry is read in harness. A
 per-epoch loss, if one is wanted, is for an observer of the run to
@@ -67,7 +85,8 @@ class StudentModel:
     the four shapes against each other once, and a mismatch raises
     ValidationError naming the field. Assigning a field writes into its
     view (a wrong shape raises ValidationError), so the fields and data
-    never diverge.
+    never diverge. Once the shapes agree, a zero hidden, input or class
+    dimension raises ValidationError, as init_student refuses one.
     """
 
     def __init__(self, w1, b1, w2, b2):
@@ -81,6 +100,8 @@ class StudentModel:
             raise ValidationError(f"w2 must be a classes x {w1.shape[0]} matrix, got shape {w2.shape}")
         if b2.shape != w2.shape[:1]:
             raise ValidationError(f"b2 must have shape {w2.shape[:1]}, got {b2.shape}")
+        if not (w1.size and w2.size):  # H x D and C x H: one of H, D, C is 0
+            raise ValidationError("model dimensions must be positive")
         data = np.concatenate([part.ravel() for part in parts])
         views, start = {"data": data}, 0
         for name, part in zip(_FIELDS, parts):
@@ -178,7 +199,7 @@ def _rows(model: StudentModel, features, labels, target_set: TargetSet, config: 
     return [features, onehot, target]
 
 
-def _step(model, grads, config, scales, features, onehot, target=None):
+def _step(model, grads, config, scales, features, onehot, target=None, checked=True):
     """The student step on one batch of rows, as returned by _rows.
 
     Forward pass, softmax, logit gradient, the parameter gradients
@@ -195,6 +216,9 @@ def _step(model, grads, config, scales, features, onehot, target=None):
     loss is not computed: with finite logits and target rows
     that are distributions it is finite, and a softmax that is not
     finite makes the logit gradient non-finite, which is checked.
+    checked=False skips the logit-gradient and weight checks and keeps
+    the logits check; train takes such steps only in an epoch whose
+    buffer it tests afterwards (see the module docstring).
     """
     n = features.shape[0]
     logits, hidden, pre = _forward_cached(model, features)
@@ -206,7 +230,7 @@ def _step(model, grads, config, scales, features, onehot, target=None):
         alpha, tau = config.alpha, config.tau
         p = softmax_rows(logits / scales)
         g_logits = alpha * ((p[0] - onehot) / n) + (1.0 - alpha) * tau * (p[1] - target) / n
-    if not _all(np.isfinite(g_logits), None):
+    if checked and not _all(np.isfinite(g_logits), None):
         raise NumericalError("non-finite logit gradient; training aborted")
 
     g_logits.T.dot(hidden, out=grads.w2)
@@ -216,7 +240,7 @@ def _step(model, grads, config, scales, features, onehot, target=None):
     np.add.reduce(g_hidden, axis=0, out=grads.b1)
     data = model.data  # a local name: an augmented attribute assignment would run __setattr__
     data -= config.lr * grads.data
-    if not _all(np.isfinite(model.weights), None):
+    if checked and not _all(np.isfinite(model.weights), None):
         raise NumericalError("non-finite parameters after update; training aborted")
 
 
@@ -234,7 +258,19 @@ def train(
     whole batches, plus one step for a ragged tail. Each step updates
     model.data, so model is trained in place, and a NumericalError
     leaves it as the failing step made it; the gradients go into one
-    copy of model, made here.
+    copy of model, and each epoch's starting parameters into one
+    snapshot buffer, both made here.
+
+    An epoch's steps skip two of their checks, and one test of the
+    whole buffer follows; a failing epoch is replayed from the snapshot
+    with every step checked, so it raises the checked step's error (see
+    the module docstring). The unchecked steps run under the caller's
+    np.errstate: a failing epoch can emit numpy warnings from the work
+    done after the failing check, before its replay. A warning raised
+    as an error, under np.errstate(over="raise") or a warnings filter
+    of "error" (pytest's error::RuntimeWarning), ends the unchecked
+    epoch like any exception and is replayed the same way. The CLI
+    runs with numpy's warnings off, so its output does not change.
 
     Deterministic: the seed fixes the batch order, and every reduction
     runs in a fixed order, so the final parameters are bit-identical
@@ -250,16 +286,30 @@ def train(
     shuffled = [np.empty_like(column) for column in rows]
     batches = [column[:full].reshape(-1, size, *column.shape[1:]) for column in shuffled]
     tail = [column[full:] for column in shuffled] if full < n else None
+    snapshot = np.empty_like(model.data)
     for _ in range(config.epochs):
         order = np.array(prng.permutation(n), dtype=np.int64)
         for column, out in zip(rows, shuffled):
             # order is a permutation of range(n), so no index is ever
             # clipped; mode="raise" would gather through a temporary
             np.take(column, order, axis=0, out=out, mode="clip")
-        for batch in zip(*batches):
-            _step(model, grads, config, scales, *batch)
-        if tail is not None:
-            _step(model, grads, config, scales, *tail)
+        np.copyto(snapshot, model.data)
+        try:
+            _epoch(model, grads, config, scales, batches, tail, checked=False)
+            clean = _all(np.isfinite(model.data), None)
+        except Exception:  # a step's NumericalError, or a numpy warning raised as an error
+            clean = False
+        if not clean:
+            np.copyto(model.data, snapshot)
+            _epoch(model, grads, config, scales, batches, tail, checked=True)
+
+
+def _epoch(model, grads, config, scales, batches, tail, checked):
+    """One epoch's steps over the shuffled buffers, whole batches then the tail."""
+    for batch in zip(*batches):
+        _step(model, grads, config, scales, *batch, checked=checked)
+    if tail is not None:
+        _step(model, grads, config, scales, *tail, checked=checked)
 
 
 def evaluate(model: StudentModel, features, labels) -> float:

@@ -22,9 +22,11 @@ reference_train is the student SGD loop written step by step from
 loss_gradient, the standard the fused training step is held to; its
 forward pass, reference_forward, and every product of its step go
 through `@`, the matmul the program's ndarray.dot calls are held to.
-step_gradients is the one entry into the program here: the
-(w1, b1, w2, b2) gradients one real step writes, taken on a copy, for
-the tests that hold them to reference_step or finite differences.
+step_gradients and checked_train are the two entries into the program
+here: the (w1, b1, w2, b2) gradients one real step writes, taken on a
+copy, for the tests that hold them to reference_step or finite
+differences, and the epoch loop that takes every step with its checks,
+the standard train replays a failing epoch under.
 uniform, below and gauss_pair are the scalar draws, one next_u64()
 call at a time (gauss_pair is the Box-Muller transform of two uniform
 draws). reference_permutation is the scalar Fisher-Yates shuffle, one
@@ -324,6 +326,27 @@ def reference_train(model, features, labels, target_set, config, until_nonfinite
                 np.isfinite(model.w1).all() and np.isfinite(model.w2).all()
             ):
                 return
+
+
+def checked_train(model, features, labels, target_set, config):
+    """Train `model` in place, one checked _step call per batch.
+
+    Every step checks its logits, its logit gradient and its weights,
+    so the first failing check raises at its own step. Each batch is
+    gathered by indexing the epoch's permutation, as reference_train
+    does: the standard for the error a failing train raises, the step
+    it raises at and the model bytes it leaves.
+    """
+    rows = _rows(model, features, labels, target_set, config)
+    n = rows[0].shape[0]
+    scales = np.array([1.0, config.tau]).reshape(2, 1, 1)  # as train divides the logits
+    grads = model.copy()
+    prng = SplitMix64(config.seed)
+    for _ in range(config.epochs):
+        order = np.array(prng.permutation(n), dtype=np.int64)
+        for lo in range(0, n, config.batch_size):
+            idx = order[lo : lo + config.batch_size]
+            _step(model, grads, config, scales, *[column[idx] for column in rows], checked=True)
 
 
 def reference_permutation(prng, n):

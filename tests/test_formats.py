@@ -283,7 +283,7 @@ class TestAtomicWriters:
         ("dataset", Dataset([[0.5, np.nan]], [0], 2, "A", "train")),
         ("dataset", Dataset(np.zeros((2, 0)), [0, 1], 2, "A", "train")),
         ("model", StudentModel([[np.inf]], [0.0], [[1.0]], [0.0])),
-        ("model", StudentModel(np.zeros((1, 0)), [0.0], [[1.0]], [0.0])),
+        ("model", StudentModel([[1.0]], [0.0], [[1.0]], [np.nan])),
         ("targets of strategy FOO", [[1.0]]),
         ("targets at tau nan", [[1.0]]),
     ])

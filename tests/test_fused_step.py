@@ -3,11 +3,14 @@
 train() runs one kernel per batch on rows gathered once per epoch. Its
 final parameters must equal, bit for bit, those of the plain loop built
 from loss_gradient (tests/_oracles.py), for every strategy and for
-batches that do not divide N; train returns None. AVG1 steps must cost the
-same at any number of teachers. A StudentModel is one float64 buffer
-whose fields are views: the steps update the caller's own arrays, also
-when a step fails, and whatever dtype the model was built from, it
-trains as its float64 twin.
+batches that do not divide N; train returns None. A fit that fails a
+check must raise, at the same step, what checked_train raises, the loop
+that checks every step, and leave its model bytes, though train checks
+the logit gradient and the weights once per epoch and replays a failing
+epoch. AVG1 steps must cost the same at any number of teachers. A
+StudentModel is one float64 buffer whose fields are views: the steps
+update the caller's own arrays, also when a step fails, and whatever
+dtype the model was built from, it trains as its float64 twin.
 """
 
 import sys
@@ -32,7 +35,14 @@ from multikd.errors import NumericalError, ValidationError
 from multikd.rng import SplitMix64
 
 import _oracles
-from _oracles import batch_targets, reference_init_student, reference_step, reference_train, step_gradients
+from _oracles import (
+    batch_targets,
+    checked_train,
+    reference_init_student,
+    reference_step,
+    reference_train,
+    step_gradients,
+)
 
 PARAMETERS = ("w1", "b1", "w2", "b2")
 
@@ -131,18 +141,17 @@ def calls_per_step(strategy, k, steps=8):
     return (count(2 * steps * 4) - count(steps * 4)) / steps
 
 
-def callees_per_step(strategy, k, steps=8):
-    """The callees the profile hook sees in each step, in order, by name.
+def step_callees(fit):
+    """The callees the profile hook sees in each _step call of one train call.
 
-    A Python function is named by its code object, a builtin method by
-    its owner and name: a ufunc method by the ufunc (logical_and.reduce),
-    any other by its type (ndarray.dot). A ufunc call itself is no
-    profile event, so np.isfinite, np.maximum and the operators are not
-    listed.
+    Returns one list per _step call, in order, and the exception train
+    raised, or None. A Python function is named by its code object, a
+    builtin method by its owner and name: a ufunc method by the ufunc
+    (logical_and.reduce), any other by its type (ndarray.dot). A ufunc
+    call itself is no profile event, so np.isfinite, np.maximum and the
+    operators are not listed.
     """
-    model, features, labels, targets, config = make_fit(
-        strategy, n=steps * 4, d=5, c=4, hidden=6, k=k, tau=3.0, alpha=0.5,
-        batch_size=4, epochs=1, seed=3)
+    model, features, labels, targets, config = fit
     step_code, seen, current = mk.trainer._step.__code__, [], None
 
     def hook(frame, event, arg):
@@ -164,16 +173,36 @@ def callees_per_step(strategy, k, steps=8):
     sys.setprofile(hook)
     try:
         train(model, features, labels, targets, config)
+    except Exception as exc:  # returned, for the caller to compare
+        return seen, exc
     finally:
         sys.setprofile(None)
+    return seen, None
+
+
+def callees_per_step(strategy, k, steps=8):
+    """The callees of each step of a clean one-epoch fit of `steps` batches."""
+    seen, error = step_callees(make_fit(
+        strategy, n=steps * 4, d=5, c=4, hidden=6, k=k, tau=3.0, alpha=0.5,
+        batch_size=4, epochs=1, seed=3))
+    assert error is None
     return seen
 
 
-# Every call a step makes, in order: the forward pass and its two
-# products, the logits check, the softmax's row max and row sum, the
-# gradient check, the three backward products and two bias sums, and
-# the weight check. NONE and every distilling strategy make the same calls.
+# Every call a step of a clean epoch makes, in order: the forward pass
+# and its two products, the logits check, the softmax's row max and row
+# sum, the three backward products and two bias sums. NONE and every
+# distilling strategy make the same calls.
 STEP_CALLEES = [
+    "_step", "_forward_cached", "ndarray.dot", "ndarray.dot", "logical_and.reduce",
+    "softmax_rows", "maximum.reduce", "add.reduce",
+    "ndarray.dot", "add.reduce", "ndarray.dot", "ndarray.dot", "add.reduce",
+]
+
+# Every step of a replayed epoch is checked: the logit-gradient check
+# after the softmax and the weight check after the update join the calls
+# above.
+CHECKED_STEP_CALLEES = [
     "_step", "_forward_cached", "ndarray.dot", "ndarray.dot", "logical_and.reduce",
     "softmax_rows", "maximum.reduce", "add.reduce", "logical_and.reduce",
     "ndarray.dot", "add.reduce", "ndarray.dot", "ndarray.dot", "add.reduce",
@@ -189,11 +218,31 @@ def test_calls_per_step_stay_at_their_recorded_counts():
     # loss, to 10 and 10. The five matrix products then moved from the
     # matmul ufunc, whose dispatch the hook does not see, to ndarray.dot,
     # a method call it does see at half the dispatch cost: 15 and 15, a
-    # faster step at a higher count. A step that gains calls fails here,
-    # and so does one that adds, drops or swaps a call at the same count.
+    # faster step at a higher count. The logit-gradient and weight checks
+    # then left the step for one test of the whole buffer per epoch, a
+    # cost the difference below cancels: 13 and 13. A step that gains
+    # calls fails here, and so does one that adds, drops or swaps a call
+    # at the same count.
     for strategy, k in ((mk.NONE, 1), (mk.PKD, 2)):
-        assert calls_per_step(strategy, k) == len(STEP_CALLEES) == 15
+        assert calls_per_step(strategy, k) == len(STEP_CALLEES) == 13
         assert callees_per_step(strategy, k) == [STEP_CALLEES] * 8, strategy
+
+
+def test_a_failing_epoch_replays_its_steps_with_every_check():
+    # at lr 1e156 the second update leaves w1 or w2 non-finite: the
+    # unchecked epoch runs on to the third step's logits check, then the
+    # replay runs the first two steps again, checked, and raises at the
+    # second step's weight check
+    model, features, labels, targets, config = make_fit(
+        mk.PKD, n=12, d=3, c=3, hidden=4, k=2, tau=2.0, alpha=0.5,
+        batch_size=4, epochs=2, seed=2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        seen, error = step_callees((model, features, labels, targets, config.with_(lr=1e156)))
+    assert isinstance(error, NumericalError)
+    assert str(error) == "non-finite parameters after update; training aborted"
+    assert len(CHECKED_STEP_CALLEES) == 15
+    assert seen == [STEP_CALLEES, STEP_CALLEES, STEP_CALLEES[:5],
+                    CHECKED_STEP_CALLEES, CHECKED_STEP_CALLEES]
 
 
 def test_avg1_step_cost_does_not_grow_with_teachers():
@@ -318,6 +367,134 @@ class TestInPlace:
             for name, array in zip(PARAMETERS, arrays):
                 assert getattr(model, name) is array, name
                 assert np.array_equal(array, getattr(expected, name)), name
+
+
+def replay_fit(strategy, n, seed, lr=0.2, tau=2.0, train_tau=None, scale=1.0, row=None):
+    """A three-epoch fit in batches of 4 that fails a check at a chosen step.
+
+    lr, and train_tau in place of the tau the targets were built at,
+    drive the failure; scale multiplies the features, or only the one
+    given row of them.
+    """
+    model, features, labels, targets, config = make_fit(
+        strategy, n=n, d=3, c=3, hidden=4, k=2, tau=tau, alpha=0.5,
+        batch_size=4, epochs=3, seed=seed)
+    if row is None:
+        features = features * scale
+    else:
+        features[row] *= scale
+    config = config.with_(lr=lr, tau=train_tau or tau)
+    return model, features, labels, targets, config
+
+
+LOGITS = "non-finite student logits; training aborted"
+GRADIENT = "non-finite logit gradient; training aborted"
+WEIGHTS = "non-finite parameters after update; training aborted"
+
+# Each fit fails one of the step's three checks at the step given as
+# (epoch, step of the epoch), found by running checked_train on it. n 12
+# is three whole batches; n 14 and 18 end each epoch with a tail of two.
+REPLAYS = [
+    ("logits-first", replay_fit(mk.NONE, 16, 1, scale=np.inf), LOGITS, (1, 1)),
+    ("gradient-first", replay_fit(mk.PKD, 16, 1, train_tau=1e-310), GRADIENT, (1, 1)),
+    ("weights-first", replay_fit(mk.NONE, 16, 1, lr=1e308, scale=1e6), WEIGHTS, (1, 1)),
+    # a row 1e140 times the others: its first step leaves the weights
+    # near 1e140, and its second, in epoch 2, overflows the logits
+    ("logits-mid", replay_fit(mk.NONE, 16, 2, scale=1e140, row=2), LOGITS, (2, 3)),
+    ("gradient-mid", replay_fit(mk.PKD, 16, 11, lr=5e2, tau=1e-302), GRADIENT, (3, 2)),
+    ("weights-mid", replay_fit(mk.NONE, 18, 34, lr=1e155), WEIGHTS, (2, 2)),
+    ("logits-last", replay_fit(mk.NONE, 12, 15, lr=2e131), LOGITS, (1, 3)),
+    ("gradient-last", replay_fit(mk.PKD, 12, 34, lr=2e3, tau=1e-304), GRADIENT, (1, 3)),
+    # no later step of the epoch runs a logits check: the buffer test alone
+    # sees the non-finite weights
+    ("weights-last", replay_fit(mk.NONE, 12, 10, lr=1e155), WEIGHTS, (1, 3)),
+    ("logits-last-before-tail", replay_fit(mk.NONE, 14, 3, lr=5e152), LOGITS, (1, 3)),
+    ("gradient-last-before-tail", replay_fit(mk.PKD, 14, 32, lr=5e1, tau=1e-307), GRADIENT, (1, 3)),
+    ("weights-last-before-tail", replay_fit(mk.PKD, 14, 20, lr=5e154), WEIGHTS, (1, 3)),
+    ("logits-tail", replay_fit(mk.NONE, 14, 21, lr=5e110), LOGITS, (1, 4)),
+    ("gradient-tail", replay_fit(mk.PKD, 14, 12, lr=1e3, tau=1e-302), GRADIENT, (1, 4)),
+    ("weights-tail", replay_fit(mk.PKD, 14, 18, lr=2e154), WEIGHTS, (1, 4)),
+]
+
+
+def checked_outcome(fit):
+    """What checked_train does to a copy of fit's model: the exception it
+    raises, how many steps it started, and the model it leaves."""
+    model, features, labels, targets, config = fit
+    model = model.copy()
+    with mock.patch.object(_oracles, "_step", wraps=_oracles._step) as steps:
+        try:
+            checked_train(model, features, labels, targets, config)
+        except Exception as exc:  # returned, for the caller to compare
+            return exc, steps.call_count, model
+    return None, steps.call_count, model
+
+
+class TestReplay:
+    """train skips the logit-gradient and weight checks in its steps, tests
+    the whole buffer once per epoch, and replays a failing epoch from its
+    start with every step checked. What it raises, and the model it
+    leaves, must be checked_train's, the loop that checks every step."""
+
+    @pytest.mark.parametrize("fit, message, at", [case[1:] for case in REPLAYS],
+                             ids=[case[0] for case in REPLAYS])
+    @pytest.mark.parametrize("mode", ["ignore", "raise", "warn"])
+    def test_a_failing_fit_raises_and_leaves_what_the_checked_loop_does(self, fit, message, at, mode):
+        # under "raise", and under "warn" with warnings raised as errors
+        # (as this suite runs), an overflow or invalid value raises first,
+        # in the unchecked epoch and in the checked loop alike
+        model, features, labels, targets, config = fit
+        model = model.copy()
+        arrays = [getattr(model, name) for name in PARAMETERS]
+        with np.errstate(over=mode, invalid=mode, divide=mode, under="ignore"):
+            error, started, expected = checked_outcome(fit)
+            with pytest.raises(type(error)) as raised:
+                train(model, features, labels, targets, config)
+        if mode == "ignore":
+            steps_per_epoch = -(-labels.size // config.batch_size)
+            assert (type(error), str(error)) == (NumericalError, message)
+            assert divmod(started - 1, steps_per_epoch) == (at[0] - 1, at[1] - 1)
+        assert str(raised.value) == str(error)
+        for name, array in zip(PARAMETERS, arrays):
+            assert getattr(model, name) is array, name
+        assert model.data.tobytes() == expected.data.tobytes()
+
+    def test_logits_whose_only_non_finite_entries_are_minus_inf_are_refused(self):
+        # the 1e10 row's class-0 logit, 1e10 times w2's -1e300, is -inf:
+        # its probability is 0, and the gradient and the model stay
+        # finite, so only the logits check, which every step keeps, sees it
+        model = StudentModel([[1.0]], [0.0], [[-1e300], [1.0]], [0.0, 0.0])
+        config = DistillConfig(strategy=mk.NONE, lr=0.1, epochs=2, batch_size=1, seed=3)
+        fit = (model, np.array([[0.5], [0.25], [1e10], [0.75]]), np.ones(4, dtype=np.int64),
+               TargetSet(mk.NONE), config)
+        with np.errstate(over="ignore"):
+            error, started, expected = checked_outcome(fit)
+            with pytest.raises(NumericalError) as raised:
+                train(*fit)
+        assert str(raised.value) == str(error) == LOGITS
+        assert model.data.tobytes() == expected.data.tobytes() and np.isfinite(model.data).all()
+
+    def test_a_bias_that_alone_goes_non_finite_on_the_last_step_ends_the_fit(self):
+        # zero features and b1 hold the hidden layer at 0, so only b2
+        # trains, and a row labelled 1, the larger logit, moves nothing.
+        # The last step's row is labelled 0: its update carries b2[0] past
+        # the largest double. No check of a step reads a bias, so train
+        # returns, after the buffer test fails and a checked replay of
+        # the epoch leaves what checked_train leaves.
+        n, seed = 4, 5
+        labels = np.ones(n, dtype=np.int64)
+        labels[SplitMix64(seed).permutation(n)[-1]] = 0
+        model = StudentModel(np.ones((2, 3)), np.zeros(2), np.ones((2, 2)), [1.79e308, 1.795e308])
+        config = DistillConfig(strategy=mk.NONE, lr=1e307, epochs=1, batch_size=1, seed=seed)
+        fit = (model, np.zeros((n, 3)), labels, TargetSet(mk.NONE), config)
+        with np.errstate(over="ignore"):
+            error, started, expected = checked_outcome(fit)
+            seen, raised = step_callees(fit)
+        assert error is None and raised is None and started == n
+        assert seen == [STEP_CALLEES] * n + [CHECKED_STEP_CALLEES] * n
+        assert model.data.tobytes() == expected.data.tobytes()
+        assert model.b2[0] == np.inf and np.isfinite(model.b2[1])
+        assert np.isfinite(model.weights).all() and np.isfinite(model.b1).all()
 
 
 class TestOneBuffer:

@@ -90,6 +90,14 @@ REFUSALS = [
      ValidationError, "b2 must have shape (2,), got (3,)"),
     ("model-b1-scalar", lambda: StudentModel(np.ones((3, 2)), 0.0, np.ones((2, 3)), np.zeros(2)),
      ValidationError, "b1 must have shape (3,), got ()"),
+    # a zero H, D or C, checked once the shapes agree, with init_student's
+    # message
+    ("model-zero-hidden", lambda: StudentModel(np.ones((0, 3)), np.zeros(0), np.ones((2, 0)), np.zeros(2)),
+     ValidationError, "model dimensions must be positive"),
+    ("model-zero-d-in", lambda: StudentModel(np.ones((4, 0)), np.zeros(4), np.ones((2, 4)), np.zeros(2)),
+     ValidationError, "model dimensions must be positive"),
+    ("model-zero-classes", lambda: StudentModel(np.ones((4, 3)), np.zeros(4), np.ones((0, 4)), np.zeros(0)),
+     ValidationError, "model dimensions must be positive"),
     ("init-dims", lambda: init_student(0, 4, 3, SplitMix64(1)),
      ValidationError, "model dimensions must be positive"),
     ("train-misaligned", _train(np.zeros((3, 3)), [0, 1]),
