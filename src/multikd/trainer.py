@@ -28,17 +28,23 @@ and updates all four parameters with one subtraction; there is no copy
 of the model to write back, and train trains the caller's model in
 place.
 A step has three finiteness checks: the logits, the logit gradient, and
-w1 and w2 after the update. train runs each epoch optimistically, its
-steps keeping only the logits check, and then tests the whole buffer
-once. If that test fails, or anything raises, train restores the
-epoch's starting parameters from a snapshot and replays the epoch's
-batches, in the same order, with every step checked: the error, the
-step it is raised at and the model it leaves are those of a train that
-checks every step. The replay is needed whenever a skipped check would
-have fired, because a non-finite value stays non-finite under
-data -= lr * grads (lr is positive and finite), and a non-finite logit
-gradient makes its column of the b2 sum non-finite: such an epoch ends
-with a non-finite buffer, or stops at the next step's logits check. A
+the whole buffer after the update. train runs each epoch optimistically,
+its steps keeping only the logits check, and then tests the whole buffer
+once, with the predicate of the step's last check. If that test fails,
+or anything raises, train restores the epoch's starting parameters from
+a snapshot and replays the epoch's batches, in the same order, with
+every step checked: the error, the step it is raised at and the model it
+leaves are those of a train that checks every step. A replay never
+returns: it repeats the failed epoch's arithmetic, and its last step
+ends with the buffer test, so what ended the unchecked epoch (a logits
+check, a warning raised as an error, or the buffer test) raises in the
+replay at that step or at an earlier check. The replay is needed
+whenever a skipped check would have fired, because a non-finite value
+stays non-finite under data -= lr * grads (lr is positive and finite),
+and a non-finite logit gradient makes its column of the b2 sum
+non-finite: such an epoch ends with a non-finite buffer, or stops at the
+next step's logits check. So a buffer that is non-finite as a fit
+starts, in any of w1, w2, b1 or b2, fails its first checked step. A
 clean epoch is the checked epoch's arithmetic without the two checks,
 which write nothing. The logits check stays in every step: a row whose
 only non-finite logits are -inf leaves p, the gradient and the model
@@ -81,9 +87,10 @@ class StudentModel:
     w1 is hidden x d_in, b1 hidden, w2 classes x hidden, b2 classes. The
     constructor copies w1, w2, b1, b2, as float64, into the one
     contiguous array data, in that order. The four fields are views of
-    data, and so is weights, the w1 + w2 prefix. The constructor checks
-    the four shapes against each other once, and a mismatch raises
-    ValidationError naming the field. Assigning a field writes into its
+    data; copy, copy.copy, copy.deepcopy and pickle each rebuild a
+    buffer of their own. The constructor checks the four shapes against
+    each other once, and a mismatch raises ValidationError naming the
+    field. Assigning a field writes into its
     view (a wrong shape raises ValidationError), so the fields and data
     never diverge. Once the shapes agree, a zero hidden, input or class
     dimension raises ValidationError, as init_student refuses one.
@@ -107,7 +114,6 @@ class StudentModel:
         for name, part in zip(_FIELDS, parts):
             views[name] = data[start : start + part.size].reshape(part.shape)
             start += part.size
-        views["weights"] = data[: w1.size + w2.size]
         self.__dict__.update(views)
 
     def __setattr__(self, name: str, value) -> None:
@@ -133,6 +139,9 @@ class StudentModel:
 
     def copy(self) -> "StudentModel":
         return StudentModel(self.w1, self.b1, self.w2, self.b2)
+
+    def __reduce__(self):
+        return (StudentModel, (self.w1, self.b1, self.w2, self.b2))
 
 
 def init_student(d_in: int, hidden_dim: int, n_classes: int, prng: SplitMix64) -> StudentModel:
@@ -216,9 +225,10 @@ def _step(model, grads, config, scales, features, onehot, target=None, checked=T
     loss is not computed: with finite logits and target rows
     that are distributions it is finite, and a softmax that is not
     finite makes the logit gradient non-finite, which is checked.
-    checked=False skips the logit-gradient and weight checks and keeps
+    checked=False skips the logit-gradient and buffer checks and keeps
     the logits check; train takes such steps only in an epoch whose
-    buffer it tests afterwards (see the module docstring).
+    buffer it tests afterwards, by the buffer check's predicate, and
+    replays a failing epoch checked (see the module docstring).
     """
     n = features.shape[0]
     logits, hidden, pre = _forward_cached(model, features)
@@ -240,7 +250,7 @@ def _step(model, grads, config, scales, features, onehot, target=None, checked=T
     np.add.reduce(g_hidden, axis=0, out=grads.b1)
     data = model.data  # a local name: an augmented attribute assignment would run __setattr__
     data -= config.lr * grads.data
-    if checked and not _all(np.isfinite(model.weights), None):
+    if checked and not _all(np.isfinite(data), None):
         raise NumericalError("non-finite parameters after update; training aborted")
 
 
@@ -262,11 +272,13 @@ def train(
     snapshot buffer, both made here.
 
     An epoch's steps skip two of their checks, and one test of the
-    whole buffer follows; a failing epoch is replayed from the snapshot
-    with every step checked, so it raises the checked step's error (see
-    the module docstring). The unchecked steps run under the caller's
-    np.errstate: a failing epoch can emit numpy warnings from the work
-    done after the failing check, before its replay. A warning raised
+    whole buffer, the checked step's last check, follows; a failing
+    epoch is replayed from the snapshot with every step checked, so it
+    raises the checked step's error at its step, and a train of one
+    epoch or more returns only a finite model (see the module
+    docstring). The unchecked steps run under the caller's np.errstate:
+    a failing epoch can emit numpy warnings from the work done after
+    the failing check, before its replay. A warning raised
     as an error, under np.errstate(over="raise") or a warnings filter
     of "error" (pytest's error::RuntimeWarning), ends the unchecked
     epoch like any exception and is replayed the same way. The CLI

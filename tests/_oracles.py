@@ -309,8 +309,8 @@ def reference_train(model, features, labels, target_set, config, until_nonfinite
     """Train `model` in place, one plain step at a time.
 
     Per batch: gather the rows and take one reference_step. With
-    until_nonfinite, stop after the first update that leaves w1 or w2
-    non-finite, the step at which train raises.
+    until_nonfinite, stop after the first update that leaves any of
+    model.data non-finite, the step at which train raises.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
@@ -322,16 +322,14 @@ def reference_train(model, features, labels, target_set, config, until_nonfinite
             idx = order[lo : lo + config.batch_size]
             x, y, targets = features[idx], labels[idx], batch_targets(target_set, idx)
             reference_step(model, x, y, targets, config)
-            if until_nonfinite and not (
-                np.isfinite(model.w1).all() and np.isfinite(model.w2).all()
-            ):
+            if until_nonfinite and not np.isfinite(model.data).all():
                 return
 
 
 def checked_train(model, features, labels, target_set, config):
     """Train `model` in place, one checked _step call per batch.
 
-    Every step checks its logits, its logit gradient and its weights,
+    Every step checks its logits, its logit gradient and its buffer,
     so the first failing check raises at its own step. Each batch is
     gathered by indexing the epoch's permutation, as reference_train
     does: the standard for the error a failing train raises, the step

@@ -6,13 +6,15 @@ from loss_gradient (tests/_oracles.py), for every strategy and for
 batches that do not divide N; train returns None. A fit that fails a
 check must raise, at the same step, what checked_train raises, the loop
 that checks every step, and leave its model bytes, though train checks
-the logit gradient and the weights once per epoch and replays a failing
-epoch. AVG1 steps must cost the same at any number of teachers. A
+the logit gradient and the whole buffer once per epoch and replays a
+failing epoch. AVG1 steps must cost the same at any number of teachers. A
 StudentModel is one float64 buffer whose fields are views: the steps
 update the caller's own arrays, also when a step fails, and whatever
 dtype the model was built from, it trains as its float64 twin.
 """
 
+import copy
+import pickle
 import sys
 import tracemalloc
 from unittest import mock
@@ -200,7 +202,7 @@ STEP_CALLEES = [
 ]
 
 # Every step of a replayed epoch is checked: the logit-gradient check
-# after the softmax and the weight check after the update join the calls
+# after the softmax and the buffer check after the update join the calls
 # above.
 CHECKED_STEP_CALLEES = [
     "_step", "_forward_cached", "ndarray.dot", "ndarray.dot", "logical_and.reduce",
@@ -232,7 +234,7 @@ def test_a_failing_epoch_replays_its_steps_with_every_check():
     # at lr 1e156 the second update leaves w1 or w2 non-finite: the
     # unchecked epoch runs on to the third step's logits check, then the
     # replay runs the first two steps again, checked, and raises at the
-    # second step's weight check
+    # second step's buffer check
     model, features, labels, targets, config = make_fit(
         mk.PKD, n=12, d=3, c=3, hidden=4, k=2, tau=2.0, alpha=0.5,
         batch_size=4, epochs=2, seed=2)
@@ -387,6 +389,30 @@ def replay_fit(strategy, n, seed, lr=0.2, tau=2.0, train_tau=None, scale=1.0, ro
     return model, features, labels, targets, config
 
 
+def bias_last_fit():
+    """A fit whose last step carries b2[0], and nothing else, past the
+    largest double.
+
+    Zero features and b1 hold the hidden layer at 0, so only b2 trains,
+    and a row labelled 1, the larger logit, moves nothing. The last
+    step's row is labelled 0.
+    """
+    n, seed = 4, 5
+    labels = np.ones(n, dtype=np.int64)
+    labels[SplitMix64(seed).permutation(n)[-1]] = 0
+    model = StudentModel(np.ones((2, 3)), np.zeros(2), np.ones((2, 2)), [1.79e308, 1.795e308])
+    config = DistillConfig(strategy=mk.NONE, lr=1e307, epochs=1, batch_size=1, seed=seed)
+    return model, np.zeros((n, 3)), labels, TargetSet(mk.NONE), config
+
+
+def bias_at_entry_fit():
+    """A fit that starts from b1[0] = -inf: its hidden unit is dead, and
+    relu gives the bias a zero gradient, so it stays -inf."""
+    fit = replay_fit(mk.PKD, 40, 1)
+    fit[0].b1[0] = -np.inf
+    return fit
+
+
 LOGITS = "non-finite student logits; training aborted"
 GRADIENT = "non-finite logit gradient; training aborted"
 WEIGHTS = "non-finite parameters after update; training aborted"
@@ -414,6 +440,10 @@ REPLAYS = [
     ("logits-tail", replay_fit(mk.NONE, 14, 21, lr=5e110), LOGITS, (1, 4)),
     ("gradient-tail", replay_fit(mk.PKD, 14, 12, lr=1e3, tau=1e-302), GRADIENT, (1, 4)),
     ("weights-tail", replay_fit(mk.PKD, 14, 18, lr=2e154), WEIGHTS, (1, 4)),
+    # the buffer check reads the biases too: a bias that alone goes
+    # non-finite fails its step, and so does one that is non-finite at entry
+    ("bias-last", bias_last_fit(), WEIGHTS, (1, 4)),
+    ("bias-at-entry", bias_at_entry_fit(), WEIGHTS, (1, 1)),
 ]
 
 
@@ -431,7 +461,7 @@ def checked_outcome(fit):
 
 
 class TestReplay:
-    """train skips the logit-gradient and weight checks in its steps, tests
+    """train skips the logit-gradient and buffer checks in its steps, tests
     the whole buffer once per epoch, and replays a failing epoch from its
     start with every step checked. What it raises, and the model it
     leaves, must be checked_train's, the loop that checks every step."""
@@ -474,28 +504,6 @@ class TestReplay:
         assert str(raised.value) == str(error) == LOGITS
         assert model.data.tobytes() == expected.data.tobytes() and np.isfinite(model.data).all()
 
-    def test_a_bias_that_alone_goes_non_finite_on_the_last_step_ends_the_fit(self):
-        # zero features and b1 hold the hidden layer at 0, so only b2
-        # trains, and a row labelled 1, the larger logit, moves nothing.
-        # The last step's row is labelled 0: its update carries b2[0] past
-        # the largest double. No check of a step reads a bias, so train
-        # returns, after the buffer test fails and a checked replay of
-        # the epoch leaves what checked_train leaves.
-        n, seed = 4, 5
-        labels = np.ones(n, dtype=np.int64)
-        labels[SplitMix64(seed).permutation(n)[-1]] = 0
-        model = StudentModel(np.ones((2, 3)), np.zeros(2), np.ones((2, 2)), [1.79e308, 1.795e308])
-        config = DistillConfig(strategy=mk.NONE, lr=1e307, epochs=1, batch_size=1, seed=seed)
-        fit = (model, np.zeros((n, 3)), labels, TargetSet(mk.NONE), config)
-        with np.errstate(over="ignore"):
-            error, started, expected = checked_outcome(fit)
-            seen, raised = step_callees(fit)
-        assert error is None and raised is None and started == n
-        assert seen == [STEP_CALLEES] * n + [CHECKED_STEP_CALLEES] * n
-        assert model.data.tobytes() == expected.data.tobytes()
-        assert model.b2[0] == np.inf and np.isfinite(model.b2[1])
-        assert np.isfinite(model.weights).all() and np.isfinite(model.b1).all()
-
 
 class TestOneBuffer:
     def fit(self, seed=5):
@@ -509,7 +517,6 @@ class TestOneBuffer:
         assert model.data.tobytes() == np.concatenate(parts).tobytes()
         for name in PARAMETERS:
             assert np.shares_memory(getattr(model, name), model.data), name
-        assert model.weights.tobytes() == np.concatenate(parts[:2]).tobytes()
 
     @pytest.mark.parametrize("name", PARAMETERS)
     def test_assigning_a_field_writes_into_data_and_train_trains_it(self, name):
@@ -551,10 +558,25 @@ class TestOneBuffer:
         model = self.fit()[0]
         twin = model.copy()
         assert twin is not model and twin.data.tobytes() == model.data.tobytes()
-        for name in ("data", "weights") + PARAMETERS:
+        for name in ("data",) + PARAMETERS:
             assert not np.shares_memory(getattr(twin, name), model.data), name
         twin.w1 = np.zeros_like(twin.w1)
         assert np.any(model.w1 != 0.0)
+
+    @pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy,
+                                           lambda model: pickle.loads(pickle.dumps(model))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_a_copied_or_unpickled_model_owns_its_buffer_and_trains_as_copy_does(self, duplicate):
+        model, features, labels, targets, config = self.fit()
+        twin, expected = duplicate(model), model.copy()
+        assert twin.data.tobytes() == model.data.tobytes()
+        for name in PARAMETERS:
+            assert np.shares_memory(getattr(twin, name), twin.data), name
+            assert not np.shares_memory(getattr(twin, name), model.data), name
+        train(twin, features, labels, targets, config)
+        train(expected, features, labels, targets, config)
+        for name in ("data",) + PARAMETERS:
+            assert getattr(twin, name).tobytes() == getattr(expected, name).tobytes(), name
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
