@@ -13,6 +13,10 @@ assembly cost, never the per-epoch training work.
 Every strategy's targets are one N x C matrix, so AVG1, like AVG2,
 holds O(N*C) at any number of teachers. A run's cells share work in a
 cache keyed by what determines it, the mean AVG1 and AVG2 share by bank.
+A run's in-process teachers, over all its seeds, are fit together at
+its first teacher need, in one lockstep train_plain call, with the bits
+of each fit alone; if that call fails, each teacher is fit alone, as a
+run without the group would, so failures and warnings do not change.
 
 Reports are written both as an aligned text table and as one
 tab-separated row per (strategy, seed). Without the opt-in timing mode
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import sys
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -37,7 +42,7 @@ from .ensemble import TargetSet, TeacherBank, build_targets
 from .errors import StageError, ValidationError
 from .formats import fmt_float, load_all_views, load_logits
 from .rng import SplitMix64, derive_seed
-from .trainer import StudentModel, evaluate, forward, init_student, train
+from .trainer import StudentModel, _lockstep_plain, evaluate, forward, init_student, train
 
 STAGE_DATA = 0
 STAGE_TEACHER_A = 1
@@ -99,8 +104,35 @@ def _fresh_student(dataset: Dataset, config: cfg.DistillConfig, stage_seed: int)
     return model, config.with_(seed=derive_seed(stage_seed, 1))
 
 
-def train_plain(dataset: Dataset, config: cfg.DistillConfig, stage_seed: int) -> StudentModel:
-    model, plain = _fresh_student(dataset, config.with_(strategy=cfg.NONE), stage_seed)
+def train_plain(
+    dataset: Dataset | Sequence[Dataset], config: cfg.DistillConfig, stage_seed: int | Sequence[int]
+) -> StudentModel | list[StudentModel]:
+    """A fresh student fit on `dataset`'s labels alone (NONE), seeded by `stage_seed`.
+
+    Given a sequence of datasets and one stage seed each, it returns
+    their models in order, each with the bits that fitting it alone
+    gives. Two or more are fit in one lockstep loop
+    (trainer._lockstep_plain): they must share one shape, and a member
+    that fitting alone would fail makes the whole call raise. One is fit
+    by train, whose products dispatch faster than a one-slice matmul.
+    """
+    plain = config.with_(strategy=cfg.NONE)
+    if isinstance(dataset, Dataset):
+        return _fit_alone(dataset, plain, stage_seed)
+    datasets, stage_seeds = list(dataset), list(stage_seed)
+    if len(datasets) != len(stage_seeds):
+        raise ValidationError("train_plain needs one stage seed per dataset")
+    if len(datasets) == 1:
+        return [_fit_alone(datasets[0], plain, stage_seeds[0])]
+    fresh = [_fresh_student(d, plain, s) for d, s in zip(datasets, stage_seeds)]
+    models = [model for model, _ in fresh]
+    _lockstep_plain(models, [d.features for d in datasets], [d.labels for d in datasets], plain,
+                    [member.seed for _, member in fresh])
+    return models
+
+
+def _fit_alone(dataset: Dataset, plain: cfg.DistillConfig, stage_seed: int) -> StudentModel:
+    model, plain = _fresh_student(dataset, plain, stage_seed)
     train(model, dataset.features, dataset.labels, TargetSet(cfg.NONE), plain)
     return model
 
@@ -166,9 +198,62 @@ def _roster(strategy: str, teachers):
 
 def _fit_teacher(rc: RunConfig, data: SyntheticData, stage: int, modality: str):
     """A teacher fit, as its logits on its clean train view and top-1 on its clean test view."""
+    model = train_plain(data.view("train", modality), rc.distill, derive_seed(rc.seed, stage))
+    return _teacher_record(model, data, modality)
+
+
+def _teacher_record(model: StudentModel, data: SyntheticData, modality: str):
     train_view, test_view = data.view("train", modality), data.view("test", modality)
-    model = train_plain(train_view, rc.distill, derive_seed(rc.seed, stage))
     return forward(model, train_view.features), evaluate(model, test_view.features, test_view.labels)
+
+
+_PLAN = ("teacher-plan",)  # the caches key of a run's planned in-process teachers
+
+
+def _plan_teachers(caches: dict, cells: list[RunConfig]) -> None:
+    """Record the in-process teachers the cells need: the union of their rosters.
+
+    Each is a run config and a _TEACHERS entry, (rc, id, stage,
+    modality), in ascending seed and then stage order;
+    _fit_planned_teachers fits them at the first need.
+    """
+    needed = {}
+    for rc in cells:
+        if rc.distill.strategy != cfg.NONE and not rc.teacher_paths:
+            for teacher_id, stage, modality in _roster(rc.distill.strategy, _TEACHERS):
+                needed.setdefault((rc.seed, stage), (rc, teacher_id, stage, modality))
+    caches[_PLAN] = [needed[key] for key in sorted(needed)]
+
+
+def _fit_planned_teachers(rc: RunConfig, data: SyntheticData, caches: dict) -> None:
+    """Fit the run's planned teachers that are not cached yet, in one train_plain call.
+
+    A run without a plan plans the cell's own roster. The plan is
+    consumed: whatever happens, no later cell fits a group. The group
+    fit runs with every floating-point condition the caller would hear
+    of raised, and the rest ignored; if anything raises (a member that
+    fitting alone would fail, or a warning), nothing is cached, and
+    each teacher is then fit alone by _fit_teacher, so it fails or warns
+    as fitting it alone does. A member of the cell's seed fits on
+    `data`; any other gets its seed's data through `caches`.
+    """
+    if _PLAN not in caches:
+        _plan_teachers(caches, [rc])
+    group = [entry for entry in caches[_PLAN] if ("teacher", entry[0].seed, entry[1]) not in caches]
+    caches[_PLAN] = []
+    if not group:
+        return
+    raised = {kind: "ignore" if mode == "ignore" else "raise" for kind, mode in np.geterr().items()}
+    try:
+        with np.errstate(**raised):
+            datas = [data if member.seed == rc.seed else _obtain_data(member, caches) for member, *_ in group]
+            models = train_plain([d.view("train", modality) for d, (*_, modality) in zip(datas, group)],
+                                 rc.distill, [derive_seed(member.seed, stage) for member, _, stage, _ in group])
+            records = {("teacher", member.seed, teacher_id): _teacher_record(model, d, modality)
+                       for (member, teacher_id, _, modality), model, d in zip(group, models, datas)}
+    except Exception:  # the fallback refits each teacher alone
+        return
+    caches.update(records)
 
 
 def _obtain_teacher_logits(
@@ -183,13 +268,16 @@ def _obtain_teacher_logits(
     are read: KD_SINGLE binds the first alone. Through `caches`, from
     either source, each teacher is fit or read once per run, and each
     roster's bank built once per run, so every cell of a roster gets the
-    same bank object.
+    same bank object. In-process teachers are fit by
+    _fit_planned_teachers first, and alone only if that fails.
     """
     strategy = rc.distill.strategy
     if strategy == cfg.NONE:
         return None, {}
     if rc.teacher_paths:
         return bind_teacher_dumps(_roster(strategy, rc.teacher_paths), data.train_dark, caches), {}
+    caches = {} if caches is None else caches
+    _fit_planned_teachers(rc, data, caches)
     roster = _roster(strategy, _TEACHERS)
     ids = tuple(teacher_id for teacher_id, _, _ in roster)
     fits = [_cached(caches, ("teacher", rc.seed, teacher_id), _fit_teacher, rc, data, stage, modality)
@@ -273,8 +361,11 @@ def run_ablation(
     cfg.STRATEGIES, then ascending seed, which rows and failures follow.
 
     Per-seed data, teacher logits and roster banks are made once per
-    run, and AVG1 and AVG2 share each bank's unweighted mean at tau (the
-    means are freed when the first GTD or PKD cell starts); the cache
+    run; the in-process teachers of every seed are fit together, at the
+    first cell that needs one (_fit_planned_teachers), so a seed's data
+    can be made then too. AVG1 and AVG2 share each bank's unweighted
+    mean at tau (the means are freed when the first GTD or PKD cell
+    starts); the cache
     only reuses values that deterministic retraining would reproduce
     bit-exactly, so reports do not depend on cell order.
     Teacher dumps (`base.teacher_paths`) and `base.data_dir` views are
@@ -287,9 +378,11 @@ def run_ablation(
     strategy or seed named twice is refused, since it would run its
     cells twice and count them twice in `mean_top1`.
     """
+    cells = _cells(base, strategies, seeds)
     caches: dict = {}
+    _plan_teachers(caches, [rc for _, _, rc in cells])
     report = AblationReport(rows=[])
-    for tag, seed, rc in _cells(base, strategies, seeds):
+    for tag, seed, rc in cells:
         if tag in (cfg.GTD, cfg.PKD):
             # report order runs every KD_SINGLE, AVG1 and AVG2 cell first,
             # so no later cell reads a cached mean: free them all
@@ -397,9 +490,10 @@ def cost_probe(rc: RunConfig, repeats: int = 3) -> CostProbe:
     data = _obtain_data(rc, caches)
     view = data.train_dark
     tags = (cfg.NONE, cfg.KD_SINGLE, cfg.PKD)
+    cells = [replace(rc, distill=rc.distill.with_(strategy=tag)) for tag in tags]
+    _plan_teachers(caches, cells)
     configs, targets, flops = {}, {}, {}
-    for tag in tags:
-        cell = replace(rc, distill=rc.distill.with_(strategy=tag))
+    for tag, cell in zip(tags, cells):
         bank, _ = _obtain_teacher_logits(cell, data, caches)
         configs[tag] = cell.distill.with_(epochs=1)
         targets[tag] = _cell_targets(bank, view.labels, cell.distill, caches)

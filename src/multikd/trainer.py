@@ -55,6 +55,14 @@ train reads no clock and returns nothing: the trained model is its one
 result, and the wall time that reports carry is read in harness. A
 per-epoch loss, if one is wanted, is for an observer of the run to
 measure on the model after the epoch, off the step path.
+Plain (NONE) fits of one shape can also step together, in lockstep:
+_lockstep_plain stacks S models as the leading axis of one parameter
+buffer and gives each the bits train gives it alone. The harness fits
+a run's teachers with it; students still train one at a time through
+train, and so does a lone teacher, since a one-slice np.matmul costs
+more than dot. It checks every step's logits and the whole buffer once,
+at the end, so it raises where train would, and callers fall back to
+train.
 Every distilling TargetSet holds one N x C matrix, so neither memory
 nor per-step cost grows with the number of teachers. AVG1's is AVG2's
 (see ensemble), so an AVG1 fit trains AVG2's student; the per-teacher
@@ -322,6 +330,89 @@ def _epoch(model, grads, config, scales, batches, tail, checked):
         _step(model, grads, config, scales, *batch, checked=checked)
     if tail is not None:
         _step(model, grads, config, scales, *tail, checked=checked)
+
+
+def _lockstep_plain(models: list, features: list, labels: list, config: cfg.DistillConfig, seeds: list) -> None:
+    """Plain (NONE) SGD for S models of one shape at once, the member as the leading axis.
+
+    Member s ends with the bits that train(models[s], features[s],
+    labels[s], TargetSet(NONE), config.with_(seed=seeds[s])) gives it:
+    each member draws its own SplitMix64 permutation stream, and each
+    epoch gathers the S members' rows into one S x N x D buffer. The
+    products are np.matmul calls on the stack, one gemm per slice as the
+    step's ndarray.dot makes; every elementwise op and reduction runs
+    per slice, in the step's order; and the parameters are one S x P
+    buffer whose rows are the members' StudentModel layouts. Checked by
+    _rows, as train checks each, and refused with ValidationError: no
+    members, lists of unequal length, and members of unequal shape.
+
+    No step checks its gradient or buffer and nothing is replayed:
+    every step checks the stack's logits, and the whole buffer is tested
+    once, after the last epoch, which by the module docstring's argument
+    catches whatever train's two other checks catch. So a member that
+    train would fail makes this raise, and no model is written then;
+    the caller falls back to train for each member (see harness).
+    """
+    if not models:
+        raise ValidationError("a lockstep fit needs at least one member")
+    if not len(models) == len(features) == len(labels) == len(seeds):
+        raise ValidationError("a lockstep fit needs one feature matrix, label vector and seed per model")
+    rows = [_rows(model, f, y, TargetSet(cfg.NONE), config) for model, f, y in zip(models, features, labels)]
+    shapes = {(model.w1.shape, model.w2.shape, x.shape) for model, (x, _) in zip(models, rows)}
+    if len(shapes) > 1:
+        raise ValidationError("lockstep members differ in shape")
+    s, n = len(models), rows[0][0].shape[0]
+    size = config.batch_size
+    full = n - n % size
+    prngs = [SplitMix64(seed) for seed in seeds]
+    data = np.stack([model.data for model in models])
+    grads = np.empty_like(data)
+    w1, w2, b1, b2 = _stacked_fields(data, models[0])
+    g_w1, g_w2, g_b1, g_b2 = _stacked_fields(grads, models[0])
+    w1_t, w2_t = w1.swapaxes(1, 2), w2.swapaxes(1, 2)
+    b1_rows, b2_rows = b1[:, None, :], b2[:, None, :]
+
+    def step(x, onehot):
+        pre = np.matmul(x, w1_t) + b1_rows
+        hidden = np.maximum(pre, 0.0)
+        logits = np.matmul(hidden, w2_t) + b2_rows
+        if not _all(np.isfinite(logits), None):
+            raise NumericalError("non-finite student logits; training aborted")
+        g_logits = (softmax_rows(logits) - onehot) / x.shape[1]
+        np.matmul(g_logits.swapaxes(1, 2), hidden, out=g_w2)
+        np.add.reduce(g_logits, axis=1, out=g_b2)
+        g_hidden = np.matmul(g_logits, w2) * (pre > 0.0)
+        np.matmul(g_hidden.swapaxes(1, 2), x, out=g_w1)
+        np.add.reduce(g_hidden, axis=1, out=g_b1)
+        np.subtract(data, config.lr * grads, out=data)
+
+    # member-major buffers; the batch views lead with the batch index, so zip walks them
+    shuffled = [np.empty((s, *column.shape), column.dtype) for column in rows[0]]
+    batches = [column[:, :full].reshape(s, -1, size, *column.shape[2:]).swapaxes(0, 1) for column in shuffled]
+    for _ in range(config.epochs):
+        for member, prng in enumerate(prngs):
+            order = np.array(prng.permutation(n), dtype=np.int64)
+            for column, out in zip(rows[member], shuffled):
+                np.take(column, order, axis=0, out=out[member], mode="clip")
+        for batch in zip(*batches):
+            step(*batch)
+        if full < n:
+            step(*(column[:, full:] for column in shuffled))
+    if not _all(np.isfinite(data), None):
+        raise NumericalError("non-finite parameters after update; training aborted")
+    for model, row in zip(models, data):
+        np.copyto(model.data, row)
+
+
+def _stacked_fields(data: np.ndarray, model: StudentModel) -> list:
+    """Views of an S x P stack of model-shaped buffers, one S x shape view per field."""
+    views, start = [], 0
+    for name in _FIELDS:
+        shape = getattr(model, name).shape
+        size = int(np.prod(shape))
+        views.append(data[:, start : start + size].reshape(data.shape[0], *shape))
+        start += size
+    return views
 
 
 def evaluate(model: StudentModel, features, labels) -> float:

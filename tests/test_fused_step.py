@@ -10,7 +10,9 @@ the logit gradient and the whole buffer once per epoch and replays a
 failing epoch. AVG1 steps must cost the same at any number of teachers. A
 StudentModel is one float64 buffer whose fields are views: the steps
 update the caller's own arrays, also when a step fails, and whatever
-dtype the model was built from, it trains as its float64 twin.
+dtype the model was built from, it trains as its float64 twin. A
+lockstep plain fit gives each member the bits of its fit alone, and
+where a member's fit alone fails it raises and writes no model.
 """
 
 import copy
@@ -32,9 +34,12 @@ from multikd import (
     init_student,
     train,
 )
+import multikd.harness as harness
+from multikd.datagen import Dataset
 from multikd.ensemble import TeacherBank, build_targets
 from multikd.errors import NumericalError, ValidationError
 from multikd.rng import SplitMix64
+from multikd.trainer import _lockstep_plain
 
 import _oracles
 from _oracles import (
@@ -590,3 +595,69 @@ def test_init_student_block_draws_match_the_scalar_draw_loop(seed, d_in, hidden,
     assert model.w1.tobytes() == w1.tobytes() and model.w2.tobytes() == w2.tobytes()
     assert not model.b1.any() and not model.b2.any()
     assert prng.state == reference.state
+
+
+@st.composite
+def plain_groups(draw):
+    """S in 1-4 members of one shape, each with its own dataset and stage seed."""
+    s, size = draw(st.integers(1, 4)), draw(st.integers(1, 7))
+    n = size * draw(st.integers(1, 4)) + draw(st.integers(0, size - 1))  # with and without a ragged tail
+    d, c = draw(st.integers(1, 6)), draw(st.integers(2, 5))
+    config = DistillConfig(strategy=mk.PKD, lr=0.2, batch_size=size, epochs=draw(st.integers(1, 3)),
+                           hidden_dim=draw(st.integers(1, 8)))
+    seeds = draw(st.lists(st.integers(0, 2**64 - 1), min_size=2 * s, max_size=2 * s, unique=True))
+    datasets = []
+    for seed in seeds[:s]:
+        rng = np.random.default_rng(seed)
+        datasets.append(Dataset(rng.random((n, d)), rng.integers(c, size=n), c, "A", "train"))
+    return datasets, config, seeds[s:]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(plain_groups())
+def test_a_lockstep_fit_gives_each_member_the_bits_of_its_fit_alone(group):
+    datasets, config, stage_seeds = group
+    alone = [harness.train_plain(dataset, config, seed).data.tobytes()
+             for dataset, seed in zip(datasets, stage_seeds)]
+    assert [model.data.tobytes() for model in harness.train_plain(datasets, config, stage_seeds)] == alone
+    # the loop itself, at S = 1 too, which train_plain fits alone
+    fresh = [harness._fresh_student(dataset, config.with_(strategy=mk.NONE), seed)
+             for dataset, seed in zip(datasets, stage_seeds)]
+    _lockstep_plain([model for model, _ in fresh], [dataset.features for dataset in datasets],
+                    [dataset.labels for dataset in datasets], fresh[0][1], [plain.seed for _, plain in fresh])
+    assert [model.data.tobytes() for model, _ in fresh] == alone
+
+
+def lockstep_group(n):
+    """Three fresh members of one shape, with n rows each, the second's features scaled by 1e200."""
+    rng = np.random.default_rng(5)
+    features = [rng.normal(size=(n, 3)) * scale for scale in (1.0, 1e200, 1.0)]
+    labels = [rng.integers(3, size=n) for _ in features]
+    models = [init_student(3, 4, 3, SplitMix64(seed)) for seed in range(3)]
+    return models, features, labels
+
+
+@pytest.mark.parametrize("n, lr, errstate, error, message", [
+    # the second member's first update leaves its weights near 1e199,
+    # and its logits overflow at its second step
+    pytest.param(12, 0.1, {"all": "ignore"}, NumericalError,
+                 "non-finite student logits; training aborted", id="logits-check"),
+    # one step, whose update overflows the second member's w1 alone: no
+    # logits check follows, the buffer test does
+    pytest.param(4, 1e150, {"all": "ignore"}, NumericalError,
+                 "non-finite parameters after update; training aborted", id="buffer-test"),
+    # the overflow itself raises first
+    pytest.param(12, 0.1, {"over": "raise"}, FloatingPointError,
+                 "overflow encountered in matmul", id="errstate-raise"),
+])
+def test_a_failing_member_fails_the_lockstep_and_writes_no_model(n, lr, errstate, error, message):
+    models, features, labels = lockstep_group(n)
+    before = [model.data.tobytes() for model in models]
+    config = DistillConfig(strategy=mk.NONE, lr=lr, batch_size=4, epochs=2 if n > 4 else 1)
+    with np.errstate(**errstate), pytest.raises(error) as caught:
+        _lockstep_plain(models, features, labels, config, [1, 2, 3])
+    assert str(caught.value) == message
+    assert [model.data.tobytes() for model in models] == before
+    with np.errstate(**errstate), pytest.raises(error):  # as the member fails alone
+        train(models[1], features[1], labels[1], TargetSet(mk.NONE), config.with_(seed=2))

@@ -14,6 +14,7 @@ from multikd.datagen import DataParams
 from multikd.ensemble import TargetSet, TeacherBank
 from multikd.errors import FormatError, NumericalError, StageError, ValidationError
 from multikd.formats import write_all_views, write_logit_dump
+from multikd.rng import derive_seed
 from multikd.trainer import StudentModel, train
 from multikd.harness import (
     AblationReport,
@@ -249,6 +250,113 @@ class TestBindTeacherDumpsOnce:
         run_pipeline(small_rc(mk.PKD, epochs=1), caches=caches)
         assert ("teacher", 1, "teacher-A") in caches
         assert not any(holds_model(value) for value in caches.values())
+
+
+def train_plain_calls(monkeypatch) -> list:
+    """A spy on harness.train_plain: each call's stage seed, or its list of them."""
+    calls, real = [], harness.train_plain
+
+    def spy(dataset, config, stage_seed):
+        calls.append(stage_seed)
+        return real(dataset, config, stage_seed)
+
+    monkeypatch.setattr(harness, "train_plain", spy)
+    return calls
+
+
+TEACHER_A, TEACHER_B = harness.STAGE_TEACHER_A, harness.STAGE_TEACHER_B
+
+
+def teacher_seeds(*fits) -> list:
+    """The stage seeds of (seed, teacher stage) fits."""
+    return [derive_seed(seed, stage) for seed, stage in fits]
+
+
+def overflowing_teacher_b(monkeypatch, scale):
+    """Make each seed's generated teacher-B training view `scale` times its size."""
+    real = harness.generate_data
+
+    def generate(rc):
+        data = real(rc)
+        return replace(data, train_b=replace(data.train_b, features=data.train_b.features * scale))
+
+    monkeypatch.setattr(harness, "generate_data", generate)
+
+
+# The report of six strategies over seeds 1 and 2 (small_rc, 4 epochs)
+# whose teacher-B fits fail, recorded before the teachers were fit
+# together: NONE and KD_SINGLE need no teacher-B, each other cell fails
+# at its teachers stage. A teacher that failed is fit again by every cell
+# that needs it.
+FAILED_B_ROWS = """#report v1
+NONE\t4.0\t1\t0.475\tNA
+NONE\t4.0\t2\t0.4\tNA
+KD_SINGLE\t4.0\t1\t0.275\tNA
+KD_SINGLE\t4.0\t2\t0.3875\tNA
+"""
+
+
+class TestTeachersFitTogether:
+    """A run fits every in-process teacher its cells need in one train_plain
+    call, at the first need, and each teacher once. If that call fails,
+    each teacher is fit alone, as before, so a failing teacher fails the
+    same cells with the same error."""
+
+    @pytest.mark.parametrize("strategies, calls", [
+        pytest.param(list(mk.STRATEGIES), [[(1, TEACHER_A), (1, TEACHER_B), (2, TEACHER_A), (2, TEACHER_B)]],
+                     id="six"),
+        pytest.param([mk.NONE, mk.KD_SINGLE], [[(1, TEACHER_A), (2, TEACHER_A)]], id="KD_SINGLE"),
+        pytest.param([mk.NONE], [], id="NONE"),
+    ])
+    def test_a_run_fits_the_teachers_it_needs_in_one_call(self, monkeypatch, strategies, calls):
+        seen = train_plain_calls(monkeypatch)
+        report = run_ablation(small_rc(epochs=1), strategies, [1, 2])
+        assert report.failures == [] and len(report.rows) == 2 * len(strategies)
+        assert seen == [teacher_seeds(*fits) for fits in calls]
+
+    def test_a_dump_run_fits_no_teacher(self, dumped, monkeypatch):
+        seen = train_plain_calls(monkeypatch)
+        assert run_ablation(dumped, list(mk.STRATEGIES), [1, 2]).failures == []
+        assert seen == []
+
+    def test_the_cost_probe_fits_both_teachers_in_one_call(self, monkeypatch):
+        seen = train_plain_calls(monkeypatch)
+        cost_probe(small_rc(epochs=2), repeats=1)
+        assert seen == [teacher_seeds((1, TEACHER_A), (1, TEACHER_B))]
+
+    @pytest.mark.parametrize("strategy, stages", [(mk.PKD, [TEACHER_A, TEACHER_B]), (mk.KD_SINGLE, [TEACHER_A])])
+    def test_a_lone_cell_fits_its_roster_in_one_call(self, monkeypatch, strategy, stages):
+        seen = train_plain_calls(monkeypatch)
+        row = run_pipeline(small_rc(strategy, epochs=1))  # as distill runs it, without caches
+        assert seen == [teacher_seeds(*[(1, stage) for stage in stages])]
+        assert sorted(row.teacher_test_acc) == ["teacher-A", "teacher-B"][:len(stages)]
+
+    @pytest.mark.parametrize("scale, errstate, cause, message", [
+        # pytest raises numpy's RuntimeWarning as an error
+        pytest.param(1e100, {}, RuntimeWarning, "overflow encountered in dot", id="warning"),
+        pytest.param(1e100, {"over": "raise"}, FloatingPointError, "overflow encountered in dot",
+                     id="over-raise"),
+        pytest.param(1e100, {"all": "ignore"}, NumericalError, "non-finite student logits; training aborted",
+                     id="ignore"),
+        # this teacher-B fit ends finite, but fitting it alone raises:
+        # the group raises too, so the teacher is fit alone
+        pytest.param(100.0, {"under": "raise"}, FloatingPointError, "underflow encountered in exp",
+                     id="under-raise"),
+    ])
+    def test_a_failing_teacher_fails_the_cells_it_failed_alone(self, monkeypatch, scale, errstate, cause,
+                                                                message):
+        overflowing_teacher_b(monkeypatch, scale)
+        seen = train_plain_calls(monkeypatch)
+        with np.errstate(**errstate):
+            report = run_ablation(small_rc(), list(mk.STRATEGIES), [1, 2])
+        failed = "".join(f"{tag}\t-\t{seed}\tFAILED\tstage 'teachers': {message}\n"
+                         for tag in (mk.AVG1, mk.AVG2, mk.GTD, mk.PKD) for seed in (1, 2))
+        assert report_machine_text(report) == FAILED_B_ROWS + failed
+        assert {type(exc.__cause__) for _, _, exc in report.failures} == {cause}
+        # one group call, then each teacher alone: teacher-B once per cell that needs it
+        assert seen == [teacher_seeds((1, TEACHER_A), (1, TEACHER_B), (2, TEACHER_A), (2, TEACHER_B)),
+                        *teacher_seeds((1, TEACHER_A), (2, TEACHER_A)),
+                        *teacher_seeds((1, TEACHER_B), (2, TEACHER_B)) * 4]
 
 
 class TestOneMeanBuild:

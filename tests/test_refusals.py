@@ -21,7 +21,7 @@ from multikd.errors import NumericalError, ValidationError
 from multikd.harness import AblationReport, RunConfig, cost_probe
 from multikd.preprocess import darken, gamma_correct
 from multikd.rng import SplitMix64
-from multikd.trainer import StudentModel, evaluate, init_student, train
+from multikd.trainer import StudentModel, _lockstep_plain, evaluate, init_student, train
 
 
 def _model(d_in=3, n_classes=2, b2=None):
@@ -43,6 +43,20 @@ def _denormal_tau_step():
 def _train(features, labels, target_set=TargetSet(mk.NONE), config=mk.DistillConfig(strategy=mk.NONE),
            model=None):
     return lambda: train(model or _model(), np.asarray(features), labels, target_set, config)
+
+
+def _lockstep(*d_ins, n=2):
+    """A lockstep fit of one member per d_in, each with n rows."""
+    return lambda: _lockstep_plain([_model(d_in) for d_in in d_ins], [np.zeros((n, d)) for d in d_ins],
+                                   [[0, 1] * (n // 2)] * len(d_ins), mk.DistillConfig(strategy=mk.NONE),
+                                   list(range(len(d_ins))))
+
+
+def _plain_group(*shapes, seeds=None):
+    """A sequence-form train_plain of one n x d member per shape."""
+    datasets = [Dataset(np.zeros((n, d)), [0, 1] * (n // 2), 2, "A", "train") for n, d in shapes]
+    seeds = list(range(len(shapes))) if seeds is None else seeds
+    return lambda: harness.train_plain(datasets, mk.DistillConfig(), seeds)
 
 
 REFUSALS = [
@@ -107,6 +121,20 @@ REFUSALS = [
     ("train-targets", _train(np.zeros((2, 3)), [0, 1], TargetSet(mk.PKD, [np.full((3, 2), 0.5)]),
                              mk.DistillConfig(strategy=mk.PKD)),
      ValidationError, "target matrix (3, 2) misaligned with data (2, 2)"),
+    ("lockstep-empty", _lockstep(),
+     ValidationError, "a lockstep fit needs at least one member"),
+    ("lockstep-width", _lockstep(3, 4),
+     ValidationError, "lockstep members differ in shape"),
+    ("lockstep-lengths", lambda: _lockstep_plain([_model()], [], [], mk.DistillConfig(strategy=mk.NONE), []),
+     ValidationError, "a lockstep fit needs one feature matrix, label vector and seed per model"),
+    ("train-plain-empty", _plain_group(),
+     ValidationError, "a lockstep fit needs at least one member"),
+    ("train-plain-width", _plain_group((2, 2), (2, 3)),
+     ValidationError, "lockstep members differ in shape"),
+    ("train-plain-rows", _plain_group((2, 2), (4, 2)),
+     ValidationError, "lockstep members differ in shape"),
+    ("train-plain-seeds", _plain_group((2, 2), (2, 2), seeds=[1]),
+     ValidationError, "train_plain needs one stage seed per dataset"),
     ("evaluate-misaligned", lambda: evaluate(_model(), np.zeros((3, 3)), [0, 1]),
      ValidationError, "features and labels misaligned"),
     ("logit-gradient", _denormal_tau_step,

@@ -10,9 +10,12 @@ ablation report covers the `ablation` workload. `python -m multikd` is
 run as a process too, so the exit code it hands the shell is checked,
 and so a report can be made under another host class than the test's
 own: the seed-1 rows of the default ablation must be the golden TSV's
-under the lowest x86-64 class as well.
+under the lowest x86-64 class as well. The package's source is scanned
+for names that only numpy 2 has, so the declared numpy>=1.24 floor
+stays true.
 """
 
+import ast
 import json
 import os
 import platform
@@ -121,3 +124,45 @@ def test_seed_1_report_rows_are_the_golden_rows_under_the_lowest_x86_64_class(tm
         pytest.skip(f"ran ablate --seeds 1 under {ran}, not the lowest x86-64 class, which this "
                     "host cannot run; its rows differ from the golden seed-1 rows")
     assert rows == want, f"ablate --seeds 1 under {ran}"
+
+
+# Names numpy 2 added, which the declared floor (numpy>=1.24) lacks.
+NUMPY_2_ONLY = {"mT", "vecdot", "matrix_transpose", "unstack", "isdtype", "introspect"}
+
+
+def numpy_2_only_uses(source: str) -> list:
+    """(line, name) of every attribute, name or import in `source` that NUMPY_2_ONLY lists."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Import):
+            names = [part for alias in node.names for part in alias.name.split(".")]
+        elif isinstance(node, ast.ImportFrom):
+            names = (node.module or "").split(".") + [alias.name for alias in node.names]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if name in NUMPY_2_ONLY]
+    return found
+
+
+@pytest.mark.parametrize("source, uses", [
+    ("x.mT", [(1, "mT")]),
+    ("np.vecdot(a, b)", [(1, "vecdot")]),
+    ("np.lib.introspect.opt_func_info()", [(1, "introspect")]),
+    ("from numpy import unstack", [(1, "unstack")]),
+    ("import numpy.lib.introspect", [(1, "introspect")]),
+    ("isdtype(x, 'real floating')", [(1, "isdtype")]),
+    ("x.swapaxes(-1, -2)\nnp.matmul(a, b)", []),
+])
+def test_the_numpy_2_scan_finds_each_name(source, uses):
+    assert numpy_2_only_uses(source) == uses
+
+
+def test_the_package_uses_no_numpy_2_only_name():
+    found = {str(path.relative_to(ROOT)): uses
+             for path in sorted((ROOT / "src" / "multikd").glob("*.py"))
+             if (uses := numpy_2_only_uses(path.read_text()))}
+    assert found == {}
